@@ -1,8 +1,10 @@
-"""repro.compilepipe: whole-workflow pipeline compilation.
+"""repro.compilepipe: whole-workflow pipeline compilation and execution.
 
-The eager pipeline decides data movement one operator at a time; this
-package lowers the *whole* workflow into a buffer-lifetime IR first and
-derives a transfer schedule from it:
+Every accelerated ``Pipeline`` runs here.  The package lowers the
+*whole* workflow into a buffer-lifetime IR first and derives a transfer
+schedule from it.  ``plan="eager"`` gets the per-operator HYBRID or NAIVE
+schedule (synchronous staging, nothing elided); ``plan="compiled"``
+gets the optimised one:
 
 * H2D transfers of provably-zero first-touch buffers become on-device
   memsets (``lifetime`` + ``planner``);
@@ -13,8 +15,8 @@ derives a transfer schedule from it:
   single fused launch regions (``fusion``).
 
 Entry points: :func:`plan_workflow` for inspection (the ``repro-bench
-plan`` subcommand), :func:`execute_compiled` for execution (what
-``Pipeline(plan="compiled")`` calls).  The compiled path is bitwise
+plan`` subcommand), :func:`execute_compiled` for execution (what every
+accelerated ``Pipeline.exec`` calls).  The compiled plan is bitwise
 identical to eager; the parity suite in ``tests/test_compilepipe.py``
 pins it, including under injected device loss.
 """
@@ -22,7 +24,14 @@ pins it, including under injected device loss.
 from .executor import CompiledRun, execute_compiled
 from .fusion import FusedGroup, plan_fusion
 from .lifetime import BufferLife, StageInfo, WorkflowIR, lower_workflow
-from .planner import BufferPlan, PipelinePlan, StagePlan, build_plan, plan_workflow
+from .planner import (
+    BufferPlan,
+    PipelinePlan,
+    StagePlan,
+    build_plan,
+    eager_plan,
+    plan_workflow,
+)
 from .report import plan_report, render_plan, transfer_seconds
 
 __all__ = [
@@ -35,6 +44,7 @@ __all__ = [
     "StagePlan",
     "WorkflowIR",
     "build_plan",
+    "eager_plan",
     "execute_compiled",
     "lower_workflow",
     "plan_fusion",

@@ -1,19 +1,28 @@
-"""Execute a compiled plan: residency, overlap, fusion, recovery.
+"""Execute a pipeline plan: residency, overlap, fusion, recovery.
 
-The executor walks the planned stage sequence keeping a small dynamic
-model of device state — which arrays are mapped, and whether the device
-or the host holds the newer bytes.  Every planner decision is
-re-validated against that model before it is acted on, so spills, device
-loss, and injected faults can reshape execution without ever making it
-wrong; the plan only decides *when* copies happen and *what* never needs
-to move.
+This is the one accelerated executor: every ``Pipeline`` run on a device
+goes through :class:`CompiledRun`, whatever its plan.  It walks the
+planned stage sequence keeping a small dynamic model of device state —
+which arrays are mapped, and whether the device or the host holds the
+newer bytes.  Every planner decision is re-validated against that model
+before it is acted on, so spills, device loss, and injected faults can
+reshape execution without ever making it wrong; the plan only decides
+*when* copies happen and *what* never needs to move.
 
-Numerically the compiled path is bitwise identical to the eager
-pipeline: kernels execute unchanged against the same device views, in
-the same order; elided H2D transfers are replaced by on-device memsets
-of buffers whose host bytes are provably zero; and every device-written
-array is drained back to the host by pipeline exit exactly as the eager
-path does.  The parity suite pins this.
+Two kinds of plan share the loop, its liveness spill and its recovery:
+
+* the compiled plan (``plan="compiled"``/``"megabatch"``) elides H2D
+  copies of zero first touches into on-device memsets, prefetches and
+  drains on the async copy streams, and fuses launches;
+* the eager schedules (``plan="eager"`` with ``MovementPolicy.HYBRID`` or
+  ``NAIVE``) copy synchronously through the ompshim data environment
+  (``target_enter_data``/``target_update_*``/``target_exit_data``)
+  around each operator.
+
+Numerically every plan is bitwise identical: kernels execute unchanged
+against the same device views, in the same order, and every
+device-written array is back on the host by pipeline exit.  The parity
+suite pins this.
 """
 
 from __future__ import annotations
@@ -27,11 +36,11 @@ from ..obs import state as obs_state
 from ..obs.events import EventType
 from ..resilience import state as res_state
 from .lifetime import lower_workflow
-from .planner import PipelinePlan, build_plan
+from .planner import PipelinePlan, build_plan, eager_plan
 
 __all__ = ["execute_compiled", "CompiledRun"]
 
-#: Device-loss recoveries tolerated per stage (mirrors Pipeline's cap).
+#: Device-loss recoveries tolerated per stage before giving up.
 MAX_DEVICE_RECOVERIES = 3
 
 #: Buffer coherence states.
@@ -41,7 +50,7 @@ _HOST_NEWER = "host_newer"  # host copy is ahead (device copy stale)
 
 
 class CompiledRun:
-    """One execution of a compiled plan over one device runtime."""
+    """One execution of a pipeline's plan over one device runtime."""
 
     def __init__(self, pipeline, data, runtime):
         self.pipeline = pipeline
@@ -49,22 +58,24 @@ class CompiledRun:
         self.runtime = runtime
         self.device = runtime.device
         self.clock = runtime.device.clock
-        # Work units exactly as the eager path would form them.
-        from ..core.pipeline import LoopOrder
+        from ..core.pipeline import LoopOrder, MovementPolicy
 
-        self.megabatch = getattr(pipeline, "plan", "") == "megabatch"
+        # Work units exactly as the host path forms them.
+        self.megabatch = pipeline.plan == "megabatch"
         if self.megabatch:
             # Stacked launches need multi-observation units: one chunk of
             # megabatch_group observations per unit (None: all in one).
-            self.units = pipeline.megabatch_units(
-                data, getattr(pipeline, "megabatch_group", None)
-            )
+            self.units = pipeline.megabatch_units(data, pipeline.megabatch_group)
         elif pipeline.order is LoopOrder.OBSERVATION_MAJOR:
             self.units = pipeline.observation_units(data)
         else:
             self.units = [data]
         self.ir = lower_workflow(pipeline.operators, self.units)
-        self.plan: PipelinePlan = build_plan(self.ir, megabatch=self.megabatch)
+        if pipeline.plan == "eager":
+            naive = pipeline.policy is MovementPolicy.NAIVE
+            self.plan: PipelinePlan = eager_plan(self.ir, naive=naive)
+        else:
+            self.plan = build_plan(self.ir, megabatch=self.megabatch)
         # Dynamic device-state model.
         self._mapped: Dict[int, np.ndarray] = {}
         self._label: Dict[int, str] = {}
@@ -83,8 +94,9 @@ class CompiledRun:
         return self.ir.life_of(arr)
 
     def _emit_plan_event(self, replan: bool = False) -> None:
+        """Report the compiled plan; an eager schedule elides nothing."""
         tr = obs_state.active
-        if tr is None:
+        if tr is None or self.plan.eager:
             return
         tr.device_event(
             EventType.PLAN,
@@ -98,20 +110,23 @@ class CompiledRun:
             replan=replan,
         )
 
-    def _enter(self, arr: np.ndarray, label: str) -> None:
-        self.runtime.target_enter_data(alloc=[arr], labels={id(arr): label})
-        self._mapped[id(arr)] = arr
-        self._label[id(arr)] = label
+    def _enter(self, arr: np.ndarray, label: str, copy: bool = False) -> None:
+        """Map ``arr``; ``copy`` makes it a synchronous ``map(to:)``."""
+        key = id(arr)
+        if copy:
+            self.runtime.target_enter_data(to=[arr], labels={key: label})
+        else:
+            self.runtime.target_enter_data(alloc=[arr], labels={key: label})
+        self._mapped[key] = arr
+        self._label[key] = label
+        self._status[key] = _SYNCED
 
-    def _ensure_on_device(
-        self, arr: np.ndarray, label: str, elide: bool, sync: bool
-    ) -> None:
-        """Make the device copy of ``arr`` present and valid.
+    def _ensure_on_device(self, arr: np.ndarray, label: str, elide: bool) -> None:
+        """Make the device copy of ``arr`` present and valid, asynchronously.
 
         ``elide``: the planner proved no host write precedes this first
         touch, so an all-zero host array maps to an on-device memset
         instead of an H2D copy (re-checked here — authoritative).
-        ``sync``: block on the copy now instead of leaving it in flight.
         """
         key = id(arr)
         if key not in self._mapped:
@@ -124,14 +139,9 @@ class CompiledRun:
                 self.transfers_elided += 1
             else:
                 self.device.update_device_async(assoc.buffer, arr)
-                if sync:
-                    self.device.wait_transfers("h2d")
-            self._status[key] = _SYNCED
         elif self._status.get(key) == _HOST_NEWER:
             assoc = self.runtime.present.lookup(arr)
             self.device.update_device_async(assoc.buffer, arr)
-            if sync:
-                self.device.wait_transfers("h2d")
             self._status[key] = _SYNCED
 
     def _drain_async(self, arr: np.ndarray, coalesced: bool) -> None:
@@ -151,18 +161,23 @@ class CompiledRun:
             self.device.wait_transfers("d2h")
             self._d2h_inflight.clear()
         if self._status.get(key) == _DEVICE_NEWER:
-            assoc = self.runtime.present.lookup(arr)
-            self.device.update_host(assoc.buffer, arr)
+            self.runtime.target_update_from(arr)
             self._status[key] = _SYNCED
+
+    def _release(self, key: int) -> None:
+        """Unmap one array, syncing it back first if the device is newer."""
+        arr = self._mapped[key]
+        if self._status.get(key) == _DEVICE_NEWER:
+            self._sync_back(arr)
+        self.runtime.target_exit_data(release=[arr])
+        del self._mapped[key]
+        self._label.pop(key, None)
+        self._status.pop(key, None)
+        self._d2h_inflight.discard(key)
 
     def _release_all(self) -> None:
         for key in list(self._mapped):
-            arr = self._mapped[key]
-            self.runtime.target_exit_data(release=[arr])
-            del self._mapped[key]
-            self._label.pop(key, None)
-            self._status.pop(key, None)
-        self._d2h_inflight.clear()
+            self._release(key)
 
     def _invalidate_all(self) -> None:
         """Device loss: residency is gone; host copies are what they are."""
@@ -188,20 +203,14 @@ class CompiledRun:
             return (far, self._mapped[key].nbytes)
 
         victim = max(candidates, key=distance)
-        arr = self._mapped[victim]
+        nbytes = self._mapped[victim].nbytes
         label = self._label.get(victim, "?")
-        if self._status.get(victim) == _DEVICE_NEWER:
-            self._sync_back(arr)
-        self.runtime.target_exit_data(release=[arr])
-        del self._mapped[victim]
-        self._label.pop(victim, None)
-        self._status.pop(victim, None)
-        self._d2h_inflight.discard(victim)
+        self._release(victim)
         self.spills += 1
         if ctrl is not None:
             ctrl.record_eviction(
                 op_name,
-                arr.nbytes,
+                nbytes,
                 clock=self.clock,
                 reason="device_oom",
                 label=label,
@@ -214,7 +223,7 @@ class CompiledRun:
                     EventType.EVICT,
                     label,
                     ts=self.clock.now,
-                    nbytes=arr.nbytes,
+                    nbytes=nbytes,
                     label=label,
                     policy="liveness",
                     reason="device_oom",
@@ -223,13 +232,22 @@ class CompiledRun:
 
     # -- stage bodies --------------------------------------------------------
 
-    def _run_accel_stage(self, stage, sp) -> None:
+    def _stage_in(self, stage, sp) -> None:
+        """Make everything ``stage`` touches valid on the device."""
+        if self.plan.eager:
+            # Per-operator staging: a synchronous map(to:) of each array
+            # not yet resident, labelled by its key as operators do.
+            for label in sp.stage_in_sync:
+                life = self.ir.buffers[label]
+                if id(life.array) not in self._mapped:
+                    self._enter(life.array, life.key, copy=True)
+            return
         # Stage-in what this stage needs (elisions and async copies), then
         # drain the H2D stream: prefetched copies from earlier stages are
         # already hidden behind compute, so this exposes only the tail.
         for acc in stage.accesses:
             elide = acc.label in sp.stage_in_elide
-            self._ensure_on_device(acc.array, acc.label, elide=elide, sync=False)
+            self._ensure_on_device(acc.array, acc.label, elide=elide)
         # A device write to an array whose deferred D2H is still in flight
         # must wait for the copy (real hardware would corrupt the readback).
         if self._d2h_inflight and any(
@@ -245,8 +263,10 @@ class CompiledRun:
         # copying now is safe — no earlier stage can still write them.
         for label in sp.prefetch:
             life = self.ir.buffers[label]
-            self._ensure_on_device(life.array, label, elide=False, sync=False)
+            self._ensure_on_device(life.array, label, elide=False)
 
+    def _run_accel_stage(self, stage, sp) -> None:
+        self._stage_in(stage, sp)
         group = self.plan.group_of(stage.index)
         if group is not None and group.stage_indices[0] == stage.index:
             self.device.begin_fused(group.name)
@@ -265,7 +285,7 @@ class CompiledRun:
             else:
                 stage.op.exec(stage.unit, use_accel=True, accel=self.runtime)
         for acc in stage.accesses:
-            if acc.writes:
+            if acc.writes and id(acc.array) in self._mapped:
                 self._status[id(acc.array)] = _DEVICE_NEWER
         if group is not None and self._fused_open is group and (
             group.stage_indices[-1] == stage.index
@@ -281,6 +301,7 @@ class CompiledRun:
                 self._drain_async(life.array, coalesced=True)
 
     def _run_host_stage(self, stage) -> None:
+        """Run a stage's operator on the host (also the OOM last resort)."""
         # Host readers need device-newer bytes synced back first.
         for acc in stage.accesses:
             if acc.reads:
@@ -290,22 +311,13 @@ class CompiledRun:
         for acc in stage.accesses:
             key = id(acc.array)
             if acc.writes and key in self._mapped:
-                # The eager pipeline refreshes the device copy here
-                # unconditionally; the plan defers it to the next device
-                # use — which may never come (a counted elision).
-                self._status[key] = _HOST_NEWER
-
-    def _run_stage_on_host_fallback(self, stage) -> None:
-        """OOM last resort: run an accel stage's operator on the host."""
-        for acc in stage.accesses:
-            if acc.reads:
-                self._sync_back(acc.array)
-        with self.pipeline._stage(stage.op):
-            stage.op.exec(stage.unit, use_accel=False, accel=None)
-        for acc in stage.accesses:
-            key = id(acc.array)
-            if acc.writes and key in self._mapped:
-                self._status[key] = _HOST_NEWER
+                if self.plan.eager:
+                    # Eager refreshes the device copy right away.
+                    self.runtime.target_update_to(acc.array)
+                else:
+                    # The plan defers the refresh to the next device use,
+                    # which may never come (a counted elision).
+                    self._status[key] = _HOST_NEWER
 
     # -- the main loop -------------------------------------------------------
 
@@ -349,7 +361,7 @@ class CompiledRun:
                     ctrl.record_host_fallback(
                         stage.op.name, "device_oom", clock=self.clock
                     )
-                    self._run_stage_on_host_fallback(stage)
+                    self._run_host_stage(stage)
                     break
                 except DeviceLostError:
                     if self._fused_open is not None:
@@ -375,7 +387,7 @@ class CompiledRun:
             if ctrl is not None and ctrl.config.checkpoint:
                 # Host copies current up to here: the device-loss resume
                 # point.  This forfeits D2H deferral across stages under a
-                # controller — the price of recoverability, same as eager.
+                # controller — the price of recoverability.
                 for key, arr in list(self._mapped.items()):
                     if self._status.get(key) == _DEVICE_NEWER:
                         self._sync_back(arr)
@@ -390,9 +402,12 @@ class CompiledRun:
                     },
                     clock=self.clock,
                 )
+            if sp.release:
+                self._release_all()
 
         # Pipeline exit: drain everything still device-newer, wait out the
-        # streams, release the device.  Host bytes now match eager exactly.
+        # streams, release the device.  Every device result is now on the
+        # host.
         for key, arr in list(self._mapped.items()):
             if self._status.get(key) == _DEVICE_NEWER:
                 self._drain_async(arr, coalesced=True)
@@ -409,7 +424,7 @@ class CompiledRun:
             (d2h.busy_seconds - d2h0[0]) - (d2h.waited_seconds - d2h0[1]),
         )
         tr = obs_state.active
-        if tr is not None:
+        if tr is not None and not self.plan.eager:
             tr.device_event(
                 EventType.OVERLAP,
                 self.pipeline.name,

@@ -1,18 +1,19 @@
 """Lowering: a workflow's operator sequence -> buffer-lifetime IR.
 
-The eager pipeline plans staging per operator from ``staging_intents()``,
-so it cannot see that the buffer it is about to H2D was zero-filled by
-``ensure_outputs`` a microsecond ago, or that the map it D2H's after this
-stage is read again by the very next one.  This module builds the view
-the planner needs: every stage of the whole workflow (operator x work
-unit), every array any stage touches, and for each array the full
-use-list — which stages read it, which write it, and whether those
-stages run on the device.
+Staging one operator at a time (the eager schedules) cannot see that the
+buffer about to go H2D was zero-filled by ``ensure_outputs`` a
+microsecond ago, or that the map drained after this stage is read again
+by the very next one.  This module builds the view every plan is made
+from: every stage of the whole workflow (operator x work unit), every
+array any stage touches, and for each array the full use-list — which
+stages read it, which write it, and whether those stages run on the
+device.
 
 Lowering is purely static: it calls every operator's ``ensure_outputs``
 up front (they only create zero-filled outputs, never read prior stages'
-results) and resolves bindings from the KernelSpec registry, the same
-source the eager pipeline's staging sets derive from.  Nothing executes.
+results) and resolves bindings from the KernelSpec registry (falling
+back to ``requires``/``provides`` for operators without bindings).
+Nothing executes.
 """
 
 from __future__ import annotations
@@ -162,8 +163,8 @@ def _fallback_accesses(op, unit, ob_index_of) -> List[Access]:
     """Accesses for operators without kernel bindings (requires/provides).
 
     Direction information is coarse — required keys count as reads,
-    provided keys as reads+writes (matching the eager pipeline's
-    pull-everything behaviour), so the plan never under-stages.
+    provided keys as reads+writes (outputs are staged in too, as eager
+    staging always did), so the plan never under-stages.
     """
     req, prov = op.requires(), op.provides()
     out: List[Access] = []

@@ -12,7 +12,7 @@ For every array the workflow touches, the planner decides, statically:
   no room to prefetch (stage 0, or the previous stage itself touches the
   array on the host).
 * **Residency** — once on the device the array stays there; re-stages
-  the eager pipeline performs (meta arrays entered/exited by every
+  the eager schedules perform (meta arrays entered/exited by every
   operator exec, device refreshes after host writes nothing will read)
   are counted as elided.
 * **Drain** — device-written arrays are read back once, asynchronously,
@@ -26,6 +26,10 @@ For every array the workflow touches, the planner decides, statically:
 The plan is advisory: the executor re-validates every decision against
 dynamic state (spills, device loss, injected faults), so a plan can
 never make execution wrong — only fast.
+
+The same executor also runs the two eager transfer schedules of the
+paper's §3.2.2 ablation, planned by :func:`eager_plan` with every
+optimisation above turned off.
 """
 
 from __future__ import annotations
@@ -34,13 +38,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .fusion import FusedGroup, plan_fusion
-from .lifetime import WorkflowIR, lower_workflow
+from .lifetime import Access, StageInfo, WorkflowIR, lower_workflow
 
 __all__ = [
     "BufferPlan",
     "StagePlan",
     "PipelinePlan",
     "build_plan",
+    "eager_plan",
     "plan_workflow",
     "eager_launches",
     "planned_launch_elisions",
@@ -82,6 +87,9 @@ class StagePlan:
     prefetch: List[str] = field(default_factory=list)
     #: Labels whose deferred D2H drain is submitted after this stage.
     drain: List[str] = field(default_factory=list)
+    #: Unmap everything after this stage, syncing device-newer arrays
+    #: back first (the eager schedules' drain points).
+    release: bool = False
 
 
 @dataclass
@@ -94,8 +102,15 @@ class PipelinePlan:
     groups: List[FusedGroup]
     transfers_elided: int = 0
     launches_elided: int = 0
+    #: "compiled", or one of the eager schedules "hybrid" and "naive".
+    schedule: str = "compiled"
     #: Filled by the executor as it runs.
     executed: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def eager(self) -> bool:
+        """Whether this is one of the synchronous per-operator schedules."""
+        return self.schedule != "compiled"
 
     @property
     def fused_groups(self) -> int:
@@ -177,6 +192,52 @@ def planned_launch_elisions(
     return elided
 
 
+def _eager_staging(stage: StageInfo) -> List[Access]:
+    """The observation arrays eager staging maps around ``stage``.
+
+    ``meta`` arrays are left out: operators stage their own globals.  The
+    order is observation by observation, shared before detdata, and the
+    operator's inputs before its write-only outputs.  It fixes the pool
+    offsets and the summation order of the modeled copy seconds, so the
+    eager schedules reproduce per-operator staging bit for bit.
+    """
+    rank: Dict[int, tuple] = {}
+    for i, ob in enumerate(stage.unit.obs):
+        for j, store in enumerate((ob.shared, ob.detdata)):
+            for arr in store.values():
+                rank[id(arr)] = (i, j)
+    staged = [a for a in stage.accesses if a.category != "meta"]
+    return sorted(staged, key=lambda a: (*rank[id(a.array)], not a.reads))
+
+
+def eager_plan(ir: WorkflowIR, naive: bool = False) -> PipelinePlan:
+    """The HYBRID (or NAIVE) schedule: per-operator synchronous staging.
+
+    Every device stage maps the observation arrays it touches that are
+    not resident yet, copying them in synchronously.  Nothing is elided,
+    prefetched, fused or drained asynchronously.  HYBRID keeps arrays
+    resident until the end of each work unit; NAIVE also releases
+    everything after every device stage (the transfer-around-every-kernel
+    strawman the paper beat by ~40%).
+    """
+    stages: List[StagePlan] = []
+    for s in ir.stages:
+        unit_ends = s.index + 1 == len(ir.stages) or (
+            ir.stages[s.index + 1].unit_index != s.unit_index
+        )
+        sp = StagePlan(
+            index=s.index,
+            name=s.op.name,
+            accel=s.accel,
+            release=unit_ends or (naive and s.accel),
+        )
+        if s.accel:
+            sp.stage_in_sync = [a.label for a in _eager_staging(s)]
+        stages.append(sp)
+    schedule = "naive" if naive else "hybrid"
+    return PipelinePlan(ir=ir, buffers={}, stages=stages, groups=[], schedule=schedule)
+
+
 def build_plan(ir: WorkflowIR, megabatch: bool = False) -> PipelinePlan:
     """Derive the transfer schedule and fusion groups from the IR.
 
@@ -217,7 +278,7 @@ def build_plan(ir: WorkflowIR, megabatch: bool = False) -> PipelinePlan:
                     bp.first_touch = "sync"
                     stage_plans[first_dev].stage_in_sync.append(label)
 
-            # Residency elisions vs the eager pipeline.  Eager re-enters
+            # Residency elisions vs the eager schedules.  Eager re-enters
             # meta arrays around every operator exec (each op stages its
             # own globals), paying one H2D per device stage that reads
             # them and, for device-written ones, one D2H per device stage.

@@ -132,35 +132,6 @@ class Operator:
             for kname in bindings
         )
 
-    def staging_intents(
-        self,
-    ) -> Tuple[Dict[str, List[str]], Dict[str, List[str]]]:
-        """(pull, push) staging sets for accelerated pipelines.
-
-        ``pull`` keys must be valid on the device before :meth:`exec`
-        (h2d); ``push`` keys are dirty on the device afterwards (d2h at
-        the next sync point).  Derived from spec intents (``IN``/``INOUT``
-        pull, ``OUT``/``INOUT`` push) when kernel bindings exist, else
-        from the hand-written requires/provides traits.  Only the
-        ``shared``/``detdata`` categories stage through the pipeline;
-        ``meta`` arrays are staged by the operator itself.
-        """
-        traits = self._spec_traits()
-        if traits is not None:
-            req, prov = traits
-        else:
-            req, prov = self.requires(), self.provides()
-        pull = {"shared": [], "detdata": []}
-        push = {"shared": [], "detdata": []}
-        for category in ("shared", "detdata"):
-            for key in list(req.get(category, ())) + list(prov.get(category, ())):
-                if key not in pull[category]:
-                    pull[category].append(key)
-            for key in prov.get(category, ()):
-                if key not in push[category]:
-                    push[category].append(key)
-        return pull, push
-
     # -- execution ------------------------------------------------------------
 
     def ensure_outputs(self, data: Data) -> None:

@@ -1,26 +1,24 @@
 """Pipelines with hybrid CPU/GPU data movement (paper §3.2.2).
 
 The pipeline runs a sequence of operators.  When an accelerator is in play,
-it uses the operators' requires/provides traits to keep data resident on
-the device across consecutive GPU-enabled operators, staging to/from the
-host only when a CPU-only operator touches the data and once at the end of
-the pipeline.  The paper measured this residency optimization at ~40% over
-the naive transfer-around-every-kernel approach; the NAIVE policy is kept
-for exactly that ablation.
+the operators' kernel bindings (or requires/provides traits) tell it what
+each one reads and writes, so data stays resident on the device across
+consecutive GPU-enabled operators, staging to/from the host only when a
+CPU-only operator touches the data and once at the end of the pipeline.
+The paper measured this residency optimization at ~40% over the naive
+transfer-around-every-kernel approach; the NAIVE policy is kept for exactly
+that ablation.  Every plan and policy executes on the device through
+:class:`repro.compilepipe.CompiledRun`.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from ..accel.errors import DeviceLostError, OutOfDeviceMemoryError
 from ..obs import state as obs_state
 from ..ompshim import OmpTargetRuntime
-from ..resilience import state as res_state
 from .data import Data
 from .dispatch import (
     ACCEL_IMPLEMENTATIONS,
@@ -28,7 +26,6 @@ from .dispatch import (
     default_implementation,
     use_implementation,
 )
-from .observation import Observation
 from .operator import Operator
 from .timing import function_timer
 
@@ -80,19 +77,30 @@ class Pipeline(Operator):
             )
         if megabatch_group is not None and megabatch_group < 1:
             raise ValueError(f"megabatch_group must be >= 1, got {megabatch_group}")
+        if policy is MovementPolicy.NAIVE and plan != "eager":
+            raise ValueError(
+                f"policy=MovementPolicy.NAIVE is an eager schedule; it needs "
+                f"plan='eager', got plan={plan!r}"
+            )
+        if megabatch_group is not None and plan != "megabatch":
+            raise ValueError(
+                f"megabatch_group needs plan='megabatch', got plan={plan!r}"
+            )
         self.operators: List[Operator] = list(operators)
         self.implementation = implementation
         self.accel = accel
         self.policy = policy
         self.order = order
-        #: "eager" stages per operator (the parity oracle); "compiled"
-        #: lowers the whole workflow through :mod:`repro.compilepipe` and
-        #: executes the planned schedule.  "megabatch" additionally groups
-        #: compatible per-observation kernel calls into single stacked
-        #: launches (detector x observation batching).  Identical numerics
-        #: all three ways.  The compiled/megabatch paths subsume
-        #: MovementPolicy (their residency plans are strictly better than
-        #: HYBRID), so ``policy`` only affects eager.
+        #: "eager" stages per operator on the ``policy`` schedule (the
+        #: parity oracle); "compiled" plans the whole workflow's movement
+        #: (elision, prefetch, deferred drains, fusion); "megabatch"
+        #: additionally groups compatible per-observation kernel calls
+        #: into single stacked launches (detector x observation
+        #: batching).  On a device all three run through
+        #: :mod:`repro.compilepipe`'s one executor, with identical
+        #: numerics.  The compiled/megabatch plans subsume MovementPolicy
+        #: (their residency plans are strictly better than HYBRID), so
+        #: ``policy`` only selects the eager schedule.
         self.plan = plan
         #: Observations per stacked launch group under plan="megabatch"
         #: (None: all observations in one group).  Grouping only affects
@@ -126,22 +134,6 @@ class Pipeline(Operator):
 
     def supports_accel(self) -> bool:
         return any(op.supports_accel() for op in self.operators)
-
-    # -- array resolution ----------------------------------------------------------
-
-    @staticmethod
-    def _resolve(
-        ob: Observation, traits: Dict[str, List[str]]
-    ) -> List[Tuple[str, np.ndarray]]:
-        """(key, array) pairs existing in this observation for the traits."""
-        out = []
-        for key in traits.get("shared", []):
-            if key in ob.shared:
-                out.append((key, ob.shared[key]))
-        for key in traits.get("detdata", []):
-            if key in ob.detdata:
-                out.append((key, ob.detdata[key]))
-        return out
 
     # -- execution -------------------------------------------------------------------
 
@@ -209,16 +201,15 @@ class Pipeline(Operator):
         runtime = accel if accel is not None else self.accel
         accel_enabled = impl in ACCEL_IMPLEMENTATIONS and runtime is not None
 
-        if self.order is LoopOrder.OBSERVATION_MAJOR:
-            work_units = self.observation_units(data)
-        else:
-            work_units = [data]
-
         with use_implementation(impl):
             if not accel_enabled:
                 if self.plan == "megabatch":
                     self._exec_megabatch_host(data)
                     return
+                if self.order is LoopOrder.OBSERVATION_MAJOR:
+                    work_units = self.observation_units(data)
+                else:
+                    work_units = [data]
                 for unit in work_units:
                     for op in self.operators:
                         op.ensure_outputs(unit)
@@ -226,29 +217,21 @@ class Pipeline(Operator):
                             op.exec(unit, use_accel=False, accel=None)
                 return
 
+            # Every plan runs on the device through the one executor.
+            from ..compilepipe import execute_compiled
+
             if impl is ImplementationType.JAX:
                 from ..jaxshim import attach_device, detach_device
 
                 attach_device(runtime.device)
                 try:
-                    if self.plan in ("compiled", "megabatch"):
-                        self._exec_compiled(data, runtime)
-                    else:
-                        for unit in work_units:
-                            self._exec_accel(unit, runtime)
+                    plan = execute_compiled(self, data, runtime)
                 finally:
                     detach_device()
-            elif self.plan in ("compiled", "megabatch"):
-                self._exec_compiled(data, runtime)
             else:
-                for unit in work_units:
-                    self._exec_accel(unit, runtime)
-
-    def _exec_compiled(self, data: Data, runtime: OmpTargetRuntime) -> None:
-        """Whole-workflow compiled execution (one plan spans all units)."""
-        from ..compilepipe import execute_compiled
-
-        self.last_plan = execute_compiled(self, data, runtime)
+                plan = execute_compiled(self, data, runtime)
+            # A plan holds the data it ran on; eager ones are not kept.
+            self.last_plan = None if plan.eager else plan
 
     def _exec_megabatch_host(self, data: Data) -> None:
         """Stacked launches without a device: operator-major over chunks.
@@ -268,224 +251,6 @@ class Pipeline(Operator):
                 with self._stage(op):
                     with megabatch_collection(MegabatchCollector()):
                         op.exec(unit, use_accel=False, accel=None)
-
-    def _exec_accel(self, data: Data, runtime: OmpTargetRuntime) -> None:
-        ctrl = res_state.active
-        if ctrl is not None:
-            # The recovery-aware path adds OOM eviction, host fallback, and
-            # checkpoint/resume; kept separate so the common path stays free.
-            self._exec_accel_resilient(data, runtime, ctrl)
-            return
-        # Device-resident arrays and whether the device copy is newer.
-        mapped: Dict[int, np.ndarray] = {}
-        device_dirty: set[int] = set()
-
-        def stage_in(arrays: List[Tuple[str, np.ndarray]]) -> None:
-            for key, arr in arrays:
-                if id(arr) not in mapped:
-                    runtime.target_enter_data(to=[arr], labels={id(arr): key})
-                    mapped[id(arr)] = arr
-
-        def stage_out_all() -> None:
-            for key in list(mapped):
-                arr = mapped[key]
-                if key in device_dirty:
-                    runtime.target_update_from(arr)
-                runtime.target_exit_data(release=[arr])
-                del mapped[key]
-            device_dirty.clear()
-
-        for op in self.operators:
-            op.ensure_outputs(data)
-            op_accel = op.supports_accel()
-            # Staging sets derive from the operator's kernel-spec argument
-            # intents (IN/INOUT -> pull, OUT/INOUT -> push); operators
-            # without kernel bindings fall back to requires/provides.
-            pull_traits, push_traits = op.staging_intents()
-            pull: List[Tuple[str, np.ndarray]] = []
-            push: List[Tuple[str, np.ndarray]] = []
-            for ob in data.obs:
-                pull.extend(self._resolve(ob, pull_traits))
-                push.extend(self._resolve(ob, push_traits))
-
-            with self._stage(op, runtime):
-                if op_accel:
-                    stage_in(pull)
-                    op.exec(data, use_accel=True, accel=runtime)
-                    for _, arr in push:
-                        device_dirty.add(id(arr))
-                    if self.policy is MovementPolicy.NAIVE:
-                        # Strawman: round-trip everything after every kernel.
-                        stage_out_all()
-                else:
-                    # CPU-only operator: sync device-newer inputs back first.
-                    for _, arr in pull:
-                        if id(arr) in device_dirty:
-                            runtime.target_update_from(arr)
-                            device_dirty.discard(id(arr))
-                    op.exec(data, use_accel=False, accel=None)
-                    # Host copies of mapped outputs are newer: refresh device.
-                    for _, arr in push:
-                        if id(arr) in mapped:
-                            runtime.target_update_to(arr)
-
-        # End of pipeline: "the final output is transferred back to the
-        # CPU, any data left on the GPU is deleted."
-        stage_out_all()
-
-    #: Device-loss recoveries tolerated per stage before giving up.
-    MAX_DEVICE_RECOVERIES = 3
-
-    def _exec_accel_resilient(
-        self, data: Data, runtime: OmpTargetRuntime, ctrl
-    ) -> None:
-        """The accelerated path under an active resilience controller.
-
-        Same movement logic as :meth:`_exec_accel`, plus three recovery
-        behaviours:
-
-        * **Device OOM** during a stage: stage out least-recently-used
-          mapped arrays outside the stage's working set and retry; with no
-          candidates left, back off and retry (external pressure clears);
-          as the last resort run the operator on the host.
-        * **Device loss**: invalidate mappings, revive the device, and
-          re-run only the failed stage -- the per-stage checkpoint sync
-          guarantees host copies are current up to the previous stage.
-        * **Checkpoints**: after each stage, device-newer arrays are synced
-          back and a manifest of provided fields is recorded.
-        """
-        clock = runtime.device.clock
-        mapped: Dict[int, np.ndarray] = {}
-        device_dirty: set[int] = set()
-        last_used: Dict[int, int] = {}
-        labels: Dict[int, str] = {}
-
-        def stage_in(arrays: List[Tuple[str, np.ndarray]]) -> None:
-            for key, arr in arrays:
-                if id(arr) not in mapped:
-                    runtime.target_enter_data(to=[arr], labels={id(arr): key})
-                    mapped[id(arr)] = arr
-                    labels[id(arr)] = key
-
-        def stage_out_all() -> None:
-            for key in list(mapped):
-                arr = mapped[key]
-                if key in device_dirty:
-                    runtime.target_update_from(arr)
-                runtime.target_exit_data(release=[arr])
-                del mapped[key]
-            device_dirty.clear()
-            last_used.clear()
-
-        def evict_lru(working: set, op_name: str) -> bool:
-            """Stage out the least-recently-used non-working-set array."""
-            candidates = [k for k in mapped if k not in working]
-            if not candidates:
-                return False
-            victim = min(candidates, key=lambda k: last_used.get(k, -1))
-            arr = mapped[victim]
-            if victim in device_dirty:
-                runtime.target_update_from(arr)
-                device_dirty.discard(victim)
-            runtime.target_exit_data(release=[arr])
-            del mapped[victim]
-            last_used.pop(victim, None)
-            ctrl.record_eviction(
-                op_name,
-                arr.nbytes,
-                clock=clock,
-                reason="device_oom",
-                label=labels.pop(victim, "?"),
-                policy="lru",
-            )
-            return True
-
-        def run_on_host(op, pull, push) -> None:
-            """CPU execution of one operator, keeping mapped data coherent."""
-            for _, arr in pull:
-                if id(arr) in device_dirty:
-                    runtime.target_update_from(arr)
-                    device_dirty.discard(id(arr))
-            op.exec(data, use_accel=False, accel=None)
-            for _, arr in push:
-                if id(arr) in mapped:
-                    runtime.target_update_to(arr)
-
-        for stage_idx, op in enumerate(self.operators):
-            op.ensure_outputs(data)
-            op_accel = op.supports_accel()
-            pull_traits, push_traits = op.staging_intents()
-            pull: List[Tuple[str, np.ndarray]] = []
-            push: List[Tuple[str, np.ndarray]] = []
-            for ob in data.obs:
-                pull.extend(self._resolve(ob, pull_traits))
-                push.extend(self._resolve(ob, push_traits))
-            working = {id(arr) for _, arr in pull}
-
-            oom_backoffs = 0
-            device_recoveries = 0
-            while True:
-                try:
-                    with self._stage(op, runtime):
-                        if op_accel:
-                            stage_in(pull)
-                            op.exec(data, use_accel=True, accel=runtime)
-                            for _, arr in push:
-                                device_dirty.add(id(arr))
-                            for key in working:
-                                last_used[key] = stage_idx
-                            if self.policy is MovementPolicy.NAIVE:
-                                stage_out_all()
-                        else:
-                            run_on_host(op, pull, push)
-                    break
-                except OutOfDeviceMemoryError as e:
-                    if ctrl.config.evict_on_oom and evict_lru(working, op.name):
-                        continue  # freed a block; retry the stage
-                    if oom_backoffs < ctrl.config.retry.max_attempts - 1:
-                        # Nothing left to evict: external pressure -- wait
-                        # (virtual time) for it to clear and retry.
-                        oom_backoffs += 1
-                        ctrl.backoff(f"pipeline.{op.name}", oom_backoffs, e, clock=clock)
-                        continue
-                    if not op_accel:
-                        raise  # the host path itself cannot OOM the device
-                    with self._stage(op, runtime):
-                        ctrl.record_host_fallback(op.name, "device_oom", clock=clock)
-                        run_on_host(op, pull, push)
-                    break
-                except DeviceLostError:
-                    if not ctrl.config.checkpoint:
-                        raise  # without checkpoints host copies may be stale
-                    if device_recoveries >= self.MAX_DEVICE_RECOVERIES:
-                        raise
-                    device_recoveries += 1
-                    # Mappings are garbage; host copies are current up to
-                    # the last checkpoint, so only this stage re-runs.
-                    runtime.recover_device()
-                    mapped.clear()
-                    device_dirty.clear()
-                    last_used.clear()
-                    ctrl.record_device_recovery(op.name, stage_idx, clock=clock)
-                    continue
-
-            if ctrl.config.checkpoint:
-                # Sync device-newer arrays back so host copies are current:
-                # the resume point if the device is lost in a later stage.
-                for key in list(device_dirty):
-                    runtime.target_update_from(mapped[key])
-                device_dirty.clear()
-                ctrl.record_checkpoint(
-                    {
-                        "pipeline": self.name,
-                        "op": op.name,
-                        "stage": stage_idx,
-                        "fields": sorted(key for key, _ in push),
-                    },
-                    clock=clock,
-                )
-
-        stage_out_all()
 
     @function_timer
     def finalize(self, data: Data) -> None:

@@ -224,7 +224,7 @@ class JitFunction:
             else:
                 entry = self._trace(args, dyn_leaves, arg_leaf_spans)
             self._cache[key] = entry
-            self._evict_lru(obs_tr)
+            self._trim_cache(obs_tr)
         elif obs_tr is not None:
             obs_tr.emit(
                 ObsEvent(
@@ -242,7 +242,7 @@ class JitFunction:
         out_leaves = exe(*dyn_leaves)
         return tree_unflatten(out_tree, list(out_leaves))
 
-    def _evict_lru(self, obs_tr) -> None:
+    def _trim_cache(self, obs_tr) -> None:
         """Drop least-recently-used signatures beyond the configured bound."""
         limit = config.jit_cache_max_size
         if limit is None:

@@ -13,7 +13,8 @@ two planes layered over the existing stack:
   failure).  Same plan + same call sequence = same faults, bit for bit.
 * **Recovery**: a backend fallback chain (JAX → OMP_TARGET → NUMPY →
   PYTHON) with per-kernel circuit breakers, retry-with-exponential-backoff
-  on the virtual clock, LRU eviction + host fallback on device OOM, and
+  on the virtual clock, a liveness spill (the buffer with the farthest
+  next device use goes first) + host fallback on device OOM, and
   per-stage pipeline checkpoints so device loss resumes instead of
   restarting.
 

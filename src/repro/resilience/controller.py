@@ -70,7 +70,8 @@ class ResilienceConfig:
     breaker_cooldown_s: float = 0.05
     #: Walk the implementation fallback chain when a kernel keeps failing.
     fallback: bool = True
-    #: On device OOM, stage out LRU non-working-set buffers and retry.
+    #: On device OOM, spill the non-working-set buffer with the farthest
+    #: next device use and retry.
     evict_on_oom: bool = True
     #: Record per-stage checkpoints so device loss resumes, not restarts.
     checkpoint: bool = True

@@ -23,7 +23,8 @@ def _plan(name: str, *specs: FaultSpec) -> FaultPlan:
 NAMED_PLANS: Dict[str, FaultPlan] = {
     # The Fig 4 scenario: an allocation is denied by external pressure
     # (other processes on the shared device), then succeeds on retry after
-    # LRU eviction relieves the pool.  Stays on-device -> bitwise identical.
+    # the liveness spill relieves the pool.  Stays on-device -> bitwise
+    # identical.
     "oom-then-recover": _plan(
         "oom-then-recover",
         FaultSpec(site="pool.allocate", kind=FaultKind.OOM, nth=(5,), max_fires=1),

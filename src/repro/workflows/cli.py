@@ -865,8 +865,8 @@ def _cmd_sweep(
                 "launch_reduction": movement["policies"]["megabatch"][
                     "launch_reduction"
                 ],
-                "wall_delta_vs_eager_s": hyb_v - mb_v,
-                "wall_delta_vs_compiled_s": comp_v - mb_v,
+                "modeled_delta_vs_eager_s": hyb_v - mb_v,
+                "modeled_delta_vs_compiled_s": comp_v - mb_v,
                 "modeled_launch_delta_vs_eager_s": (
                     modeled["hybrid"].launch_seconds
                     - modeled["megabatch"].launch_seconds

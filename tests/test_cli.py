@@ -66,9 +66,20 @@ class TestCommands:
         assert "virtual device time" in out
         assert "kernel launches" in out
 
-    def test_sweep(self, capsys):
-        assert main(["sweep"]) == 0
+    def test_sweep(self, capsys, monkeypatch, tmp_path):
+        import json
+
+        monkeypatch.chdir(tmp_path)
+        argv = ["sweep", "--live", "--live-size", "tiny", "--live-procs", "1"]
+        assert main(argv) == 0
         assert "OOM" in capsys.readouterr().out
+        (bench,) = tmp_path.glob("BENCH_*.json")
+        megabatch = json.loads(bench.read_text())["runs"][-1]["megabatch"]
+        # Differences of virtual-clock seconds are modeled, not wall time.
+        assert {"modeled_delta_vs_eager_s", "modeled_delta_vs_compiled_s"} <= set(
+            megabatch
+        )
+        assert not any(k.startswith("wall_delta") for k in megabatch)
 
     def test_sweep_no_mps(self, capsys):
         assert main(["sweep", "--no-mps"]) == 0

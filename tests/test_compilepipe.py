@@ -20,7 +20,7 @@ from repro.compilepipe import (
     transfer_seconds,
 )
 from repro.core import Data, ImplementationType, Pipeline, fake_hexagon_focalplane
-from repro.core.pipeline import LoopOrder
+from repro.core.pipeline import LoopOrder, MovementPolicy
 from repro.healpix import npix as healpix_npix
 from repro.obs.events import EventType
 from repro.ompshim import OmpTargetRuntime
@@ -201,6 +201,10 @@ class TestCompiledParity:
     def test_invalid_plan_rejected(self):
         with pytest.raises(ValueError, match="plan"):
             Pipeline(processing_ops(), plan="jitted")
+        # NAIVE is an eager schedule; the planned paths would ignore it.
+        for plan in ("compiled", "megabatch"):
+            with pytest.raises(ValueError, match="policy.*plan"):
+                Pipeline(processing_ops(), policy=MovementPolicy.NAIVE, plan=plan)
 
     def test_compiled_beats_hybrid_exposed_transfer(self):
         # Same problem, eager-HYBRID vs compiled: the plan must strictly

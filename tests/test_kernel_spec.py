@@ -351,11 +351,6 @@ class TestOperatorDerivedTraits:
         }
         assert op.provides() == {"shared": [], "detdata": ["signal"], "meta": []}
 
-    def test_staging_intents_pull_and_push(self):
-        pull, push = _ScanLike().staging_intents()
-        assert pull == {"shared": [], "detdata": ["pix", "w", "signal"]}
-        assert push == {"shared": [], "detdata": ["signal"]}
-
     def test_supports_accel_derived_from_registry(self):
         assert _ScanLike().supports_accel()
 

@@ -207,6 +207,10 @@ class TestPipelineParity:
             Pipeline(processing_ops(), plan="megabatch", megabatch_group=0)
         with pytest.raises(ValueError):
             Pipeline(processing_ops(), plan="bogus")
+        # A group size only means something to the megabatch plan.
+        for plan in ("eager", "compiled"):
+            with pytest.raises(ValueError, match="megabatch_group.*plan"):
+                Pipeline(processing_ops(), plan=plan, megabatch_group=2)
 
     def test_megabatch_units_chunking(self):
         d = make_data(n_obs=5)

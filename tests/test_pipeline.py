@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.accel import SimulatedDevice
 from repro.core import (
     Data,
     ImplementationType,
+    LoopOrder,
     MovementPolicy,
     Pipeline,
     fake_hexagon_focalplane,
 )
 from repro.core.operator import Operator
 from repro.healpix import npix as healpix_npix
+from repro.obs.events import EventType
 from repro.ompshim import OmpTargetRuntime
 from repro.ops import (
     BuildNoiseWeighted,
@@ -25,6 +28,11 @@ from repro.ops import (
     SimSatellite,
     StokesWeights,
     create_fake_sky,
+)
+from repro.workflows.satellite import (
+    SIZES,
+    make_satellite_data,
+    satellite_processing_pipeline,
 )
 
 NSIDE = 16
@@ -324,3 +332,69 @@ class TestLoopOrder:
             processing_ops(), implementation=ImplementationType.NUMPY
         ).apply(d_single)
         assert not np.allclose(d["zmap"], d_single["zmap"])
+
+
+class TestEagerSchedules:
+    """The NAIVE and HYBRID transfer schedules, pinned on the tiny chain.
+
+    Per (policy, loop order): H2D copies, D2H copies, device allocations,
+    H2D bytes, D2H bytes, and the modeled seconds of the two copy regions.
+    The movement is the same on both accelerated backends; only the
+    launch counts differ (the jaxshim port launches per traced kernel).
+    """
+
+    MOVEMENT = {
+        (MovementPolicy.NAIVE, LoopOrder.OPERATOR_MAJOR): (
+            36, 11, 36, 2004992, 729088, 0.00044019968, 0.00013916352,
+        ),
+        (MovementPolicy.NAIVE, LoopOrder.OBSERVATION_MAJOR): (
+            38, 12, 38, 2152448, 802816, 0.00046609792, 0.00015211264,
+        ),
+        (MovementPolicy.HYBRID, LoopOrder.OPERATOR_MAJOR): (
+            16, 9, 16, 821248, 663552, 0.00019284992, 0.00011654208,
+        ),
+        (MovementPolicy.HYBRID, LoopOrder.OBSERVATION_MAJOR): (
+            18, 10, 18, 968704, 737280, 0.00021874816, 0.0001294912,
+        ),
+    }
+    LAUNCHES = {ImplementationType.OMP_TARGET: 12, ImplementationType.JAX: 126}
+
+    @pytest.mark.parametrize(
+        "impl", [ImplementationType.OMP_TARGET, ImplementationType.JAX]
+    )
+    @pytest.mark.parametrize("policy", [MovementPolicy.NAIVE, MovementPolicy.HYBRID])
+    @pytest.mark.parametrize(
+        "order", [LoopOrder.OPERATOR_MAJOR, LoopOrder.OBSERVATION_MAJOR]
+    )
+    def test_counts_bytes_and_copy_seconds(self, impl, policy, order):
+        size = SIZES["tiny"]
+        rt = OmpTargetRuntime()
+        data = make_satellite_data(size, realization=0)
+        pipe = Pipeline(
+            satellite_processing_pipeline(size.nside).operators,
+            implementation=impl,
+            accel=rt,
+            policy=policy,
+            order=order,
+        )
+        tracer = obs.Tracer()
+        with obs.tracing(tracer):
+            pipe.exec(data, use_accel=True, accel=rt)
+        h2d, d2h, allocs, h2d_bytes, d2h_bytes, h2d_s, d2h_s = self.MOVEMENT[
+            (policy, order)
+        ]
+        assert len(tracer.events_of(EventType.H2D)) == h2d
+        assert len(tracer.events_of(EventType.D2H)) == d2h
+        assert len(tracer.events_of(EventType.ALLOC)) == allocs
+        assert rt.device.kernels_launched == self.LAUNCHES[impl]
+        m = tracer.metrics
+        assert m.counter("transfer.h2d_bytes").value == h2d_bytes
+        assert m.counter("transfer.d2h_bytes").value == d2h_bytes
+        clock = rt.device.clock
+        assert clock.region_time("accel_data_update_device") == pytest.approx(
+            h2d_s, rel=1e-12
+        )
+        assert clock.region_time("accel_data_update_host") == pytest.approx(
+            d2h_s, rel=1e-12
+        )
+        assert rt.device.allocated_bytes == 0
