@@ -24,7 +24,6 @@ __all__ = [
     "KernelRegistry",
     "kernel_registry",
     "kernel",
-    "megabatch_kernel",
     "get_kernel",
     "use_implementation",
     "default_implementation",
@@ -98,11 +97,17 @@ class KernelRegistry:
     *before* any implementation registers, and each implementation's
     signature is validated against the spec at registration time -- the
     four backends cannot drift apart silently.
+
+    Kernels whose spec declares ``megabatch=True`` also get a stacked
+    (observation-leading) entry per backend, derived from the
+    per-observation implementation by the backend's stacker (see
+    :meth:`set_stacker`) -- no kernel registers one by hand.
     """
 
     def __init__(self, require_specs: bool = True) -> None:
         self._impls: Dict[str, Dict[ImplementationType, Callable]] = {}
         self._megabatch: Dict[str, Dict[ImplementationType, Callable]] = {}
+        self._stackers: Dict[ImplementationType, Callable] = {}
         self._specs: Dict[str, Any] = {}
         self.require_specs = require_specs
 
@@ -151,6 +156,9 @@ class KernelRegistry:
         if impl in table:
             raise ValueError(f"kernel {name!r} already has a {impl.value} implementation")
         table[impl] = fn
+        stacker = self._stackers.get(impl)
+        if stacker is not None and getattr(spec, "megabatch", False):
+            self._megabatch.setdefault(name, {})[impl] = stacker(spec, fn)
         return fn
 
     def get(
@@ -203,37 +211,17 @@ class KernelRegistry:
 
     # -- megabatch (observation-stacked) entry paths -------------------------
 
-    def register_megabatch(
-        self, name: str, impl: ImplementationType, fn: Callable
-    ) -> Callable:
-        """Register a stacked (obs-leading) implementation of ``name``.
+    def set_stacker(self, impl: ImplementationType, stacker: Callable) -> None:
+        """Install ``impl``'s stacker: ``stacker(spec, fn)`` builds the
+        stacked entry of per-observation implementation ``fn``.
 
-        The spec must declare ``megabatch=True`` and the stacked function
-        must keep the exact per-observation signature -- ``"stack"`` args
-        simply carry a leading ``n_obs`` axis and intervals arrive as
-        ``(n_obs, n_ivl)`` padded slabs -- so ``validate_impl`` enforces
-        the same contract the scalar backends obey.
+        Every ``impl`` implementation of a ``megabatch=True`` kernel that
+        registers afterwards gets its stacked entry from it.  The stacked
+        entry takes the per-observation keyword arguments, except that
+        ``"stack"`` args carry a leading ``n_obs`` axis and intervals
+        arrive as ``(n_obs, n_ivl)`` padded slabs.
         """
-        spec = self._specs.get(name)
-        if spec is None:
-            raise ValueError(
-                f"kernel {name!r} has no KernelSpec; megabatch "
-                f"implementations require one"
-            )
-        if not getattr(spec, "megabatch", False):
-            raise ValueError(
-                f"kernel {name!r}: KernelSpec does not declare "
-                f"megabatch=True; stacked implementations are not allowed"
-            )
-        spec.validate_impl(fn, f"{impl.value}+megabatch")
-        table = self._megabatch.setdefault(name, {})
-        if impl in table:
-            raise ValueError(
-                f"kernel {name!r} already has a {impl.value} megabatch "
-                f"implementation"
-            )
-        table[impl] = fn
-        return fn
+        self._stackers[impl] = stacker
 
     def megabatch_impl(
         self, name: str, impl: ImplementationType
@@ -261,19 +249,6 @@ def kernel(name: str, impl: ImplementationType) -> Callable:
 
     def deco(fn: Callable) -> Callable:
         return kernel_registry.register(name, impl, fn)
-
-    return deco
-
-
-def megabatch_kernel(name: str, impl: ImplementationType) -> Callable:
-    """Decorator registering a stacked (megabatch) kernel implementation::
-
-        @megabatch_kernel("scan_map", ImplementationType.JAX)
-        def scan_map(...): ...  # same signature, obs-leading arrays
-    """
-
-    def deco(fn: Callable) -> Callable:
-        return kernel_registry.register_megabatch(name, impl, fn)
 
     return deco
 

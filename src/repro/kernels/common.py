@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -10,11 +12,12 @@ __all__ = [
     "check_intervals",
     "pad_intervals",
     "pad_intervals_grouped",
-    "pad_intervals_stacked",
     "flatten_intervals",
     "resolve_view",
     "host_parallel_for_collapse3",
     "launcher_for",
+    "after_launch",
+    "recording_launches",
 ]
 
 
@@ -31,10 +34,7 @@ def check_intervals(starts: np.ndarray, stops: np.ndarray, n_samples: int) -> No
 
 
 def pad_intervals(
-    starts: np.ndarray,
-    stops: np.ndarray,
-    max_len: Optional[int] = None,
-    n_intervals: Optional[int] = None,
+    starts: np.ndarray, stops: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Pad variable-length intervals to the maximum length (paper §3.1.3).
 
@@ -44,48 +44,24 @@ def pad_intervals(
     non-accumulating kernels can let the padding lanes do "dummy work"
     (recomputing the last sample's value) exactly as the paper describes;
     accumulating kernels must zero their contribution using ``valid_mask``.
-
-    ``max_len`` / ``n_intervals`` pad the slab out to a caller-imposed
-    shape (megabatch stacking pads every group member to a common
-    ``(n_intervals, max_len)``).  Padding rows and lanes are all-masked
-    and index sample 0, which is always in range; an observation with an
-    *empty* interval list therefore contributes an all-masked slab rather
-    than a (0, 0)-shaped error.
+    An empty interval list pads to a ``(0, 0)`` slab.
     """
     starts = np.asarray(starts, dtype=np.int64)
     stops = np.asarray(stops, dtype=np.int64)
-    n_ivl = len(starts) if n_intervals is None else int(n_intervals)
-    if n_ivl < len(starts):
-        raise ValueError("n_intervals smaller than the interval list")
     if len(starts) == 0:
-        forced = 0 if max_len is None else int(max_len)
-        return (
-            np.zeros((n_ivl, forced), dtype=np.int64),
-            np.zeros((n_ivl, forced), dtype=bool),
-            forced,
-        )
+        return np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0), dtype=bool), 0
     # Degenerate (empty or inverted) intervals contribute no valid lanes,
     # mirroring the scalar reference's empty range().
     lengths = np.maximum(stops - starts, 0)
-    out_len = int(lengths.max()) if max_len is None else int(max_len)
-    if out_len < int(lengths.max()):
-        raise ValueError("max_len smaller than the longest interval")
-    lanes = np.arange(out_len, dtype=np.int64)
+    max_len = int(lengths.max())
+    lanes = np.arange(max_len, dtype=np.int64)
     raw = starts[:, None] + lanes[None, :]
     valid = lanes[None, :] < lengths[:, None]
     clamped = np.minimum(raw, np.maximum(stops[:, None] - 1, starts[:, None]))
     # Clamp degenerate rows (start == stop at the sample-count boundary)
     # into range: every lane there is masked anyway.
     np.clip(clamped, 0, None, out=clamped)
-    if n_ivl > len(starts):
-        pad_rows = n_ivl - len(starts)
-        clamped = np.concatenate(
-            (clamped, np.zeros((pad_rows, out_len), dtype=np.int64)), axis=0
-        )
-        valid = np.concatenate(
-            (valid, np.zeros((pad_rows, out_len), dtype=bool)), axis=0
-        )
-    return clamped, valid, out_len
+    return clamped, valid, max_len
 
 
 def pad_intervals_grouped(
@@ -110,43 +86,6 @@ def pad_intervals_grouped(
         valid.reshape(n_obs, n_ivl, max_len),
         max_len,
     )
-
-
-def pad_intervals_stacked(
-    starts_list, stops_list
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Pad a *group* of per-observation interval lists to one common slab.
-
-    Returns ``(sample_index, valid_mask, max_length)`` with shape
-    ``(n_obs, n_intervals_max, max_length)``.  Every member is padded to
-    the group-wide interval count and interval length; observations with
-    fewer (or zero) intervals contribute all-masked rows, so a megabatch
-    launch can iterate one rectangular grid and mask rather than branch.
-    """
-    if len(starts_list) != len(stops_list):
-        raise ValueError("starts/stops group lists must have equal length")
-    if len(starts_list) == 0:
-        return (
-            np.zeros((0, 0, 0), dtype=np.int64),
-            np.zeros((0, 0, 0), dtype=bool),
-            0,
-        )
-    starts_list = [np.asarray(s, dtype=np.int64) for s in starts_list]
-    stops_list = [np.asarray(s, dtype=np.int64) for s in stops_list]
-    n_ivl = max(len(s) for s in starts_list)
-    max_len = 0
-    for starts, stops in zip(starts_list, stops_list):
-        if len(starts):
-            max_len = max(max_len, int(np.maximum(stops - starts, 0).max()))
-    idx_rows = []
-    valid_rows = []
-    for starts, stops in zip(starts_list, stops_list):
-        idx, valid, _ = pad_intervals(
-            starts, stops, max_len=max_len, n_intervals=n_ivl
-        )
-        idx_rows.append(idx)
-        valid_rows.append(valid)
-    return np.stack(idx_rows, axis=0), np.stack(valid_rows, axis=0), max_len
 
 
 def flatten_intervals(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -209,8 +148,64 @@ def host_parallel_for_collapse3(
             body(i, j, k_vec)
 
 
+class LaunchRecord:
+    """The collapse(3) launch, and the commits deferred past it, that one
+    per-observation kernel made under :func:`recording_launches`."""
+
+    def __init__(self) -> None:
+        self.grid: Optional[Tuple[int, int, int]] = None
+        self.body: Optional[Callable] = None
+        self.costs: dict = {}
+        self.commits: List[Callable[[], None]] = []
+
+    def launch(self, name, grid, body, **costs) -> None:
+        if self.body is not None:
+            raise RuntimeError(
+                f"{name}: a stacked entry needs one launch per observation"
+            )
+        self.grid = tuple(int(g) for g in grid)
+        self.body = body
+        self.costs = costs
+
+
+_recording = threading.local()
+
+
+@contextmanager
+def recording_launches() -> Iterator[LaunchRecord]:
+    """Record the launches made inside instead of running them.
+
+    A stacked OpenMP entry runs each group member's per-observation
+    kernel under this, then makes one launch over all recorded loop
+    bodies (see :mod:`repro.kernels.omp.stacked`).
+    """
+    record = LaunchRecord()
+    _recording.active = record
+    try:
+        yield record
+    finally:
+        _recording.active = None
+
+
 def launcher_for(accel, use_accel: bool) -> Callable:
-    """Pick the device or host collapse(3) launcher."""
+    """Pick the device or host collapse(3) launcher (or, while
+    :func:`recording_launches` is active, the recorder)."""
+    record = getattr(_recording, "active", None)
+    if record is not None:
+        return record.launch
     if use_accel and accel is not None:
         return accel.target_teams_distribute_parallel_for
     return host_parallel_for_collapse3
+
+
+def after_launch(commit: Callable[[], None]) -> None:
+    """Run ``commit`` once the launch just made has finished.
+
+    That is now, unless launches are being recorded: then it runs after
+    the stacked launch, in group-member order.
+    """
+    record = getattr(_recording, "active", None)
+    if record is None:
+        commit()
+    else:
+        record.commits.append(commit)

@@ -17,6 +17,13 @@ from ...jaxshim import config
 config.update("enable_x64", True)
 config.update("preallocate_memory", False)
 
+from ...core.dispatch import ImplementationType, kernel_registry  # noqa: E402
+from .stacked import stacked_entry  # noqa: E402
+
+# Before any kernel registers: megabatch kernels derive their stacked
+# entry from the per-observation implementation as it registers.
+kernel_registry.set_stacker(ImplementationType.JAX, stacked_entry)
+
 from . import (  # noqa: F401,E402  (registration side effects)
     pointing_detector,
     stokes_weights_I,
@@ -30,4 +37,3 @@ from . import (  # noqa: F401,E402  (registration side effects)
     template_offset_apply_diag_precond,
     cov_accum,
 )
-from . import megabatch  # noqa: F401,E402  (stacked registration side effects)

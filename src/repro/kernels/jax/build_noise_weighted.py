@@ -10,14 +10,12 @@ over the sample axis bitwise identical to a full-observation run.
 
 import numpy as np
 
-from ...core.dispatch import ImplementationType, kernel
-from ...jaxshim import jit, jnp, vmap
-from ..common import pad_intervals, resolve_view
+from ...jaxshim import jnp, vmap
+from .kernel import flag_lanes, jax_kernel
 
 
-@jit
-def _build_noise_weighted_compiled(
-    zmap, pixels, weights, tod, det_scale, good_det, flat, good_lane
+def _build_noise_weighted_contributions(
+    pixels, weights, tod, det_scale, good_det, flat, good_lane
 ):
     def per_detector(pix_row, w_row, tod_row, scale, good_row):
         pix = jnp.take(pix_row, flat)
@@ -31,18 +29,12 @@ def _build_noise_weighted_compiled(
     pix_all, contrib_all = vmap(per_detector)(
         pixels, weights, tod, det_scale, good_det
     )
-    n_total = pix_all.shape[0] * pix_all.shape[1]
-    nnz = contrib_all.shape[2]
-    # Transpose so samples are the outer reshape axis: the scatter then
-    # applies contributions sample-major, detector inner.
-    pix_t = jnp.transpose(pix_all)
-    contrib_t = jnp.transpose(contrib_all, (1, 0, 2))
-    return zmap.at[jnp.reshape(pix_t, (n_total,))].add(
-        jnp.reshape(contrib_t, (n_total, nnz))
-    )
+    # Samples outer, detectors inner: the scatter applies contributions
+    # sample-major.
+    return jnp.transpose(pix_all), jnp.transpose(contrib_all, (1, 0, 2))
 
 
-@kernel("build_noise_weighted", ImplementationType.JAX)
+@jax_kernel("build_noise_weighted", _build_noise_weighted_contributions)
 def build_noise_weighted(
     zmap,
     pixels,
@@ -58,27 +50,13 @@ def build_noise_weighted(
     accel=None,
     use_accel=False,
 ):
-    idx, valid, max_len = pad_intervals(starts, stops)
-    if max_len == 0:
-        return
-    flat = idx.reshape(-1)
-    good_lane = valid.reshape(-1)
-    if shared_flags is not None and mask:
-        good_lane = good_lane & ((shared_flags[flat] & mask) == 0)
-    # Per-detector goodness, gathered onto the padded lanes.
-    if det_flags is not None and det_mask:
-        good_det = (det_flags[:, flat] & det_mask) == 0
-    else:
-        good_det = np.ones((pixels.shape[0], flat.shape[0]), dtype=bool)
+    def operands(flat, valid):
+        good_lane = valid & ~flag_lanes(shared_flags, mask, flat)
+        # Per-detector goodness, gathered onto the padded lanes.
+        if det_flags is not None and det_mask:
+            good_det = (det_flags[:, flat] & det_mask) == 0
+        else:
+            good_det = np.ones((pixels.shape[0], flat.shape[0]), dtype=bool)
+        return (pixels, weights, tod, det_scale, good_det, flat, good_lane)
 
-    out = resolve_view(accel, zmap, use_accel)
-    out[:] = _build_noise_weighted_compiled(
-        out,
-        resolve_view(accel, pixels, use_accel),
-        resolve_view(accel, weights, use_accel),
-        resolve_view(accel, tod, use_accel),
-        resolve_view(accel, det_scale, use_accel),
-        good_det,
-        flat,
-        good_lane,
-    )
+    return operands

@@ -1,25 +1,19 @@
 """cov_accum_diag_hits / cov_accum_diag_invnpp, jaxshim implementation."""
 
-from ...core.dispatch import ImplementationType, kernel
-from ...jaxshim import jit, jnp, vmap
-from ..common import pad_intervals, resolve_view
+from ...jaxshim import jnp, vmap
+from .kernel import jax_kernel
 
 
-@jit
-def _cov_hits_compiled(hits, pixels, flat, valid):
+def _cov_hits_contributions(pixels, flat, valid):
     def per_detector(pix_row):
         pix = jnp.take(pix_row, flat)
         good = jnp.logical_and(pix >= 0, valid)
         return jnp.where(good, pix, 0), jnp.where(good, 1, 0)
 
-    pix_all, one_all = vmap(per_detector)(pixels)
-    n_total = pix_all.shape[0] * pix_all.shape[1]
-    return hits.at[jnp.reshape(pix_all, (n_total,))].add(
-        jnp.reshape(one_all, (n_total,))
-    )
+    return vmap(per_detector)(pixels)
 
 
-@kernel("cov_accum_diag_hits", ImplementationType.JAX)
+@jax_kernel("cov_accum_diag_hits", _cov_hits_contributions)
 def cov_accum_diag_hits(
     hits,
     pixels,
@@ -28,20 +22,11 @@ def cov_accum_diag_hits(
     accel=None,
     use_accel=False,
 ):
-    idx, valid, max_len = pad_intervals(starts, stops)
-    if max_len == 0:
-        return
-    out = resolve_view(accel, hits, use_accel)
-    out[:] = _cov_hits_compiled(
-        out,
-        resolve_view(accel, pixels, use_accel),
-        idx.reshape(-1),
-        valid.reshape(-1),
-    )
+    return lambda flat, valid: (pixels, flat, valid)
 
 
-@jit(static_argnums=(4,))
-def _cov_invnpp_compiled(invnpp, pixels, weights, det_scale, nnz, flat, valid):
+def _cov_invnpp_contributions(pixels, weights, det_scale, flat, valid):
+    nnz = weights.shape[2]
     tri = [(i, j) for i in range(nnz) for j in range(i, nnz)]
 
     def per_detector(pix_row, w_row, g):
@@ -53,15 +38,10 @@ def _cov_invnpp_compiled(invnpp, pixels, weights, det_scale, nnz, flat, valid):
         outer = jnp.where(good[:, None], outer, 0.0)
         return jnp.where(good, pix, 0), outer
 
-    pix_all, outer_all = vmap(per_detector)(pixels, weights, det_scale)
-    n_total = pix_all.shape[0] * pix_all.shape[1]
-    n_tri = outer_all.shape[2]
-    return invnpp.at[jnp.reshape(pix_all, (n_total,))].add(
-        jnp.reshape(outer_all, (n_total, n_tri))
-    )
+    return vmap(per_detector)(pixels, weights, det_scale)
 
 
-@kernel("cov_accum_diag_invnpp", ImplementationType.JAX)
+@jax_kernel("cov_accum_diag_invnpp", _cov_invnpp_contributions)
 def cov_accum_diag_invnpp(
     invnpp,
     pixels,
@@ -72,16 +52,4 @@ def cov_accum_diag_invnpp(
     accel=None,
     use_accel=False,
 ):
-    idx, valid, max_len = pad_intervals(starts, stops)
-    if max_len == 0:
-        return
-    out = resolve_view(accel, invnpp, use_accel)
-    out[:] = _cov_invnpp_compiled(
-        out,
-        resolve_view(accel, pixels, use_accel),
-        resolve_view(accel, weights, use_accel),
-        resolve_view(accel, det_scale, use_accel),
-        int(weights.shape[2]),
-        idx.reshape(-1),
-        valid.reshape(-1),
-    )
+    return lambda flat, valid: (pixels, weights, det_scale, flat, valid)

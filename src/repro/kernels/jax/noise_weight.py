@@ -1,8 +1,7 @@
 """noise_weight, jaxshim implementation."""
 
-from ...core.dispatch import ImplementationType, kernel
 from ...jaxshim import jit, jnp, vmap
-from ..common import pad_intervals, resolve_view
+from .kernel import jax_kernel
 
 
 @jit
@@ -16,7 +15,7 @@ def _noise_weight_compiled(tod, det_weights, flat):
     return vmap(per_detector)(tod, det_weights)
 
 
-@kernel("noise_weight", ImplementationType.JAX)
+@jax_kernel("noise_weight", _noise_weight_compiled)
 def noise_weight(
     tod,
     det_weights,
@@ -25,10 +24,4 @@ def noise_weight(
     accel=None,
     use_accel=False,
 ):
-    idx, _, max_len = pad_intervals(starts, stops)
-    if max_len == 0:
-        return
-    out = resolve_view(accel, tod, use_accel)
-    out[:] = _noise_weight_compiled(
-        out, resolve_view(accel, det_weights, use_accel), idx.reshape(-1)
-    )
+    return lambda flat, valid: (tod, det_weights, flat)

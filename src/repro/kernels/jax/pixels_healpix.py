@@ -5,17 +5,14 @@ The in-loop branches of the compiled kernel become fully evaluated
 kernel's relatively modest JAX speedup (§4.2).
 """
 
-import numpy as np
-
-from ...core.dispatch import ImplementationType, kernel
 from ...jaxshim import jit, jnp, vmap
-from ..common import pad_intervals, resolve_view
 from . import qarray
+from .kernel import flag_lanes, jax_kernel
 from .healpix_jax import ang2pix_nest_jnp, ang2pix_ring_jnp
 
 
 @jit(static_argnums=(2, 3))
-def _pixels_healpix_compiled(quats, pixels, nside, nest, flat, flagged):
+def _pixels_healpix_compiled(quats, pixels_out, nside, nest, flat, flagged):
     def per_detector(q_row, pix_row):
         q = jnp.take(q_row, flat)
         theta, phi = qarray.to_position(q)
@@ -26,10 +23,10 @@ def _pixels_healpix_compiled(quats, pixels, nside, nest, flat, flagged):
         pix = jnp.where(flagged, jnp.astype(-1, jnp.int64), pix)
         return pix_row.at[flat].set(pix)
 
-    return vmap(per_detector)(quats, pixels)
+    return vmap(per_detector)(quats, pixels_out)
 
 
-@kernel("pixels_healpix", ImplementationType.JAX)
+@jax_kernel("pixels_healpix", _pixels_healpix_compiled)
 def pixels_healpix(
     quats,
     pixels_out,
@@ -42,21 +39,11 @@ def pixels_healpix(
     accel=None,
     use_accel=False,
 ):
-    idx, _, max_len = pad_intervals(starts, stops)
-    if max_len == 0:
-        return
-    flat = idx.reshape(-1)
-    if shared_flags is not None and mask:
-        flagged = (shared_flags[flat] & mask) != 0
-    else:
-        flagged = np.zeros(flat.shape, dtype=bool)
-
-    out = resolve_view(accel, pixels_out, use_accel)
-    out[:] = _pixels_healpix_compiled(
-        resolve_view(accel, quats, use_accel),
-        out,
+    return lambda flat, valid: (
+        quats,
+        pixels_out,
         int(nside),
         bool(nest),
         flat,
-        flagged,
+        flag_lanes(shared_flags, mask, flat),
     )

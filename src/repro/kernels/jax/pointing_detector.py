@@ -1,15 +1,12 @@
 """pointing_detector, jaxshim implementation."""
 
-import numpy as np
-
-from ...core.dispatch import ImplementationType, kernel
 from ...jaxshim import jit, jnp, vmap
-from ..common import pad_intervals, resolve_view
 from . import qarray
+from .kernel import flag_lanes, jax_kernel
 
 
 @jit
-def _pointing_detector_compiled(fp_quats, boresight, quats, flat, flagged):
+def _pointing_detector_compiled(fp_quats, boresight, quats_out, flat, flagged):
     bore = jnp.take(boresight, flat)  # (M, 4) gathered boresight samples
 
     def per_detector(fp, out_row):
@@ -17,10 +14,10 @@ def _pointing_detector_compiled(fp_quats, boresight, quats, flat, flagged):
         rotated = jnp.where(flagged[:, None], fp, rotated)
         return out_row.at[flat].set(rotated)
 
-    return vmap(per_detector)(fp_quats, quats)
+    return vmap(per_detector)(fp_quats, quats_out)
 
 
-@kernel("pointing_detector", ImplementationType.JAX)
+@jax_kernel("pointing_detector", _pointing_detector_compiled)
 def pointing_detector(
     fp_quats,
     boresight,
@@ -32,20 +29,10 @@ def pointing_detector(
     accel=None,
     use_accel=False,
 ):
-    idx, _, max_len = pad_intervals(starts, stops)
-    if max_len == 0:
-        return
-    flat = idx.reshape(-1)
-    if shared_flags is not None and mask:
-        flagged = (shared_flags[flat] & mask) != 0
-    else:
-        flagged = np.zeros(flat.shape, dtype=bool)
-
-    out = resolve_view(accel, quats_out, use_accel)
-    out[:] = _pointing_detector_compiled(
-        resolve_view(accel, fp_quats, use_accel),
-        resolve_view(accel, boresight, use_accel),
-        out,
+    return lambda flat, valid: (
+        fp_quats,
+        boresight,
+        quats_out,
         flat,
-        flagged,
+        flag_lanes(shared_flags, mask, flat),
     )

@@ -5,9 +5,8 @@ the kind of kernel XLA is free to re-express as linear algebra (§4.2 notes
 this for the offset projection kernel).
 """
 
-from ...core.dispatch import ImplementationType, kernel
 from ...jaxshim import jit, jnp, vmap
-from ..common import pad_intervals, resolve_view
+from .kernel import jax_kernel
 
 
 @jit(static_argnums=(6, 7))
@@ -30,7 +29,7 @@ def _scan_map_compiled(
     return vmap(per_detector)(pixels, weights, tod)
 
 
-@kernel("scan_map", ImplementationType.JAX)
+@jax_kernel("scan_map", _scan_map_compiled)
 def scan_map(
     map_data,
     pixels,
@@ -44,17 +43,13 @@ def scan_map(
     accel=None,
     use_accel=False,
 ):
-    idx, valid, max_len = pad_intervals(starts, stops)
-    if max_len == 0:
-        return
-    out = resolve_view(accel, tod, use_accel)
-    out[:] = _scan_map_compiled(
-        resolve_view(accel, map_data, use_accel),
-        resolve_view(accel, pixels, use_accel),
-        resolve_view(accel, weights, use_accel),
-        out,
-        idx.reshape(-1),
-        valid.reshape(-1),
+    return lambda flat, valid: (
+        map_data,
+        pixels,
+        weights,
+        tod,
+        flat,
+        valid,
         bool(should_zero),
         bool(should_subtract),
         float(data_scale),

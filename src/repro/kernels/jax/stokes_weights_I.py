@@ -1,19 +1,18 @@
 """stokes_weights_I, jaxshim implementation."""
 
-from ...core.dispatch import ImplementationType, kernel
-from ...jaxshim import jit, jnp, vmap
-from ..common import pad_intervals, resolve_view
+from ...jaxshim import jit, vmap
+from .kernel import jax_kernel
 
 
 @jit
-def _stokes_I_compiled(weights, flat, cal):
+def _stokes_I_compiled(weights_out, flat, cal):
     def per_detector(row):
         return row.at[flat].set(cal)
 
-    return vmap(per_detector)(weights)
+    return vmap(per_detector)(weights_out)
 
 
-@kernel("stokes_weights_I", ImplementationType.JAX)
+@jax_kernel("stokes_weights_I", _stokes_I_compiled)
 def stokes_weights_I(
     weights_out,
     cal,
@@ -22,8 +21,4 @@ def stokes_weights_I(
     accel=None,
     use_accel=False,
 ):
-    idx, _, max_len = pad_intervals(starts, stops)
-    if max_len == 0:
-        return
-    out = resolve_view(accel, weights_out, use_accel)
-    out[:] = _stokes_I_compiled(out, idx.reshape(-1), float(cal))
+    return lambda flat, valid: (weights_out, flat, float(cal))

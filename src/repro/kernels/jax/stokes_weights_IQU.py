@@ -2,14 +2,13 @@
 
 import numpy as np
 
-from ...core.dispatch import ImplementationType, kernel
 from ...jaxshim import jit, jnp, vmap
-from ..common import pad_intervals, resolve_view
 from . import qarray
+from .kernel import jax_kernel
 
 
 @jit
-def _stokes_IQU_compiled(quats, weights, hwp, epsilon, flat, cal):
+def _stokes_IQU_compiled(quats, weights_out, hwp, epsilon, flat, cal):
     hwp_flat = jnp.take(hwp, flat)
 
     def per_detector(q_row, eps, w_row):
@@ -21,10 +20,10 @@ def _stokes_IQU_compiled(quats, weights, hwp, epsilon, flat, cal):
         w_u = cal * eta * jnp.sin(2.0 * angle)
         return w_row.at[flat].set(jnp.stack([w_i, w_q, w_u], axis=1))
 
-    return vmap(per_detector)(quats, epsilon, weights)
+    return vmap(per_detector)(quats, epsilon, weights_out)
 
 
-@kernel("stokes_weights_IQU", ImplementationType.JAX)
+@jax_kernel("stokes_weights_IQU", _stokes_IQU_compiled)
 def stokes_weights_IQU(
     quats,
     weights_out,
@@ -36,17 +35,6 @@ def stokes_weights_IQU(
     accel=None,
     use_accel=False,
 ):
-    idx, _, max_len = pad_intervals(starts, stops)
-    if max_len == 0:
-        return
     n_samples = quats.shape[1]
     hwp = hwp_angle if hwp_angle is not None else np.zeros(n_samples)
-    out = resolve_view(accel, weights_out, use_accel)
-    out[:] = _stokes_IQU_compiled(
-        resolve_view(accel, quats, use_accel),
-        out,
-        resolve_view(accel, hwp, use_accel),
-        resolve_view(accel, epsilon, use_accel),
-        idx.reshape(-1),
-        float(cal),
-    )
+    return lambda flat, valid: (quats, weights_out, hwp, epsilon, flat, float(cal))

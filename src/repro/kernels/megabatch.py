@@ -19,7 +19,10 @@ to their device views and stacked; ``"broadcast"`` arguments (scalars
 and GLOBAL accumulators) are passed through once.  Interval lists are
 padded to a common ``(n_obs, n_ivl)`` slab with degenerate ``(0, 0)``
 rows (an observation with an empty interval list contributes an
-all-masked slab — see :func:`repro.kernels.common.pad_intervals`).
+all-masked slab — see :func:`repro.kernels.common.pad_intervals_grouped`).
+Each backend's stacked entry is derived from its per-observation
+implementation (:mod:`repro.kernels.jax.stacked`,
+:mod:`repro.kernels.omp.stacked`).
 
 Bitwise parity is the gate: a stacked launch must reproduce the eager
 per-observation sequence exactly.  Three rules make that hold:
@@ -46,7 +49,7 @@ the accumulator, which is not bitwise-neutral against ``-0.0``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -118,8 +121,7 @@ class MegabatchCollector:
       against the device counter when one is attached.
     """
 
-    def __init__(self, group_limit: Optional[int] = None) -> None:
-        self.group_limit = group_limit
+    def __init__(self) -> None:
         self._pending: List[_Deferred] = []
         self._flushing = False
         self.deferred_calls = 0
@@ -198,12 +200,7 @@ class MegabatchCollector:
                     order.append(sig)
                 buckets[sig].append(call)
             for sig in order:
-                calls = buckets[sig]
-                if self.group_limit and self.group_limit > 1:
-                    for i in range(0, len(calls), self.group_limit):
-                        self._run_bucket(calls[i : i + self.group_limit])
-                else:
-                    self._run_bucket(calls)
+                self._run_bucket(buckets[sig])
         finally:
             self._flushing = False
 

@@ -11,7 +11,14 @@ Without a runtime (``use_accel=False``) the kernels run on the host --
 OpenMP's fallback behaviour when no device is available.
 """
 
-from . import (  # noqa: F401  (registration side effects)
+from ...core.dispatch import ImplementationType, kernel_registry
+from .stacked import stacked_entry
+
+# Before any kernel registers: megabatch kernels derive their stacked
+# entry from the per-observation implementation as it registers.
+kernel_registry.set_stacker(ImplementationType.OMP_TARGET, stacked_entry)
+
+from . import (  # noqa: F401,E402  (registration side effects)
     pointing_detector,
     stokes_weights_I,
     stokes_weights_IQU,
@@ -24,4 +31,3 @@ from . import (  # noqa: F401  (registration side effects)
     template_offset_apply_diag_precond,
     cov_accum,
 )
-from . import megabatch  # noqa: F401  (stacked registration side effects)

@@ -7,13 +7,14 @@ unbuffered scatter (``np.add.at``) over the scratch in sample-major
 (detector inner) order, standing in for the device kernel's atomic adds
 with the repo-wide canonical accumulation order -- the order that makes
 windowed streaming over the sample axis bitwise identical to a
-full-observation run.
+full-observation run.  The commit runs through ``after_launch``, so a
+stacked launch commits each observation after the whole group's loop.
 """
 
 import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
-from ..common import launcher_for, resolve_view
+from ..common import after_launch, launcher_for, resolve_view
 
 
 @kernel("build_noise_weighted", ImplementationType.OMP_TARGET)
@@ -68,6 +69,13 @@ def build_noise_weighted(
             good[:, None], z[:, None] * d_wts[idet, s], 0.0
         )
 
+    def commit():
+        # Ordered commit: intervals are sorted and lanes ascend within each,
+        # so this enumerates samples in ascending order with detectors inner.
+        pix_all = pix_buf.transpose(1, 2, 0).reshape(-1)
+        contrib_all = contrib_buf.transpose(1, 2, 0, 3).reshape(-1, nnz)
+        np.add.at(d_zmap, pix_all, contrib_all)
+
     launcher_for(accel, use_accel)(
         "build_noise_weighted",
         (n_det, n_ivl, max_len),
@@ -75,9 +83,4 @@ def build_noise_weighted(
         flops_per_iteration=10.0,
         bytes_per_iteration=96.0,
     )
-
-    # Ordered commit: intervals are sorted and lanes ascend within each,
-    # so this enumerates samples in ascending order with detectors inner.
-    pix_all = pix_buf.transpose(1, 2, 0).reshape(-1)
-    contrib_all = contrib_buf.transpose(1, 2, 0, 3).reshape(-1, nnz)
-    np.add.at(d_zmap, pix_all, contrib_all)
+    after_launch(commit)

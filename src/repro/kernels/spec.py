@@ -232,11 +232,12 @@ class KernelSpec:
     parity: bool = True
     waive_impls: Tuple[str, ...] = ()
     #: Whether a stacked (observation-leading) megabatch entry path is
-    #: meaningful for this kernel.  When true, backends may register a
-    #: megabatch implementation (same signature, ``"stack"`` args carry
-    #: a leading ``n_obs`` axis, intervals arrive as ``(n_obs, n_ivl)``
-    #: padded slabs) and the collector may group this kernel's
-    #: per-observation calls into one launch.
+    #: meaningful for this kernel.  When true, each accelerated backend
+    #: derives a stacked entry from its per-observation implementation
+    #: (same arguments, ``"stack"`` args carry a leading ``n_obs`` axis,
+    #: intervals arrive as ``(n_obs, n_ivl)`` padded slabs) and the
+    #: collector may group this kernel's per-observation calls into one
+    #: launch.
     megabatch: bool = False
     #: Dataflow shape for the fusion pass: ``"elementwise"`` kernels map
     #: each output sample from the matching input sample, ``"gather"``
@@ -311,17 +312,9 @@ class KernelSpec:
     def array_args(self) -> List[ArgSpec]:
         return [a for a in self.args if a.is_array]
 
-    def batch_axes(self) -> Dict[str, str]:
-        """Per-argument megabatch treatment (``"stack"``/``"broadcast"``)."""
-        return {a.name: a.batch for a in self.args}
-
     def stacked_names(self) -> List[str]:
         """Arguments that gain a leading ``n_obs`` axis when megabatched."""
         return [a.name for a in self.args if a.batch == "stack"]
-
-    def broadcast_names(self) -> List[str]:
-        """Arguments shared across a megabatch group (scalars, globals)."""
-        return [a.name for a in self.args if a.batch == "broadcast"]
 
     def input_names(self) -> List[str]:
         """Arguments read by the kernel (``IN`` and ``INOUT``)."""

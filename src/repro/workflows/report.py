@@ -52,6 +52,8 @@ _IMPLEMENTATIONS: Dict[str, Tuple[str, List[Path]]] = {
         [
             _KERNELS_ROOT / "jax" / "qarray.py",
             _KERNELS_ROOT / "jax" / "healpix_jax.py",
+            # The port's shared pad/compile/write-back steps.
+            _KERNELS_ROOT / "jax" / "kernel.py",
             _KERNELS_ROOT / "common.py",
         ],
     ),

@@ -1,5 +1,8 @@
 """Tests for the repro-bench command-line interface."""
 
+import contextlib
+import io
+
 import pytest
 
 from repro.workflows.cli import build_parser, main
@@ -48,6 +51,25 @@ class TestParser:
         assert args.backend == "numpy"
 
 
+@pytest.fixture(scope="module")
+def sweep_run(tmp_path_factory):
+    """One ``sweep --no-mps --live`` run shared by the sweep tests.
+
+    The sweep spends most of its time in the medium_scaled movement
+    comparison, so the tests read one run's output instead of each paying
+    for it. Returns ``(exit code, stdout, directory of the BENCH file)``.
+    """
+    bench_dir = tmp_path_factory.mktemp("sweep")
+    argv = [
+        "sweep", "--no-mps", "--live", "--live-size", "tiny", "--live-procs", "1"
+    ]
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.chdir(bench_dir)
+        rc = main(argv)
+    return rc, out.getvalue(), bench_dir
+
+
 class TestCommands:
     def test_figures(self, capsys, tmp_path):
         assert main(["figures", "--out", str(tmp_path)]) == 0
@@ -66,14 +88,13 @@ class TestCommands:
         assert "virtual device time" in out
         assert "kernel launches" in out
 
-    def test_sweep(self, capsys, monkeypatch, tmp_path):
+    def test_sweep(self, sweep_run):
         import json
 
-        monkeypatch.chdir(tmp_path)
-        argv = ["sweep", "--live", "--live-size", "tiny", "--live-procs", "1"]
-        assert main(argv) == 0
-        assert "OOM" in capsys.readouterr().out
-        (bench,) = tmp_path.glob("BENCH_*.json")
+        rc, out, bench_dir = sweep_run
+        assert rc == 0
+        assert "OOM" in out
+        (bench,) = bench_dir.glob("BENCH_*.json")
         megabatch = json.loads(bench.read_text())["runs"][-1]["megabatch"]
         # Differences of virtual-clock seconds are modeled, not wall time.
         assert {"modeled_delta_vs_eager_s", "modeled_delta_vs_compiled_s"} <= set(
@@ -81,9 +102,10 @@ class TestCommands:
         )
         assert not any(k.startswith("wall_delta") for k in megabatch)
 
-    def test_sweep_no_mps(self, capsys):
-        assert main(["sweep", "--no-mps"]) == 0
-        assert "MPS OFF" in capsys.readouterr().out
+    def test_sweep_no_mps(self, sweep_run):
+        rc, out, _ = sweep_run
+        assert rc == 0
+        assert "MPS OFF" in out
 
     def test_loc(self, capsys):
         assert main(["loc"]) == 0

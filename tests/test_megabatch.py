@@ -21,7 +21,7 @@ from repro.core.dispatch import get_kernel, megabatch_collection, use_implementa
 from repro.jaxshim import PRNGKey, normal, split, uniform, vmap
 from repro.jaxshim.primitives import BATCHING_WAIVERS, batching_coverage
 from repro.kernels import MegabatchCollector, kernel_registry
-from repro.kernels.common import pad_intervals, pad_intervals_grouped, pad_intervals_stacked
+from repro.kernels.common import pad_intervals, pad_intervals_grouped
 from repro.kernels.spec import ArgRole
 from repro.workflows.microbench import kernel_cases
 
@@ -32,19 +32,31 @@ from tests.test_compilepipe import (
     processing_ops,
 )
 
-MEGABATCH_KERNELS = [
-    "pointing_detector",
-    "stokes_weights_I",
-    "stokes_weights_IQU",
-    "pixels_healpix",
-    "scan_map",
-    "noise_weight",
-    "build_noise_weighted",
-    "cov_accum_diag_hits",
-    "cov_accum_diag_invnpp",
-]
+#: Every kernel whose spec declares megabatch=True: a new megabatch
+#: kernel gets the stacked-vs-eager parity tests without a test edit.
+MEGABATCH_KERNELS = sorted(
+    name for name, spec in kernel_registry.specs().items() if spec.megabatch
+)
 
 ACCEL_IMPLS = [ImplementationType.JAX, ImplementationType.OMP_TARGET]
+
+
+def test_megabatch_kernels_have_derived_stacked_entries():
+    assert MEGABATCH_KERNELS == sorted(
+        [
+            "pointing_detector",
+            "stokes_weights_I",
+            "stokes_weights_IQU",
+            "pixels_healpix",
+            "scan_map",
+            "noise_weight",
+            "build_noise_weighted",
+            "cov_accum_diag_hits",
+            "cov_accum_diag_invnpp",
+        ]
+    )
+    for name in MEGABATCH_KERNELS:
+        assert kernel_registry.megabatch_implementations(name) == ACCEL_IMPLS, name
 
 #: Interval shapes for the collector group: one member with *zero*
 #: intervals exercises the degenerate-row / anchor-redirect path.
@@ -114,6 +126,30 @@ class TestCollectorParity:
         for i, ((ea, outs), (ma, _)) in enumerate(zip(eager, mb)):
             for k in outs:
                 assert ea[k].tobytes() == ma[k].tobytes(), (name, impl, i, k)
+
+    @pytest.mark.parametrize("impl", ACCEL_IMPLS, ids=lambda i: i.value)
+    @pytest.mark.parametrize("name", MEGABATCH_KERNELS)
+    def test_short_member_pads_inside_its_intervals(self, impl, name):
+        """A member with fewer intervals than the group, none covering
+        sample 0: its padding lanes must do their dummy work inside its
+        own intervals (the anchor redirect), never on sample 0."""
+        spec = kernel_registry.spec(name)
+        base, gnames = _build_group(name, spec, kinds=["irregular", "irregular"])
+        base[1][0]["starts"] = np.array([10], dtype=np.int64)
+        base[1][0]["stops"] = np.array([40], dtype=np.int64)
+        eager = _clone_group(base, gnames)
+        mb = _clone_group(base, gnames)
+        fn = get_kernel(name, impl)
+        for args, _ in eager:
+            fn(**args, accel=None, use_accel=False)
+        coll = MegabatchCollector()
+        with megabatch_collection(coll):
+            for args, _ in mb:
+                fn(**args, accel=None, use_accel=False)
+        assert coll.stacked_launches == 1 and coll.replayed_calls == 0
+        for (ea, outs), (ma, _) in zip(eager, mb):
+            for k in outs:
+                assert ea[k].tobytes() == ma[k].tobytes(), k
 
     @pytest.mark.parametrize("impl", ACCEL_IMPLS, ids=lambda i: i.value)
     def test_single_call_group_is_passthrough(self, impl):
@@ -301,12 +337,10 @@ class TestJitCacheBuckets:
     """Padded megabatch shapes hash into pow2 buckets: no per-count churn."""
 
     def test_no_evictions_across_group_sizes(self):
-        from repro.kernels.jax import megabatch as jmb
-
         name = "pointing_detector"
         spec = kernel_registry.spec(name)
         fn = get_kernel(name, ImplementationType.JAX)
-        jf = jmb._pointing_detector_mb
+        jf = kernel_registry.megabatch_impl(name, ImplementationType.JAX).compiled
         traces0, evict0 = jf.n_traces, jf.cache_evictions
         for k in (2, 3, 4, 5, 3, 2):
             base, gnames = _build_group(
@@ -338,33 +372,13 @@ class TestBatchingRuleCoverage:
 
 
 class TestPadIntervals:
-    """Regression: zero-length observations and forced padding dims."""
+    """Regression: zero-length observations and grouped padding rows."""
 
     def test_empty_interval_list(self):
         idx, valid, max_len = pad_intervals(
             np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         )
         assert idx.shape == (0, 0) and valid.shape == (0, 0) and max_len == 0
-
-    def test_empty_with_forced_dims(self):
-        idx, valid, max_len = pad_intervals(
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            max_len=4,
-            n_intervals=2,
-        )
-        assert idx.shape == (2, 4)
-        assert not valid.any()
-        assert (idx == 0).all()  # padding rows index sample 0: always in range
-
-    def test_forced_dims_pad_real_intervals(self):
-        starts = np.array([0, 10], dtype=np.int64)
-        stops = np.array([3, 12], dtype=np.int64)
-        idx, valid, max_len = pad_intervals(starts, stops, max_len=5, n_intervals=4)
-        assert idx.shape == (4, 5) and max_len == 5
-        assert valid[:2].sum() == 5  # 3 + 2 real samples
-        assert not valid[2:].any()
-        assert np.array_equal(idx[0, :3], [0, 1, 2])
 
     def test_grouped_padding_row_is_masked(self):
         starts = np.array([[0, 5], [0, 0]], dtype=np.int64)
@@ -373,12 +387,3 @@ class TestPadIntervals:
         assert idx.shape == (2, 2, max_len)
         assert not valid[1, 1].any()  # the (0, 0) padding row
         assert valid[1, 0].sum() == 4
-
-    def test_stacked_group_with_empty_member(self):
-        idx, valid, max_len = pad_intervals_stacked(
-            [np.array([0], dtype=np.int64), np.zeros(0, dtype=np.int64)],
-            [np.array([6], dtype=np.int64), np.zeros(0, dtype=np.int64)],
-        )
-        assert idx.shape == (2, 1, 6) and max_len == 6
-        assert valid[0].sum() == 6
-        assert not valid[1].any()
