@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -24,12 +24,39 @@ def estimate_compile_time(n_eqns: int) -> float:
     return 0.080 + 0.004 * n_eqns
 
 
+def _last_reads(graph: Graph) -> List[Tuple[int, ...]]:
+    """Per equation, the uids of the Vars it reads for the last time.
+
+    Graph outputs are never listed: they outlive the call.  A Var an
+    equation reads twice is listed once.
+    """
+    seen: Set[int] = {a.uid for a in graph.out_atoms if isinstance(a, Var)}
+    dead: List[Tuple[int, ...]] = []
+    for eqn in reversed(graph.eqns):
+        last = []
+        for a in eqn.inputs:
+            if isinstance(a, Var) and a.uid not in seen:
+                seen.add(a.uid)
+                last.append(a.uid)
+        dead.append(tuple(last))
+    dead.reverse()
+    return dead
+
+
 class CompiledFunction:
     """An executable compiled graph.
 
-    Evaluates equations in program order with NumPy.  When a simulated
-    device is attached, each call charges modeled kernel time: one launch
-    per fusion group, each costed with a roofline
+    Evaluates equations in program order with NumPy.  Every intermediate
+    is released right after the equation that reads it last (``last_reads``,
+    derived once from the graph), as XLA's buffer assignment frees a
+    temporary at its last use; only graph outputs live to the end of a
+    call.  Buffers are released, never reused: the shape primitives
+    return views that may alias other live values.  Captured constant
+    outputs are copied on every call, so a caller that writes into one
+    cannot change what later calls return.
+
+    When a simulated device is attached, each call charges modeled kernel
+    time: one launch per fusion group, each costed with a roofline
     ``max(flops / peak, bytes / bandwidth)``.
     """
 
@@ -44,6 +71,7 @@ class CompiledFunction:
         self.donated_in_idx = donated_in_idx or set()
         self.groups = fusion_groups(graph)
         self.costs = [group_cost(graph, g) for g in self.groups]
+        self.last_reads = _last_reads(graph)
         self.n_calls = 0
         self.donated_bytes_last_call = 0
 
@@ -120,11 +148,14 @@ class CompiledFunction:
             if self.donated_bytes_last_call:
                 tr.metrics.count("jit.donated_bytes", self.donated_bytes_last_call)
 
-        for eqn in self.graph.eqns:
+        for eqn, dead in zip(self.graph.eqns, self.last_reads):
             args = [env[a.uid] if isinstance(a, Var) else a for a in eqn.inputs]
             env[eqn.out.uid] = eqn.prim.impl(*args, **eqn.params)
+            del args
+            for uid in dead:
+                del env[uid]
 
         outs: List[np.ndarray] = []
         for atom in self.graph.out_atoms:
-            outs.append(env[atom.uid] if isinstance(atom, Var) else atom)
+            outs.append(env[atom.uid] if isinstance(atom, Var) else atom.copy())
         return outs

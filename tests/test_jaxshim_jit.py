@@ -1,4 +1,6 @@
-"""Tests for jit: tracing, caching, purity errors, donation, fusion."""
+"""Tests for jit: tracing, caching, purity errors, donation, fusion, liveness."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +51,12 @@ class TestJitBasics:
             return np.float64(7.0)
 
         assert f(np.zeros(2)) == 7.0
+
+    def test_constant_output_fresh_per_call(self):
+        g = jit(lambda a: (a + 1.0, jnp.zeros(3)))
+        x = np.ones(3)
+        g(x)[1][0] = 99.0
+        assert np.array_equal(g(x)[1], np.zeros(3))
 
     def test_scalar_arg_traced(self):
         @jit
@@ -356,3 +364,49 @@ class TestGraphOptimization:
 
         x = np.linspace(0, 1, 9)
         assert np.allclose(jit(f)(x), f(x))
+
+
+def _chain(a):
+    for _ in range(16):
+        a = a * 1.0001 + 0.5
+    return a
+
+
+def _output_read_later(a):
+    s = jnp.sin(a)
+    return s, s * 2.0
+
+
+def _var_read_twice(a):
+    b = a + 1.0
+    return (b * b,)
+
+
+def _input_returned(a):
+    return a, a * 2.0
+
+
+class TestBufferLiveness:
+    def test_intermediates_die_at_last_use(self):
+        x = np.ones(1 << 17)  # 1 MiB of float64
+        f = jit(_chain)
+        f(x)  # trace and compile outside the measurement
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            f(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Each of the 32 equations makes a 1 MiB temporary; only the one
+        # being computed and the one it reads need be alive at once.
+        assert peak - base < 4 * x.nbytes
+
+    @pytest.mark.parametrize("fn", [_output_read_later, _var_read_twice, _input_returned])
+    def test_outputs_match_eager(self, fn):
+        x = np.linspace(0.0, 3.0, 64)
+        got, want = jit(fn)(x), fn(x)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
