@@ -367,7 +367,7 @@ class SimulatedDevice:
         self._check_lost()
         self._poll_launch_faults(name)
         if self._fusion is not None:
-            self._accumulate_fused(name, seconds, n_launches)
+            self._accumulate_fused(name, seconds)
             return
         total = (
             seconds * self.sharing.kernel_time_multiplier()
@@ -408,7 +408,7 @@ class SimulatedDevice:
         self._check_lost()
         self._poll_launch_faults(name)
         if self._fusion is not None:
-            self._accumulate_fused(name, seconds, n_launches)
+            self._accumulate_fused(name, seconds)
             return
         submit = n_launches * self.spec.kernel_launch_overhead_s
         self.clock.charge(name, submit)
@@ -448,20 +448,23 @@ class SimulatedDevice:
             "name": name,
             "seconds": 0.0,
             "members": [],
-            "member_launches": 0,
         }
 
-    def _accumulate_fused(self, name: str, seconds: float, n_launches: int) -> None:
+    def _accumulate_fused(self, name: str, seconds: float) -> None:
         self._fusion["seconds"] += seconds * self.sharing.kernel_time_multiplier()
         self._fusion["members"].append(name)
-        self._fusion["member_launches"] += n_launches
 
     def abort_fused(self) -> None:
         """Discard an open fused region (device lost mid-group)."""
         self._fusion = None
 
     def end_fused(self) -> int:
-        """Close the region: one merged launch charge; returns launches elided."""
+        """Close the region: one merged launch charge.
+
+        Returns the kernel dispatches elided: members merged, minus one.
+        A jaxshim member may count several device launches of its own;
+        ``kernels_launched`` still moves by exactly one.
+        """
         if self._fusion is None:
             raise RuntimeError("no fused launch region is open")
         fusion, self._fusion = self._fusion, None
@@ -475,7 +478,7 @@ class SimulatedDevice:
         self.clock.charge(name, total)
         self.busy_until = self.clock.now
         self.kernels_launched += 1
-        elided = fusion["member_launches"] - 1
+        elided = len(fusion["members"]) - 1
         tr = obs_state.active
         if tr is not None:
             tr.device_event(

@@ -52,17 +52,6 @@ class TransferModel:
         """Seconds to move several buffers as separate copies."""
         return sum(self.time(s) for s in sizes)
 
-    def coalesced_time(self, sizes: list[int]) -> float:
-        """Seconds to move several buffers as one back-to-back burst.
-
-        One link latency for the whole burst (the DMA engine chains the
-        descriptors), then pure bandwidth.  This is the cost the pipeline
-        compiler's deferred-D2H drain pays.
-        """
-        if not sizes:
-            return 0.0
-        return self.latency_s + sum(max(0, s) for s in sizes) / self.bandwidth_bps
-
     def attrs(self) -> dict:
         """Model constants as event attributes (for H2D/D2H trace events)."""
         return {

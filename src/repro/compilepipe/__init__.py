@@ -14,11 +14,16 @@ gets the optimised one:
 * adjacent lane-aligned kernels across operator boundaries merge into
   single fused launch regions (``fusion``).
 
-Entry points: :func:`plan_workflow` for inspection (the ``repro-bench
-plan`` subcommand), :func:`execute_compiled` for execution (what every
-accelerated ``Pipeline.exec`` calls).  The compiled plan is bitwise
-identical to eager; the parity suite in ``tests/test_compilepipe.py``
-pins it, including under injected device loss.
+Entry points: :func:`lower_workflow` then :func:`build_plan` for
+inspection (the ``repro-bench plan`` subcommand), :func:`execute_compiled`
+for execution (what every accelerated ``Pipeline.exec`` calls), and
+:func:`planned_copies`, which walks any plan and lists the copies its run
+makes.  That walk is the one count of data movement: a plan's
+``transfers_elided`` is the HYBRID schedule's copies minus its own, and
+:func:`repro.perfmodel.estimate_movement` sums it per policy.  The
+compiled plan is bitwise identical to eager; the parity suite in
+``tests/test_compilepipe.py`` pins it, including under injected device
+loss.
 """
 
 from .executor import CompiledRun, execute_compiled
@@ -27,10 +32,11 @@ from .lifetime import BufferLife, StageInfo, WorkflowIR, lower_workflow
 from .planner import (
     BufferPlan,
     PipelinePlan,
+    PlannedCopy,
     StagePlan,
     build_plan,
     eager_plan,
-    plan_workflow,
+    planned_copies,
 )
 from .report import plan_report, render_plan, transfer_seconds
 
@@ -40,6 +46,7 @@ __all__ = [
     "CompiledRun",
     "FusedGroup",
     "PipelinePlan",
+    "PlannedCopy",
     "StageInfo",
     "StagePlan",
     "WorkflowIR",
@@ -49,7 +56,7 @@ __all__ = [
     "lower_workflow",
     "plan_fusion",
     "plan_report",
-    "plan_workflow",
+    "planned_copies",
     "render_plan",
     "transfer_seconds",
 ]

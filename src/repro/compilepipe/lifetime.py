@@ -95,10 +95,6 @@ class BufferLife:
         return int(self.array.nbytes)
 
     @property
-    def first_use(self) -> int:
-        return self.uses[0].stage
-
-    @property
     def last_use(self) -> int:
         return self.uses[-1].stage
 

@@ -11,10 +11,11 @@ For every array the workflow touches, the planner decides, statically:
   overlaps that stage's compute, or staged synchronously when there is
   no room to prefetch (stage 0, or the previous stage itself touches the
   array on the host).
-* **Residency** — once on the device the array stays there; re-stages
-  the eager schedules perform (meta arrays entered/exited by every
-  operator exec, device refreshes after host writes nothing will read)
-  are counted as elided.
+* **Residency** — once on the device the array stays there.  What that
+  saves is counted, not ruled: a plan's ``transfers_elided`` is the
+  HYBRID schedule's copies minus its own, both listed by
+  :func:`planned_copies`, the one statement of the executor's copy rules
+  (the movement model sums the same walk).
 * **Drain** — device-written arrays are read back once, asynchronously,
   after their last device use (coalesced bursts behind compute), rather
   than at every operator boundary.
@@ -35,18 +36,20 @@ optimisation above turned off.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .fusion import FusedGroup, plan_fusion
-from .lifetime import Access, StageInfo, WorkflowIR, lower_workflow
+from .lifetime import Access, StageInfo, WorkflowIR
 
 __all__ = [
     "BufferPlan",
     "StagePlan",
     "PipelinePlan",
+    "PlannedCopy",
     "build_plan",
     "eager_plan",
-    "plan_workflow",
+    "planned_copies",
     "eager_launches",
     "planned_launch_elisions",
 ]
@@ -67,9 +70,6 @@ class BufferPlan:
     #: Stage after which the deferred D2H drain is submitted (last device
     #: use of a device-written buffer); None when never device-written.
     drain_after: Optional[int] = None
-    #: Eager-pipeline transfers this plan avoids for the buffer.
-    elided_h2d: int = 0
-    elided_d2h: int = 0
 
 
 @dataclass
@@ -100,7 +100,6 @@ class PipelinePlan:
     buffers: Dict[str, BufferPlan]
     stages: List[StagePlan]
     groups: List[FusedGroup]
-    transfers_elided: int = 0
     launches_elided: int = 0
     #: "compiled", or one of the eager schedules "hybrid" and "naive".
     schedule: str = "compiled"
@@ -115,6 +114,25 @@ class PipelinePlan:
     @property
     def fused_groups(self) -> int:
         return len(self.groups)
+
+    @cached_property
+    def elided_copies(self) -> Dict[str, Tuple[int, int]]:
+        """Per label, the (H2D, D2H) copies the HYBRID schedule makes
+        over this plan's IR minus the copies this plan makes.
+
+        Walked on first read, so a run nobody inspects pays nothing.
+        """
+        counts: Dict[str, List[int]] = {}
+        for sign, plan in ((1, eager_plan(self.ir)), (-1, self)):
+            for c in planned_copies(plan):
+                h2d_d2h = counts.setdefault(c.label, [0, 0])
+                h2d_d2h[0 if c.direction == "h2d" else 1] += sign
+        return {label: (h2d, d2h) for label, (h2d, d2h) in counts.items()}
+
+    @property
+    def transfers_elided(self) -> int:
+        """Copies this plan saves over the HYBRID schedule."""
+        return sum(h2d + d2h for h2d, d2h in self.elided_copies.values())
 
     def group_of(self, stage_index: int) -> Optional[FusedGroup]:
         for g in self.groups:
@@ -252,7 +270,6 @@ def build_plan(ir: WorkflowIR, megabatch: bool = False) -> PipelinePlan:
         StagePlan(index=s.index, name=s.op.name, accel=s.accel) for s in ir.stages
     ]
     buffer_plans: Dict[str, BufferPlan] = {}
-    transfers_elided = 0
 
     for label, life in ir.buffers.items():
         first_dev = life.first_device_use
@@ -266,7 +283,6 @@ def build_plan(ir: WorkflowIR, megabatch: bool = False) -> PipelinePlan:
             zero_safe = not life.host_written_before(first_dev)
             if zero_safe and not life.array.any():
                 bp.first_touch = "elide"
-                bp.elided_h2d += 1
                 stage_plans[first_dev].stage_in_elide.append(label)
             else:
                 prev = first_dev - 1
@@ -278,44 +294,103 @@ def build_plan(ir: WorkflowIR, megabatch: bool = False) -> PipelinePlan:
                     bp.first_touch = "sync"
                     stage_plans[first_dev].stage_in_sync.append(label)
 
-            # Residency elisions vs the eager schedules.  Eager re-enters
-            # meta arrays around every operator exec (each op stages its
-            # own globals), paying one H2D per device stage that reads
-            # them and, for device-written ones, one D2H per device stage.
-            # Compiled keeps them resident: one stage-in, one drain.
-            device_uses = [u for u in life.uses if u.on_device]
-            if life.category == "meta" and len(device_uses) > 1:
-                reads_after_first = sum(1 for u in device_uses[1:] if u.reads)
-                bp.elided_h2d += reads_after_first
-                if life.device_written():
-                    bp.elided_d2h += sum(1 for u in device_uses[:-1] if u.writes)
-            # Host writes with no later device read: eager refreshes the
-            # device copy anyway (update_to of every mapped pushed array);
-            # compiled skips the dead transfer.
-            for u in life.uses:
-                if not u.on_device and u.writes and u.stage > first_dev:
-                    if life.next_device_use(u.stage) is None:
-                        bp.elided_h2d += 1
-
             if life.device_written():
                 bp.drain_after = life.last_device_use
                 stage_plans[life.last_device_use].drain.append(label)
 
-        transfers_elided += bp.elided_h2d + bp.elided_d2h
         buffer_plans[label] = bp
-
-    launches_elided = planned_launch_elisions(ir, groups, megabatch)
 
     return PipelinePlan(
         ir=ir,
         buffers=buffer_plans,
         stages=stage_plans,
         groups=groups,
-        transfers_elided=transfers_elided,
-        launches_elided=launches_elided,
+        launches_elided=planned_launch_elisions(ir, groups, megabatch),
     )
 
 
-def plan_workflow(operators, units) -> PipelinePlan:
-    """Lower and plan in one step (the CLI's entry point)."""
-    return build_plan(lower_workflow(operators, units))
+class PlannedCopy(NamedTuple):
+    """One host<->device copy a plan makes."""
+
+    label: str
+    direction: str  # "h2d" | "d2h"
+    nbytes: int
+
+
+def planned_copies(plan: PipelinePlan) -> List[PlannedCopy]:
+    """The copies a fault-free run of ``plan`` makes, in execution order.
+
+    One walk over the stages that runs no kernels and reads only the plan
+    and buffer sizes.  It keeps the executor's residency model (which
+    labels are mapped, and whether the device or the host holds the newer
+    bytes) and takes the same copy decisions as the executor and the
+    operators, with no resilience controller attached:
+
+    * an eager stage maps each ``stage_in_sync`` label not yet resident
+      with a synchronous copy;
+    * a compiled stage copies in every first touch of the stage and every
+      label it prefetches, except the ``stage_in_elide`` labels, which
+      become on-device memsets; a resident array a host stage wrote is
+      copied in again at its next device use;
+    * any access the executor left unmapped is a global the operator
+      stages for its own exec: one copy in, and one copy out if the
+      operator writes it;
+    * device-newer bytes are copied out once, at the first of: the
+      array's planned drain, a host stage reading it, a ``release``
+      stage, or pipeline exit;
+    * an eager host stage's write to a resident array refreshes the
+      device copy at once.
+    """
+    ir = plan.ir
+    copies: List[PlannedCopy] = []
+    # Resident labels -> "synced", "device" (device newer) or "host".
+    status: Dict[str, str] = {}
+
+    def copy(label: str, direction: str) -> None:
+        copies.append(PlannedCopy(label, direction, ir.buffers[label].nbytes))
+
+    def sync_back(label: str) -> None:
+        if status.get(label) == "device":
+            copy(label, "d2h")
+            status[label] = "synced"
+
+    for stage, sp in zip(ir.stages, plan.stages):
+        if stage.accel:
+            if plan.eager:
+                staged = sp.stage_in_sync
+            else:
+                staged = [acc.label for acc in stage.accesses] + sp.prefetch
+            for label in staged:
+                if label not in status:
+                    status[label] = "synced"
+                    if label not in sp.stage_in_elide:
+                        copy(label, "h2d")
+                elif status[label] == "host":
+                    copy(label, "h2d")
+                    status[label] = "synced"
+            for acc in stage.accesses:
+                if acc.label not in status:
+                    copy(acc.label, "h2d")
+                    if acc.writes:
+                        copy(acc.label, "d2h")
+                elif acc.writes:
+                    status[acc.label] = "device"
+            for label in sp.drain:
+                sync_back(label)
+        else:
+            for acc in stage.accesses:
+                if acc.reads:
+                    sync_back(acc.label)
+            for acc in stage.accesses:
+                if acc.writes and acc.label in status:
+                    if plan.eager:
+                        copy(acc.label, "h2d")
+                    else:
+                        status[acc.label] = "host"
+        if sp.release:
+            for label in status:
+                sync_back(label)
+            status.clear()
+    for label in status:
+        sync_back(label)
+    return copies

@@ -37,6 +37,7 @@ def plan_report(plan: PipelinePlan) -> Dict:
     """The full planned schedule as plain data (JSON-serialisable)."""
     buffers = []
     for label, bp in sorted(plan.buffers.items()):
+        elided_h2d, elided_d2h = plan.elided_copies.get(label, (0, 0))
         buffers.append(
             {
                 "label": label,
@@ -45,8 +46,8 @@ def plan_report(plan: PipelinePlan) -> Dict:
                 "first_device_stage": bp.first_device_stage,
                 "prefetch_at": bp.prefetch_at,
                 "drain_after": bp.drain_after,
-                "elided_h2d": bp.elided_h2d,
-                "elided_d2h": bp.elided_d2h,
+                "elided_h2d": elided_h2d,
+                "elided_d2h": elided_d2h,
             }
         )
     stages = []

@@ -117,8 +117,8 @@ class MegabatchCollector:
     * ``replayed_calls`` — deferred calls executed eagerly (singleton
       groups, missing backend megabatch implementation, or recovery
       after a stacked failure);
-    * ``launches_elided`` — device launches saved by stacking, measured
-      against the device counter when one is attached.
+    * ``launches_elided`` — kernel dispatches saved by stacking: a
+      group of ``k`` calls flushed as one stacked call saves ``k - 1``.
     """
 
     def __init__(self) -> None:
@@ -319,8 +319,6 @@ class MegabatchCollector:
             if a.intent.writes:
                 views[a.name] = member_views
 
-        device = getattr(accel, "device", None) if use_accel else None
-        before = getattr(device, "kernels_launched", 0) if device else 0
         tr = obs_state.active
         if tr is not None:
             with tr.span(
@@ -337,10 +335,7 @@ class MegabatchCollector:
             for i, view in enumerate(member_views):
                 view[...] = stacked[i]
 
-        per_launch = 1
-        if device is not None:
-            per_launch = max(1, getattr(device, "kernels_launched", 0) - before)
-        elided = (k - 1) * per_launch
+        elided = k - 1
         self.stacked_launches += 1
         self.launches_elided += elided
         if tr is not None:

@@ -11,7 +11,11 @@ paper's reported performance relations:
 * :mod:`~repro.perfmodel.memory` -- the per-process device-memory
   footprint model that reproduces the out-of-memory points of Fig 4;
 * :mod:`~repro.perfmodel.runtime_model` -- whole-run times as functions of
-  implementation, process count, problem size, and MPS state.
+  implementation, process count, problem size, and MPS state;
+* :mod:`~repro.perfmodel.movement` -- the NAIVE / HYBRID / COMPILED /
+  MEGABATCH copy, byte and launch counts of a pipeline plan (§3.2.2),
+  summed from the walk of each schedule that
+  :func:`repro.compilepipe.planned_copies` makes.
 
 Everything the model asserts is cross-checked against the paper's numbers
 in ``EXPERIMENTS.md`` and in ``tests/test_perfmodel.py``.

@@ -1,22 +1,24 @@
-"""Analytic data-movement model for the three pipeline policies.
+"""Analytic data-movement model for the pipeline policies.
 
-Given a plan's buffer lifetimes and a link model, predict the transfer
-volume and *exposed* transfer time of each movement policy:
+Each policy's estimate is the sum of one walk of its schedule:
+:func:`repro.compilepipe.planned_copies` lists the copies a fault-free
+run of a plan makes by the executor's own rules, so the model has no
+copy rules of its own to drift from the runs it predicts.
 
-* **NAIVE** — every accelerated stage pulls its inputs H2D and pushes its
-  outputs D2H (the paper's transfer-around-every-kernel strawman);
-* **HYBRID** — data stays resident between consecutive device stages,
-  synced only around host readers and at pipeline exit (the paper's
-  ~40% saving);
+* **NAIVE** — ``eager_plan(ir, naive=True)``: every device stage maps
+  what it touches and releases it after (the paper's
+  transfer-around-every-kernel strawman);
+* **HYBRID** — ``eager_plan(ir)``: data stays resident until the end of
+  each work unit (the paper's ~40% saving);
 * **COMPILED** — the :mod:`repro.compilepipe` plan: zero-fill H2Ds become
-  on-device memsets, first touches prefetch behind the previous stage's
-  compute, and drains coalesce behind later compute, so the *exposed*
-  time is a lower bound of copies that cannot hide (first-stage
-  stage-ins and the final drain's tail).
+  on-device memsets, arrays stay resident across units, and drains
+  coalesce behind later compute;
+* **MEGABATCH** — compiled's movement with stacked launches.
 
-The model is deliberately simple — one link, no contention — and is
-validated against measured virtual-clock numbers in the sweep: the
-measured ordering NAIVE > HYBRID > COMPILED must match the model's.
+The model reports only what the plan knows.  ``copy_seconds`` prices
+every copy on the link; the eager schedules copy synchronously, so it is
+their exposed transfer time, and it bounds the compiled plan's from
+above (how much of it compute hides depends on kernel durations).
 """
 
 from __future__ import annotations
@@ -36,11 +38,14 @@ class MovementEstimate:
     d2h_bytes: int
     h2d_copies: int
     d2h_copies: int
-    #: Seconds of transfer the host actually waits on (overlapped and
-    #: elided copies excluded).
-    exposed_seconds: float
-    #: Kernel launches the policy performs (fusion and megabatch stacking
-    #: elide launches vs the eager per-observation dispatch).
+    #: Link seconds of every copy (``TransferModel.time`` summed): the
+    #: exposed transfer time of the synchronous eager schedules, an upper
+    #: bound on it for the compiled plans.
+    copy_seconds: float
+    #: Kernel dispatches the policy performs (fusion and megabatch
+    #: stacking elide dispatches vs the eager per-observation ones).  They
+    #: equal device launches on omp_target; a jaxshim dispatch launches
+    #: every kernel of its compiled graph.
     launches: int = 0
     #: Launch overhead those launches cost.
     launch_seconds: float = 0.0
@@ -54,170 +59,49 @@ class MovementEstimate:
         return self.h2d_copies + self.d2h_copies
 
 
-def _copy_seconds(model, nbytes: int, copies: int) -> float:
-    if copies <= 0:
-        return 0.0
-    return copies * model.latency_s + nbytes / model.bandwidth_bps
-
-
-def estimate_movement(
-    plan, transfer_model, launch_overhead_s: float = 5.0e-6
-) -> Dict[str, MovementEstimate]:
+def estimate_movement(plan, transfer_model) -> Dict[str, MovementEstimate]:
     """Predict NAIVE / HYBRID / COMPILED / MEGABATCH cost for a plan.
 
-    ``plan`` is a :class:`~repro.compilepipe.planner.PipelinePlan` (its IR
-    holds the buffer lifetimes all policies are derived from);
-    ``transfer_model`` is an :class:`~repro.accel.transfer.TransferModel`.
-
-    Besides transfer volume, each estimate carries an analytic launch
-    count: naive and hybrid dispatch once per kernel per observation,
-    compiled subtracts cross-operator fusion, and the extra ``megabatch``
-    entry (movement identical to compiled) additionally stacks each
-    kernel's per-observation calls into one launch — the launches-saved
-    term ``launch_seconds`` makes explicit.
+    ``plan`` is a compiled :class:`~repro.compilepipe.planner.PipelinePlan`;
+    the eager schedules are planned over its IR.  ``transfer_model`` is an
+    :class:`~repro.accel.transfer.TransferModel`.  Megabatch keeps the
+    compiled plan's movement; its win is the launch term.
     """
-    from ..compilepipe.planner import eager_launches, planned_launch_elisions
+    from ..accel.device import DeviceSpec
+    from ..compilepipe.planner import (
+        eager_launches,
+        eager_plan,
+        planned_copies,
+        planned_launch_elisions,
+    )
 
     ir = plan.ir
     eager_l = eager_launches(ir)
-    comp_l = eager_l - planned_launch_elisions(ir, plan.groups, megabatch=False)
-    mb_l = eager_l - planned_launch_elisions(ir, plan.groups, megabatch=True)
 
-    naive_h2d_b = naive_d2h_b = naive_h2d_c = naive_d2h_c = 0
-    hyb_h2d_b = hyb_d2h_b = hyb_h2d_c = hyb_d2h_c = 0
-    comp_h2d_b = comp_d2h_b = comp_h2d_c = comp_d2h_c = 0
-
-    for life in ir.buffers.values():
-        device_uses = [u for u in life.uses if u.on_device]
-        if not device_uses:
-            continue
-        nbytes = life.nbytes
-
-        # NAIVE: in for every device use, out after every device write.
-        naive_h2d_c += len(device_uses)
-        naive_h2d_b += nbytes * len(device_uses)
-        writes = sum(1 for u in device_uses if u.writes)
-        naive_d2h_c += writes
-        naive_d2h_b += nbytes * writes
-
-        # HYBRID: one stage-in per residency interval (re-staged after any
-        # host write between device uses), one drain at exit if written,
-        # plus a sync for every host read of device-newer data.
-        hyb_h2d_c += 1
-        hyb_h2d_b += nbytes
-        host_writes_between = sum(
-            1
-            for u in life.uses
-            if (not u.on_device)
-            and u.writes
-            and life.next_device_use(u.stage) is not None
+    def estimate(policy: str, walked, launches: int) -> MovementEstimate:
+        copies = planned_copies(walked)
+        h2d = [c.nbytes for c in copies if c.direction == "h2d"]
+        d2h = [c.nbytes for c in copies if c.direction == "d2h"]
+        return MovementEstimate(
+            policy,
+            sum(h2d),
+            sum(d2h),
+            len(h2d),
+            len(d2h),
+            sum(transfer_model.time(c.nbytes) for c in copies),
+            launches=launches,
+            launch_seconds=launches * DeviceSpec.kernel_launch_overhead_s,
         )
-        hyb_h2d_c += host_writes_between
-        hyb_h2d_b += nbytes * host_writes_between
-        if life.device_written():
-            host_reads = sum(
-                1
-                for u in life.uses
-                if (not u.on_device)
-                and u.reads
-                and any(
-                    d.stage < u.stage and d.writes for d in device_uses
-                )
-            )
-            hyb_d2h_c += 1 + host_reads
-            hyb_d2h_b += nbytes * (1 + host_reads)
-
-        # COMPILED: same residency but the zero-fill stage-in is elided,
-        # and only first-stage stage-ins are exposed (everything else
-        # prefetches or drains behind compute).
-        bp = plan.buffers.get(life.label)
-        elided = bp is not None and bp.first_touch == "elide"
-        if not elided:
-            comp_h2d_c += 1
-            comp_h2d_b += nbytes
-        comp_h2d_c += host_writes_between
-        comp_h2d_b += nbytes * host_writes_between
-        if life.device_written():
-            host_reads = sum(
-                1
-                for u in life.uses
-                if (not u.on_device)
-                and u.reads
-                and any(d.stage < u.stage and d.writes for d in device_uses)
-            )
-            comp_d2h_c += 1 + host_reads
-            comp_d2h_b += nbytes * (1 + host_reads)
-
-    m = transfer_model
-    naive_s = _copy_seconds(m, naive_h2d_b, naive_h2d_c) + _copy_seconds(
-        m, naive_d2h_b, naive_d2h_c
-    )
-    hyb_s = _copy_seconds(m, hyb_h2d_b, hyb_h2d_c) + _copy_seconds(
-        m, hyb_d2h_b, hyb_d2h_c
-    )
-    # Exposed lower bound for compiled: stage-ins at the very first device
-    # stage cannot hide behind compute (nothing runs yet), and the final
-    # coalesced drain pays one latency plus whatever compute cannot cover
-    # — model it as the drain of the largest single buffer.
-    first_stage_sync_b = sum(
-        plan.buffers[lbl].nbytes
-        for sp in plan.stages[:1]
-        for lbl in sp.stage_in_sync
-        if lbl in plan.buffers
-    )
-    first_stage_sync_c = len(plan.stages[0].stage_in_sync) if plan.stages else 0
-    tail_b = max(
-        (bp.nbytes for bp in plan.buffers.values() if bp.drain_after is not None),
-        default=0,
-    )
-    comp_s = _copy_seconds(m, first_stage_sync_b, first_stage_sync_c) + _copy_seconds(
-        m, tail_b, 1 if tail_b else 0
-    )
-
-    def overhead(n: int) -> float:
-        return n * launch_overhead_s
 
     return {
-        "naive": MovementEstimate(
-            "naive",
-            naive_h2d_b,
-            naive_d2h_b,
-            naive_h2d_c,
-            naive_d2h_c,
-            naive_s,
-            launches=eager_l,
-            launch_seconds=overhead(eager_l),
+        "naive": estimate("naive", eager_plan(ir, naive=True), eager_l),
+        "hybrid": estimate("hybrid", eager_plan(ir), eager_l),
+        "compiled": estimate(
+            "compiled", plan, eager_l - planned_launch_elisions(ir, plan.groups)
         ),
-        "hybrid": MovementEstimate(
-            "hybrid",
-            hyb_h2d_b,
-            hyb_d2h_b,
-            hyb_h2d_c,
-            hyb_d2h_c,
-            hyb_s,
-            launches=eager_l,
-            launch_seconds=overhead(eager_l),
-        ),
-        "compiled": MovementEstimate(
-            "compiled",
-            comp_h2d_b,
-            comp_d2h_b,
-            comp_h2d_c,
-            comp_d2h_c,
-            comp_s,
-            launches=comp_l,
-            launch_seconds=overhead(comp_l),
-        ),
-        # Megabatch keeps compiled's movement plan; its additional win is
-        # the stacked-launch elision term.
-        "megabatch": MovementEstimate(
+        "megabatch": estimate(
             "megabatch",
-            comp_h2d_b,
-            comp_d2h_b,
-            comp_h2d_c,
-            comp_d2h_c,
-            comp_s,
-            launches=mb_l,
-            launch_seconds=overhead(mb_l),
+            plan,
+            eager_l - planned_launch_elisions(ir, plan.groups, megabatch=True),
         ),
     }

@@ -470,7 +470,106 @@ class TestMovementComparison:
         d = make_data()
         plan = build_plan(lower_workflow(processing_ops(), [d]))
         est = estimate_movement(plan, TransferModel())
-        assert est["naive"].exposed_seconds > est["hybrid"].exposed_seconds
-        assert est["hybrid"].exposed_seconds > est["compiled"].exposed_seconds
+        assert est["naive"].copy_seconds > est["hybrid"].copy_seconds
+        assert est["hybrid"].copy_seconds > est["compiled"].copy_seconds
         assert est["naive"].total_copies > est["hybrid"].total_copies
         assert est["compiled"].h2d_copies < est["hybrid"].h2d_copies
+
+
+class TestPlannedCopies:
+    """The walk of each schedule against the run it predicts (tiny size).
+
+    ``estimate_movement`` sums ``planned_copies`` over the NAIVE, HYBRID
+    and compiled schedules of one IR, so each estimate must count exactly
+    the copies and bytes its executed run makes.
+    """
+
+    RUNS = {
+        "naive": (MovementPolicy.NAIVE, "eager"),
+        "hybrid": (MovementPolicy.HYBRID, "eager"),
+        "compiled": (MovementPolicy.HYBRID, "compiled"),
+        "megabatch": (MovementPolicy.HYBRID, "megabatch"),
+    }
+
+    def _run(self, impl, order, mode):
+        from repro.workflows.satellite import (
+            SIZES,
+            make_satellite_data,
+            satellite_processing_pipeline,
+        )
+
+        size = SIZES["tiny"]
+        policy, plan = self.RUNS[mode]
+        rt = fresh_runtime()
+        data = make_satellite_data(size, realization=0)
+        pipe = Pipeline(
+            satellite_processing_pipeline(size.nside).operators,
+            implementation=impl,
+            policy=policy,
+            plan=plan,
+            order=order,
+        )
+        tracer = obs.Tracer()
+        with obs.tracing(tracer):
+            pipe.exec(data, use_accel=True, accel=rt)
+        m = tracer.metrics
+        executed = {
+            "h2d_copies": len(tracer.events_of(EventType.H2D)),
+            "d2h_copies": len(tracer.events_of(EventType.D2H)),
+            "h2d_bytes": m.counter("transfer.h2d_bytes").value,
+            "d2h_bytes": m.counter("transfer.d2h_bytes").value,
+        }
+        return pipe.last_plan, rt.device, executed
+
+    @staticmethod
+    def _estimate(plan, impl):
+        from repro.accel.transfer import TransferModel
+        from repro.core.dispatch import use_implementation
+        from repro.perfmodel import estimate_movement
+
+        with use_implementation(impl):
+            return estimate_movement(plan, TransferModel())
+
+    @staticmethod
+    def _assert_matches(est, device, executed, impl):
+        assert {k: getattr(est, k) for k in executed} == executed, est.policy
+        if impl is ImplementationType.OMP_TARGET:
+            # Dispatches are device launches only on omp_target.
+            assert est.launches == device.kernels_launched, est.policy
+
+    @pytest.mark.parametrize(
+        "impl", [ImplementationType.OMP_TARGET, ImplementationType.JAX]
+    )
+    @pytest.mark.parametrize(
+        "order", [LoopOrder.OPERATOR_MAJOR, LoopOrder.OBSERVATION_MAJOR]
+    )
+    def test_walk_matches_executed_runs(self, impl, order):
+        runs = {
+            mode: self._run(impl, order, mode)
+            for mode in ("naive", "hybrid", "compiled")
+        }
+        plan = runs["compiled"][0]
+        est = self._estimate(plan, impl)
+        for mode, (_, device, executed) in runs.items():
+            self._assert_matches(est[mode], device, executed, impl)
+            exposed = transfer_seconds(device.clock)
+            if mode == "compiled":
+                assert exposed <= est[mode].copy_seconds
+            else:
+                # Eager schedules copy synchronously: nothing overlaps.
+                assert est[mode].copy_seconds == pytest.approx(exposed, abs=1e-12)
+        copies = {
+            mode: executed["h2d_copies"] + executed["d2h_copies"]
+            for mode, (_, _, executed) in runs.items()
+        }
+        assert plan.transfers_elided == copies["hybrid"] - copies["compiled"]
+
+    @pytest.mark.parametrize(
+        "impl", [ImplementationType.OMP_TARGET, ImplementationType.JAX]
+    )
+    def test_megabatch_walk_matches_executed_run(self, impl):
+        plan, device, executed = self._run(
+            impl, LoopOrder.OPERATOR_MAJOR, "megabatch"
+        )
+        est = self._estimate(plan, impl)["megabatch"]
+        self._assert_matches(est, device, executed, impl)

@@ -260,11 +260,11 @@ class TestPipelineParity:
 class TestLaunchAccounting:
     """Static plan, executed counters, and the perf-model term agree."""
 
-    def _run(self, group):
+    def _run(self, group, impl=ImplementationType.OMP_TARGET):
         d = make_data(n_obs=3)
         p = Pipeline(
             processing_ops(),
-            implementation=ImplementationType.OMP_TARGET,
+            implementation=impl,
             plan="megabatch",
             megabatch_group=group,
         )
@@ -274,6 +274,12 @@ class TestLaunchAccounting:
     def test_omp_executed_matches_static(self):
         for group in (None, 1, 2, 3):
             plan = self._run(group)
+            assert plan.executed["launches_elided"] == plan.launches_elided, group
+
+    def test_jax_executed_matches_static(self):
+        # Elisions count kernel dispatches, whatever each one launches.
+        for group in (None, 1, 2, 3):
+            plan = self._run(group, ImplementationType.JAX)
             assert plan.executed["launches_elided"] == plan.launches_elided, group
 
     def test_launches_monotone_in_group_size(self):
