@@ -133,9 +133,11 @@ def omp_side() -> None:
     with rt.target_data(tofrom=[tod]):
         d = rt.device_view(tod)
 
+        # One call per launch: the vectors list every (detector, interval,
+        # lane) iteration of the collapsed loop, outermost index slowest.
         def body(idet, iivl, lanes):
-            valid = lanes[lanes < stops[iivl]]  # the in-loop guard
-            d[idet, iivl, valid] = idet + 1
+            keep = lanes < stops[iivl]  # the in-loop guard
+            d[idet[keep], iivl[keep], lanes[keep]] = idet[keep] + 1
 
         rt.target_teams_distribute_parallel_for("demo_kernel", (2, 3, 10), body)
     print(f"\n[collapse(3)] samples touched per interval: "

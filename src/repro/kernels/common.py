@@ -8,6 +8,8 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ..ompshim.runtime import collapse3
+
 __all__ = [
     "check_intervals",
     "pad_intervals",
@@ -136,16 +138,18 @@ def resolve_view(accel, arr: np.ndarray, use_accel: bool) -> np.ndarray:
 def host_parallel_for_collapse3(
     name: str,
     grid: Tuple[int, int, int],
-    body: Callable[[int, int, np.ndarray], None],
+    body: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
     flops_per_iteration: float = 10.0,
     bytes_per_iteration: float = 24.0,
 ) -> None:
-    """Host fallback of the collapse(3) launcher (no device, no charge)."""
-    n_outer, n_middle, n_inner = (int(g) for g in grid)
-    k_vec = np.arange(n_inner, dtype=np.int64)
-    for i in range(n_outer):
-        for j in range(n_middle):
-            body(i, j, k_vec)
+    """Host fallback of the collapse(3) launcher (no device, no charge).
+
+    The same sweep as the device launcher: one ``body`` call over the
+    :func:`~repro.ompshim.runtime.collapse3` index vectors of ``grid``.
+    """
+    i, j, k = collapse3(grid)
+    if len(k):
+        body(i, j, k)
 
 
 class LaunchRecord:

@@ -7,6 +7,12 @@ collapsed and launched over the device through
 precomputed maximum interval size with an in-loop guard cutting
 out-of-interval work; data is dereferenced through mapped device pointers.
 
+A kernel's loop body runs once per launch, over the collapsed
+``(idet, iivl, lanes)`` index vectors in loop order (detector outermost,
+lane innermost).  The guard is a mask over all three; per-detector
+values become per-lane gathers; in-body ``np.add.at`` scatters add in
+the nested loop's order, so they match the scalar reference bit for bit.
+
 Without a runtime (``use_accel=False``) the kernels run on the host --
 OpenMP's fallback behaviour when no device is available.
 """

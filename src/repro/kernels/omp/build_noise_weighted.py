@@ -53,10 +53,9 @@ def build_noise_weighted(
     contrib_buf = np.zeros((n_det, n_ivl, max_len, nnz), dtype=d_zmap.dtype)
 
     def body(idet, iivl, lanes):
-        start = starts[iivl]
-        stop = stops[iivl]
-        valid = lanes < stop - start
-        s = start + lanes[valid]
+        keep = lanes < stops[iivl] - starts[iivl]
+        idet, iivl, lanes = idet[keep], iivl[keep], lanes[keep]
+        s = starts[iivl] + lanes
         pix = d_pix[idet, s]
         good = pix >= 0
         if d_flags is not None and mask:
@@ -64,8 +63,8 @@ def build_noise_weighted(
         if d_det_flags is not None and det_mask:
             good = good & ((d_det_flags[idet, s] & det_mask) == 0)
         z = d_scale[idet] * d_tod[idet, s]
-        pix_buf[idet, iivl, valid] = np.where(good, pix, 0)
-        contrib_buf[idet, iivl, valid] = np.where(
+        pix_buf[idet, iivl, lanes] = np.where(good, pix, 0)
+        contrib_buf[idet, iivl, lanes] = np.where(
             good[:, None], z[:, None] * d_wts[idet, s], 0.0
         )
 

@@ -25,9 +25,9 @@ def cov_accum_diag_hits(
     d_pix = resolve_view(accel, pixels, use_accel)
 
     def body(idet, iivl, lanes):
-        start = starts[iivl]
-        stop = stops[iivl]
-        s = start + lanes[lanes < stop - start]
+        keep = lanes < stops[iivl] - starts[iivl]
+        idet = idet[keep]
+        s = starts[iivl[keep]] + lanes[keep]
         pix = d_pix[idet, s]
         good = pix >= 0
         np.add.at(d_hits, pix[good], 1)
@@ -66,14 +66,14 @@ def cov_accum_diag_invnpp(
     d_scale = resolve_view(accel, det_scale, use_accel)
 
     def body(idet, iivl, lanes):
-        start = starts[iivl]
-        stop = stops[iivl]
-        s = start + lanes[lanes < stop - start]
+        keep = lanes < stops[iivl] - starts[iivl]
+        idet = idet[keep]
+        s = starts[iivl[keep]] + lanes[keep]
         pix = d_pix[idet, s]
         good = pix >= 0
         p = pix[good]
         w = d_wts[idet, s][good]
-        g = d_scale[idet]
+        g = d_scale[idet][good]
         outer = np.stack([g * w[:, i] * w[:, j] for i, j in tri], axis=1)
         np.add.at(d_inv, p, outer)
 

@@ -25,9 +25,9 @@ def noise_weight(
     d_w = resolve_view(accel, det_weights, use_accel)
 
     def body(idet, iivl, lanes):
-        start = starts[iivl]
-        stop = stops[iivl]
-        s = start + lanes[lanes < stop - start]
+        keep = lanes < stops[iivl] - starts[iivl]
+        idet = idet[keep]
+        s = starts[iivl[keep]] + lanes[keep]
         d_tod[idet, s] *= d_w[idet]
 
     launcher_for(accel, use_accel)(

@@ -36,9 +36,9 @@ def pixels_healpix(
     d_flags = resolve_view(accel, shared_flags, use_accel) if shared_flags is not None else None
 
     def body(idet, iivl, lanes):
-        start = starts[iivl]
-        stop = stops[iivl]
-        s = start + lanes[lanes < stop - start]
+        keep = lanes < stops[iivl] - starts[iivl]
+        idet = idet[keep]
+        s = starts[iivl[keep]] + lanes[keep]
         q = d_quats[idet, s]
         x, y, z, w = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
         dir_x = 2.0 * (x * z + w * y)

@@ -9,7 +9,7 @@ from ..common import launcher_for, resolve_view
 def _qa_mult_one(p, q):
     """Scalar-style quaternion product, vectorized over the sample lanes."""
     px, py, pz, pw = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    qx, qy, qz, qw = q[0], q[1], q[2], q[3]
+    qx, qy, qz, qw = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     out = np.empty(p.shape[:-1] + (4,), dtype=np.float64)
     out[..., 0] = pw * qx + px * qw + py * qz - pz * qy
     out[..., 1] = pw * qy - px * qz + py * qw + pz * qx
@@ -42,9 +42,9 @@ def pointing_detector(
     d_flags = resolve_view(accel, shared_flags, use_accel) if shared_flags is not None else None
 
     def body(idet, iivl, lanes):
-        start = starts[iivl]
-        stop = stops[iivl]
-        s = start + lanes[lanes < stop - start]  # the interval guard
+        keep = lanes < stops[iivl] - starts[iivl]  # the interval guard
+        idet = idet[keep]
+        s = starts[iivl[keep]] + lanes[keep]
         rotated = _qa_mult_one(d_bore[s], d_fp[idet])
         if d_flags is not None and mask:
             flagged = (d_flags[s] & mask) != 0

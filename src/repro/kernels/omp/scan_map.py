@@ -32,9 +32,9 @@ def scan_map(
     d_tod = resolve_view(accel, tod, use_accel)
 
     def body(idet, iivl, lanes):
-        start = starts[iivl]
-        stop = stops[iivl]
-        s = start + lanes[lanes < stop - start]
+        keep = lanes < stops[iivl] - starts[iivl]
+        idet = idet[keep]
+        s = starts[iivl[keep]] + lanes[keep]
         pix = d_pix[idet, s]
         good = pix >= 0
         value = np.einsum("sk,sk->s", d_map[np.where(good, pix, 0)], d_wts[idet, s])

@@ -6,19 +6,21 @@ observation's device views, and launches it over the collapse(3) grid
 unchanged: it runs each group member's per-observation kernel with its
 launch recorded (:func:`~repro.kernels.common.recording_launches`), then
 makes *one* launch named ``<kernel>.megabatch`` whose outer dimension
-becomes ``n_obs * n_det`` -- each iteration finds its member by
-``divmod``, the OpenMP way of stacking a batch axis without changing the
-loop nest (cf. the paper's collapse clauses).
+becomes ``n_obs * n_det`` -- the OpenMP way of stacking a batch axis
+without changing the loop nest (cf. the paper's collapse clauses).
 
-Member ``iobs``'s body sees exactly the lanes of its own launch: its
+The outer index is observation-major, so member ``iobs`` owns one
+contiguous slice of the launch's collapsed index vectors.  The stacked
+body calls each member's body once, in observation order, on its slice
+with the detector index rebased and the lanes cut at the member's own
+``max_len`` -- exactly the iterations of the member's own launch.  Its
 ``(0, 0)`` padding intervals fail the in-loop guard, and a member with
-no samples at all recorded no launch and is skipped.  Iteration is
-observation-major, so in-body scatters accumulate in the eager order,
-and commits a kernel defers with :func:`~repro.kernels.common.after_launch`
-(``build_noise_weighted``'s buffered, sample-major one) run after the
-stacked launch, once per member in observation order -- GLOBAL outputs
-are committed last, bitwise identical to running the members one at a
-time.
+no samples at all recorded no launch and is skipped.  In-body scatters
+therefore accumulate in the eager order, and commits a kernel defers
+with :func:`~repro.kernels.common.after_launch` (``build_noise_weighted``'s
+buffered, sample-major one) run after the stacked launch, once per
+member in observation order -- GLOBAL outputs are committed last,
+bitwise identical to running the members one at a time.
 """
 
 from ..common import launcher_for, recording_launches
@@ -42,16 +44,21 @@ def stacked_entry(spec, per_observation):
         if not launched:
             return
         n_det, n_ivl, _ = launched[0].grid
+        max_len = max(r.grid[2] for r in launched)
+        per_member = n_det * n_ivl * max_len
 
         def body(i, iivl, lanes):
-            iobs, idet = divmod(i, n_det)
-            member = records[iobs]
-            if member.body is not None:
-                member.body(idet, iivl, lanes[: member.grid[2]])
+            for iobs, member in enumerate(records):
+                if member.body is not None:
+                    own = slice(iobs * per_member, (iobs + 1) * per_member)
+                    keep = lanes[own] < member.grid[2]
+                    member.body(
+                        i[own][keep] - iobs * n_det, iivl[own][keep], lanes[own][keep]
+                    )
 
         launcher_for(accel, use_accel)(
             f"{spec.name}.megabatch",
-            (len(records) * n_det, n_ivl, max(r.grid[2] for r in launched)),
+            (len(records) * n_det, n_ivl, max_len),
             body,
             **launched[0].costs,
         )

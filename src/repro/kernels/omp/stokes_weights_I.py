@@ -24,9 +24,9 @@ def stokes_weights_I(
     d_out = resolve_view(accel, weights_out, use_accel)
 
     def body(idet, iivl, lanes):
-        start = starts[iivl]
-        stop = stops[iivl]
-        s = start + lanes[lanes < stop - start]
+        keep = lanes < stops[iivl] - starts[iivl]
+        idet = idet[keep]
+        s = starts[iivl[keep]] + lanes[keep]
         d_out[idet, s] = cal
 
     launcher_for(accel, use_accel)(

@@ -45,9 +45,9 @@ def stokes_weights_IQU(
     d_eps = resolve_view(accel, epsilon, use_accel)
 
     def body(idet, iivl, lanes):
-        start = starts[iivl]
-        stop = stops[iivl]
-        s = start + lanes[lanes < stop - start]
+        keep = lanes < stops[iivl] - starts[iivl]
+        idet = idet[keep]
+        s = starts[iivl[keep]] + lanes[keep]
         eta = (1.0 - d_eps[idet]) / (1.0 + d_eps[idet])
         angle = _position_angle(d_quats[idet, s])
         if d_hwp is not None:

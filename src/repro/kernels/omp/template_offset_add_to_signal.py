@@ -28,9 +28,9 @@ def template_offset_add_to_signal(
     d_tod = resolve_view(accel, tod, use_accel)
 
     def body(idet, iivl, lanes):
-        start = starts[iivl]
-        stop = stops[iivl]
-        s = start + lanes[lanes < stop - start]
+        keep = lanes < stops[iivl] - starts[iivl]
+        idet = idet[keep]
+        s = starts[iivl[keep]] + lanes[keep]
         amp_idx = d_off[idet] + s // step_length
         d_tod[idet, s] += d_amp[amp_idx]
 

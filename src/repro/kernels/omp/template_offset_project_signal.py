@@ -32,9 +32,9 @@ def template_offset_project_signal(
     d_off = resolve_view(accel, amp_offsets, use_accel)
 
     def body(idet, iivl, lanes):
-        start = starts[iivl]
-        stop = stops[iivl]
-        s = start + lanes[lanes < stop - start]
+        keep = lanes < stops[iivl] - starts[iivl]
+        idet = idet[keep]
+        s = starts[iivl[keep]] + lanes[keep]
         amp_idx = d_off[idet] + s // step_length
         np.add.at(d_amp, amp_idx, d_tod[idet, s])
 

@@ -12,8 +12,11 @@ simulated device:
   tofrom/alloc)`` clause semantics with OpenMP reference counting;
 * ``OmpTargetRuntime.target_teams_distribute_parallel_for`` -- the
   collapsed triple-loop launcher: team blocks over (detector, interval),
-  SIMD lanes over samples, with the in-loop guard the paper uses for
-  variable-length intervals.
+  SIMD lanes over samples.  Like a GPU running the whole region at once,
+  it calls the loop body once, with the collapsed index vectors of
+  :func:`~repro.ompshim.runtime.collapse3` in loop order; the body
+  applies the in-loop guard the paper uses for variable-length intervals
+  as a mask over them.
 
 Kernels written against this API mutate device views in place (the OpenMP
 style), in contrast to jaxshim's pure-functional model -- the exact
@@ -21,7 +24,7 @@ contrast the paper studies.
 """
 
 from .errors import OmpError, NotPresentError, MappingError
-from .runtime import OmpTargetRuntime
+from .runtime import OmpTargetRuntime, collapse3
 from .datamap import MapClause
 
 __all__ = [
@@ -29,5 +32,6 @@ __all__ = [
     "NotPresentError",
     "MappingError",
     "OmpTargetRuntime",
+    "collapse3",
     "MapClause",
 ]

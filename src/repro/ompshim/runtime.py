@@ -4,6 +4,8 @@ One :class:`OmpTargetRuntime` wraps one simulated device and exposes the
 OpenMP device API (``omp_target_alloc``/``free``/``memcpy``), the data
 environment (``target_data``, ``target_enter_data``/``exit_data``,
 ``target_update_*``), and the collapsed-loop kernel launcher.
+:func:`collapse3` is that launcher's iteration space, shared with the
+host fallback launcher.
 """
 
 from __future__ import annotations
@@ -20,7 +22,24 @@ from ..resilience import state as res_state
 from .datamap import MapClause, PresentTable
 from .errors import MappingError, TargetRegionError
 
-__all__ = ["OmpTargetRuntime"]
+__all__ = ["OmpTargetRuntime", "collapse3"]
+
+
+def collapse3(grid: Tuple[int, int, int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The iterations of a collapse(3) loop nest over ``grid``, in loop order.
+
+    Returns the index vectors ``(i, j, k)``: entry ``n`` is the ``n``-th
+    iteration of ``for i: for j: for k:`` -- ``i`` outermost, ``k``
+    innermost -- exactly ``np.indices(grid).reshape(3, -1)``.  A loop body
+    receives all three at once; in-body scatters (``np.add.at``) then add
+    in the order the nested loop would.  Raises ``ValueError`` on a
+    negative extent.
+    """
+    n_outer, n_middle, n_inner = (int(g) for g in grid)
+    if min(n_outer, n_middle, n_inner) < 0:
+        raise ValueError(f"negative grid {grid}")
+    i, j, k = np.indices((n_outer, n_middle, n_inner)).reshape(3, -1)
+    return i, j, k
 
 
 class OmpTargetRuntime:
@@ -200,7 +219,7 @@ class OmpTargetRuntime:
         self,
         name: str,
         grid: Tuple[int, int, int],
-        body: Callable[[int, int, np.ndarray], None],
+        body: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
         flops_per_iteration: float = 10.0,
         bytes_per_iteration: float = 24.0,
         nowait: bool = False,
@@ -209,15 +228,16 @@ class OmpTargetRuntime:
 
         The collapsed iteration space is ``grid = (n_outer, n_middle,
         n_inner)`` -- for TOAST kernels (detectors, intervals, padded
-        samples).  Teams map onto the two outer axes; the inner axis is the
-        thread/SIMD dimension, which this shim executes as one vectorized
-        sweep per (outer, middle) pair: ``body(i, j, k_vec)`` receives the
-        full inner index vector, mirroring how a GPU executes the lanes of
-        the collapsed loop concurrently.
+        samples).  Teams map onto the two outer axes and the inner axis is
+        the thread/SIMD dimension; a GPU runs every iteration of the region
+        concurrently, and so does this shim: ``body(i, j, k)`` is called
+        once per launch with the index vectors of :func:`collapse3`, one
+        entry per iteration, in loop order.  A grid with no iterations
+        never calls ``body``.
 
         The guard against out-of-interval lanes (the paper's "test to cut
-        work", §3.1.2) belongs inside ``body`` -- typically a boolean mask
-        on ``k_vec``.
+        work", §3.1.2) belongs inside ``body``: a boolean mask computed
+        from all three vectors and applied to each of them.
 
         The launch charges the device roofline cost for the whole grid.
         With ``nowait=True`` the submission returns immediately (the
@@ -225,9 +245,7 @@ class OmpTargetRuntime:
         the host must :meth:`taskwait` (or touch mapped data, which syncs)
         before consuming results.
         """
-        n_outer, n_middle, n_inner = (int(g) for g in grid)
-        if n_outer < 0 or n_middle < 0 or n_inner < 0:
-            raise ValueError(f"negative grid {grid}")
+        i, j, k = collapse3(grid)
         ctrl = res_state.active
         if ctrl is not None:
             spec_fault = ctrl.check(
@@ -237,7 +255,7 @@ class OmpTargetRuntime:
                 # TARGET_FAIL: the offload itself failed before any work or
                 # data motion; transient, so dispatch-level retry re-enters.
                 raise TargetRegionError(name)
-        total = n_outer * n_middle * n_inner
+        total = len(k)
         spec = self.device.spec
         seconds = max(
             total * flops_per_iteration / spec.peak_fp64_flops,
@@ -246,7 +264,7 @@ class OmpTargetRuntime:
         if obs_state.active is not None:
             self._region_event(
                 "target_teams." + name,
-                grid=[n_outer, n_middle, n_inner],
+                grid=[int(g) for g in grid],
                 teams=self.default_teams,
                 threads=self.default_threads,
                 nowait=nowait,
@@ -255,11 +273,8 @@ class OmpTargetRuntime:
             self.device.launch_async(name, seconds, n_launches=1)
         else:
             self.device.launch(name, seconds, n_launches=1)
-
-        k_vec = np.arange(n_inner, dtype=np.int64)
-        for i in range(n_outer):
-            for j in range(n_middle):
-                body(i, j, k_vec)
+        if total:
+            body(i, j, k)
 
     def taskwait(self) -> None:
         """``#pragma omp taskwait``: block until async target work finishes."""

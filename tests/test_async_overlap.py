@@ -94,11 +94,14 @@ class TestRuntimeNowait:
         def run(nowait):
             rt = OmpTargetRuntime(SimulatedDevice(memory_bytes=1 << 22))
             for _ in range(4):
+                # ~2 ms of modeled kernel per launch.  The launcher builds
+                # index vectors of 24 B per iteration, so the weight sits in
+                # bytes_per_iteration rather than in a 16M-iteration grid.
                 rt.target_teams_distribute_parallel_for(
                     "k",
-                    (64, 64, 4096),
+                    (64, 64, 16),
                     lambda i, j, k: None,
-                    bytes_per_iteration=200.0,
+                    bytes_per_iteration=200.0 * 256,
                     nowait=nowait,
                 )
                 rt.device.clock.charge("host_side_work", 1e-3)

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.accel import SimulatedDevice
+from repro.kernels.common import host_parallel_for_collapse3, launcher_for
+from repro.kernels.omp.stacked import stacked_entry
+from repro.kernels.spec import ArgRole, ArgSpec, Intent, KernelSpec
 from repro.ompshim import MapClause, MappingError, NotPresentError, OmpTargetRuntime
 
 
@@ -199,8 +202,8 @@ class TestKernelLaunch:
             d = rt.device_view(data)
 
             def body(i, j, k):
-                mask = k < stops[j]  # the in-loop conditional
-                d[i, j, k[mask]] = 1.0
+                m = k < stops[j]  # the in-loop conditional
+                d[i[m], j[m], k[m]] = 1.0
 
             rt.target_teams_distribute_parallel_for("k", (1, 2, 10), body)
         assert data[0, 0].sum() == 4
@@ -221,6 +224,64 @@ class TestKernelLaunch:
     def test_negative_grid_rejected(self, rt):
         with pytest.raises(ValueError):
             rt.target_teams_distribute_parallel_for("k", (-1, 1, 1), lambda i, j, k: None)
+
+    def test_host_launcher_rejects_negative_grid(self):
+        with pytest.raises(ValueError):
+            host_parallel_for_collapse3("k", (-1, 1, 4), lambda i, j, k: None)
+
+    def test_empty_grid_never_calls_body(self, rt):
+        def body(i, j, k):
+            raise AssertionError("body called on an empty grid")
+
+        for launch in (rt.target_teams_distribute_parallel_for, host_parallel_for_collapse3):
+            launch("k", (2, 0, 4), body)
+            launch("k", (2, 3, 0), body)
+        assert rt.device.kernels_launched == 2
+
+    def test_body_called_once_in_loop_order(self, rt):
+        """One body call per launch, over the iterations in loop order
+        (i outermost, k innermost): in-body scatters add in the order of
+        the nested loop."""
+        grid = (2, 3, 5)
+        for launch in (rt.target_teams_distribute_parallel_for, host_parallel_for_collapse3):
+            calls = []
+            launch("k", grid, lambda i, j, k: calls.append(np.stack((i, j, k))))
+            assert len(calls) == 1
+            np.testing.assert_array_equal(calls[0], np.indices(grid).reshape(3, -1))
+
+        # A stacked (megabatch) launch: one body call per member, on that
+        # member's own iterations -- lanes cut at its own max_len.
+        member_calls = []
+
+        def probe(tod, starts, stops, accel=None, use_accel=False):
+            member_grid = (tod.shape[0], len(starts), int(np.max(stops - starts)))
+
+            def body(i, j, k):
+                member_calls.append((member_grid, np.stack((i, j, k))))
+
+            launcher_for(accel, use_accel)("probe", member_grid, body)
+
+        spec = KernelSpec(
+            "probe",
+            args=(
+                ArgSpec("tod", Intent.INOUT, ArgRole.DETDATA, np.float64, ("n_det", "n_samp")),
+                ArgSpec("starts", Intent.IN, ArgRole.INTERVALS, np.int64, ("n_ivl",)),
+                ArgSpec("stops", Intent.IN, ArgRole.INTERVALS, np.int64, ("n_ivl",)),
+            ),
+            megabatch=True,
+        )
+        launched = rt.device.kernels_launched
+        stacked_entry(spec, probe)(
+            tod=np.zeros((2, 3, 10)),
+            starts=np.array([[0, 4], [6, 0]]),
+            stops=np.array([[3, 9], [8, 0]]),
+            accel=rt,
+            use_accel=True,
+        )
+        assert rt.device.kernels_launched == launched + 1
+        assert [g for g, _ in member_calls] == [(3, 2, 5), (3, 2, 2)]
+        for member_grid, ijk in member_calls:
+            np.testing.assert_array_equal(ijk, np.indices(member_grid).reshape(3, -1))
 
     def test_reset(self, rt):
         x = np.zeros(8)
