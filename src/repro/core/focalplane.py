@@ -9,6 +9,7 @@ angles, and noise parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List
 
 import numpy as np
@@ -20,12 +21,14 @@ from ..utils.constants import DEG2RAD
 __all__ = ["Focalplane", "fake_hexagon_focalplane"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Focalplane:
     """Detector names, pointing offsets, and noise parameters.
 
     ``detector_quats[d]`` rotates the boresight frame onto detector ``d``'s
-    line of sight and polarization orientation.
+    line of sight and polarization orientation.  Frozen: fields cannot be
+    reassigned, and the field contents must not be mutated either, since
+    derived values (the detector weights) are computed once and kept.
     """
 
     sample_rate: float
@@ -69,10 +72,17 @@ class Focalplane:
             n_freq=n_freq,
         )
 
-    def detector_weights(self) -> np.ndarray:
-        """Inverse-variance detector weights, ordered like ``detectors``."""
+    @cached_property
+    def _detector_weights(self) -> np.ndarray:
         nm = self.noise_model(n_freq=64)
         return np.array([nm.detector_weight(d) for d in self.detectors])
+
+    def detector_weights(self) -> np.ndarray:
+        """Inverse-variance detector weights, ordered like ``detectors``.
+
+        Computed on the first call; every call returns a fresh copy.
+        """
+        return self._detector_weights.copy()
 
 
 def _hex_positions(n_pixels: int, width_rad: float) -> np.ndarray:

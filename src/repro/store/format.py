@@ -26,7 +26,7 @@ import json
 import os
 import zlib
 from pathlib import Path
-from typing import Dict, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -42,7 +42,7 @@ __all__ = [
     "commit_chunk",
     "read_chunk_header",
     "verify_chunk",
-    "chunk_window",
+    "read_payload",
 ]
 
 CHUNK_MAGIC = b"RSC1"
@@ -175,13 +175,16 @@ def read_chunk_header(path: Path) -> Tuple[Dict[str, object], int]:
             )
         header = json.loads(hdr.decode("utf-8"))
         payload_offset = 4 + 4 + hdr_len + 4
-    expected = payload_offset + int(header["payload_nbytes"])
+    _check_size(path, size, payload_offset + int(header["payload_nbytes"]))
+    return header, payload_offset
+
+
+def _check_size(path: Path, size: int, expected: int) -> None:
     if size != expected:
         raise StoreIntegrityError(
             f"chunk {path.name!r} payload truncated: file is {size} bytes, "
             f"header promises {expected}"
         )
-    return header, payload_offset
 
 
 def verify_chunk(path: Path) -> Dict[str, object]:
@@ -200,16 +203,45 @@ def verify_chunk(path: Path) -> Dict[str, object]:
     return header
 
 
-def chunk_window(path: Path, header: Dict[str, object], payload_offset: int) -> np.ndarray:
-    """Zero-copy, copy-on-write view of a chunk's payload.
+#: What :func:`read_payload` learns from a validated header: the parsed
+#: header, the payload offset, and the header frame's raw bytes (magic,
+#: length, header JSON with its generation, header CRC).
+HeaderFrame = Tuple[Dict[str, object], int, bytes]
 
-    ``mode="c"`` gives operators an array they may mutate (e.g. in-place
-    noise weighting) without the pages ever writing back to the store.
+
+def read_payload(
+    path: Path, known: Optional[HeaderFrame] = None
+) -> Tuple[np.ndarray, HeaderFrame]:
+    """Read one chunk's payload into a fresh, writable array.
+
+    Returns ``(array, (header, offset, frame))``; pass the second item
+    back as ``known`` on the next read of the same path to skip parsing
+    the header.  The file's first ``offset`` bytes must still equal
+    ``frame`` -- on any mismatch the header is re-parsed through
+    :func:`read_chunk_header`, which raises its usual diagnostics.
+    Either way the file size must match the header and the payload must
+    arrive in one read.  The payload CRC is not checked here (see
+    :func:`verify_chunk`).
     """
-    return np.memmap(
-        path,
-        dtype=np.dtype(header["dtype"]),
-        mode="c",
-        offset=payload_offset,
-        shape=tuple(header["shape"]),
-    )
+    path = Path(path)
+    try:
+        f = open(path, "rb", buffering=0)
+    except FileNotFoundError:
+        raise StoreIntegrityError(f"chunk {path.name!r} is missing") from None
+    with f:
+        if known is not None and f.read(known[1]) != known[2]:
+            known = None
+        if known is None:
+            header, offset = read_chunk_header(path)
+            f.seek(0)
+            known = (header, offset, f.read(offset))
+        header, offset, _ = known
+        nbytes = int(header["payload_nbytes"])
+        _check_size(path, os.fstat(f.fileno()).st_size, offset + nbytes)
+        out = np.empty(tuple(header["shape"]), dtype=np.dtype(header["dtype"]))
+        got = f.readinto(out)
+    if got != nbytes:
+        raise StoreIntegrityError(
+            f"chunk {path.name!r} short read: got {got} of {nbytes} payload bytes"
+        )
+    return out, known

@@ -30,6 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..core.focalplane import Focalplane
 from ..core.observation import Observation
 from ..io.volumes import _focalplane_from_meta, _focalplane_meta
 from ..math.intervals import IntervalList
@@ -42,9 +43,10 @@ from .format import (
     SHADOW_PREFIX,
     StoreIntegrityError,
     StoreTornWrite,
-    chunk_window,
+    HeaderFrame,
     commit_chunk,
     read_chunk_header,
+    read_payload,
     verify_chunk,
 )
 from .manifest import MANIFEST_NAME, _sealed, _validate, commit_manifest, load_manifest
@@ -131,13 +133,21 @@ def _chunk_file(kind: str, key: str, window: int) -> str:
 
 
 class ObservationStore:
-    """Open/create, spill, scrub, and serve mmap-backed windows."""
+    """Open/create, spill, scrub, and serve windows as fresh arrays.
+
+    Set up once, stream many: each chunk's header is parsed on its first
+    read and kept in ``_headers`` (dropped whenever the chunk is
+    committed or quarantined), and each observation's focalplane is
+    built on its first window and shared by the rest.
+    """
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
         self.scrub_report: Optional[ScrubReport] = None
         self._index: Dict[str, Any] = {}
         self._manifests: List[Dict[str, Any]] = []
+        self._headers: Dict[Path, HeaderFrame] = {}
+        self._focalplanes: Dict[int, Focalplane] = {}
         SEEN_ROOTS.add(self.root)
 
     # -- lifecycle -------------------------------------------------------------
@@ -302,6 +312,7 @@ class ObservationStore:
         return iobs
 
     def _commit_with_retry(self, path: Path, header: Dict[str, Any], payload) -> None:
+        self._headers.pop(path, None)
         for attempt in range(_COMMIT_ATTEMPTS):
             try:
                 commit_chunk(path, header, payload)
@@ -351,8 +362,7 @@ class ObservationStore:
         fname = self._index["meta"][key]
         path = self.root / fname
         verify_chunk(path)
-        header, offset = read_chunk_header(path)
-        return np.array(chunk_window(path, header, offset))
+        return read_payload(path)[0]
 
     def meta_keys(self) -> List[str]:
         return sorted(self._index["meta"])
@@ -447,6 +457,7 @@ class ObservationStore:
         qdir = obs_dir / "quarantine"
         qdir.mkdir(exist_ok=True)
         src = obs_dir / "chunks" / fname
+        self._headers.pop(src, None)
         if src.exists():
             os.replace(src, qdir / fname)
         _note(EventType.STORE_QUARANTINE, fname, "store.chunks_quarantined", reason=reason)
@@ -502,17 +513,20 @@ class ObservationStore:
         doc = self._manifests[iobs]
         n = int(doc["n_samples"])
         cs = int(doc["chunk_samples"])
-        if window_samples is None:
-            window_samples = cs
-        w = max(cs, (int(window_samples) // cs) * cs)
+        ws = cs if window_samples is None else int(window_samples)
+        if ws <= 0:
+            raise ValueError("window_samples must be positive")
+        w = max(cs, (ws // cs) * cs)
         return [(s, min(s + w, n)) for s in range(0, n, w)]
 
     def window_observation(self, iobs: int, start: int, stop: int) -> Observation:
-        """An :class:`Observation` view of samples ``[start, stop)``.
+        """An :class:`Observation` of samples ``[start, stop)``.
 
-        Arrays resolve to copy-on-write mmap windows of the underlying
-        chunks (zero-copy when the window covers exactly one chunk);
-        intervals are clipped to the window and shifted to its origin.
+        Every array is freshly read from the underlying chunks, so
+        operators may write into it (noise weighting does) without
+        reaching the store or any other window.  The focalplane is the
+        observation's shared, immutable one.  Intervals are clipped to
+        the window and shifted to its origin.
         """
         doc = self._manifests[iobs]
         if not (0 <= start < stop <= int(doc["n_samples"])):
@@ -520,7 +534,10 @@ class ObservationStore:
                 f"window [{start},{stop}) out of range for "
                 f"{doc['n_samples']} samples"
             )
-        fp = _focalplane_from_meta(doc["focalplane"], np.array(doc["fp_quats"], dtype=np.float64))
+        fp = self._focalplanes.get(iobs)
+        if fp is None:
+            quats = np.array(doc["fp_quats"], dtype=np.float64)
+            fp = self._focalplanes[iobs] = _focalplane_from_meta(doc["focalplane"], quats)
         ob = Observation(fp, stop - start, name=doc["name"], uid=doc["uid"])
         for akey, entry in doc["arrays"].items():
             kind, key = akey.split("/", 1)
@@ -549,24 +566,26 @@ class ObservationStore:
             c0, c1 = int(chunk["start"]), int(chunk["stop"])
             if c1 <= start or c0 >= stop:
                 continue
-            view = self._chunk_payload(iobs, akey, chunk)
+            payload = self._chunk_payload(iobs, akey, chunk)
             lo, hi = max(start, c0) - c0, min(stop, c1) - c0
             if axis == 0:
-                parts.append(view[lo:hi])
+                parts.append(payload[lo:hi])
             else:
-                parts.append(view[:, lo:hi])
+                parts.append(payload[:, lo:hi])
         if len(parts) == 1:
             return parts[0]
         return np.concatenate(parts, axis=axis)
 
     def _chunk_payload(self, iobs: int, akey: str, chunk: Dict[str, Any]) -> np.ndarray:
-        """One chunk's payload as a copy-on-write mmap.
+        """One chunk's payload, read into a fresh array.
 
         The fast path trusts the open-time scrub and skips per-read CRC
-        work.  Under an active resilience controller the ``store.read``
-        fault site is polled (BIT_FLIP corrupts a payload byte on disk)
-        and the payload is CRC-verified; detection quarantines the chunk
-        and regenerates it from the producer before re-reading.
+        work; it re-checks the cached header frame and the file size on
+        every read.  Under an active resilience controller the
+        ``store.read`` fault site is polled (BIT_FLIP corrupts a payload
+        byte on disk) and the payload is CRC-verified; detection
+        quarantines the chunk and regenerates it from the producer before
+        re-reading, with the header parsed afresh.
         """
         path = self._obs_dir(iobs) / "chunks" / chunk["file"]
         ctrl = res_state.active
@@ -580,8 +599,9 @@ class ObservationStore:
                 self._quarantine(self._obs_dir(iobs), chunk["file"], str(err))
                 self._regenerate(iobs, [(akey, chunk)], str(err))
                 verify_chunk(path)
-        header, offset = read_chunk_header(path)
-        return chunk_window(path, header, offset)
+            self._headers.pop(path, None)
+        payload, self._headers[path] = read_payload(path, self._headers.get(path))
+        return payload
 
     @staticmethod
     def _flip_byte(path: Path, spec, ctrl) -> None:

@@ -1,10 +1,12 @@
 """Windowed streaming execution: pipelines over store-backed windows.
 
 The executor walks each observation window-by-window in ascending sample
-order, builds a copy-on-write mmap :class:`Observation` view per window,
-and runs the pipeline on it with a **shared** meta dict -- so global
-products (the noise-weighted map) accumulate in place across windows and
-observations in exactly the order a full in-memory run applies them.
+order, reads each window into a fresh :class:`Observation` (its own
+writable arrays; the store keeps only parsed chunk headers and one
+focalplane per observation between windows), and runs the pipeline on it
+with a **shared** meta dict -- so global products (the noise-weighted map)
+accumulate in place across windows and observations in exactly the order
+a full in-memory run applies them.
 Because every scatter kernel accumulates sample-major, the result is
 bitwise identical to the all-in-memory run for any window size.
 
@@ -29,7 +31,7 @@ __all__ = ["StreamConfig", "plan_windows", "stream_pipeline"]
 class StreamConfig:
     """How much of an observation may be resident at once.
 
-    ``host_budget_bytes`` caps the stored bytes mapped per window (the
+    ``host_budget_bytes`` caps the stored bytes read per window (the
     window length is rounded down to a whole number of chunks, never below
     one chunk).  ``window_samples`` overrides the budget with an explicit
     window length.  With neither set, the whole observation is one window.

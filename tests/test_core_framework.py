@@ -1,5 +1,6 @@
 """Tests for the core framework: observation model, dispatch, timing."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -51,6 +52,19 @@ class TestFocalplane:
         w = fp.detector_weights()
         assert w.shape == (6,)
         assert np.all(w > 0)
+
+    def test_detector_weights_computed_once_and_copied(self, fp):
+        first = fp.detector_weights()
+        nm = fp.noise_model(n_freq=64)
+        formula = np.array([nm.detector_weight(d) for d in fp.detectors])
+        assert first.tobytes() == formula.tobytes()
+        first[:] = -1.0
+        again = fp.detector_weights()
+        assert again.tobytes() == formula.tobytes()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fp.sample_rate = 20.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fp.net = {}
 
     def test_noise_model_detectors(self, fp):
         nm = fp.noise_model(n_freq=32)

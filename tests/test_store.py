@@ -22,7 +22,7 @@ from repro.core.pipeline import MovementPolicy
 from repro.ompshim import OmpTargetRuntime
 from repro.ops import create_fake_sky
 from repro.parallel.satellite import make_satellite_data_shard
-from repro.resilience import resilient
+from repro.resilience import named_plan, resilient
 from repro.resilience.faults import FaultKind, FaultPlan, FaultSpec
 from repro.store import (
     ObservationStore,
@@ -404,9 +404,17 @@ def test_windows_are_chunk_aligned(tmp_path):
     assert store.windows(0) == store.windows(0, 128)
 
 
+@pytest.mark.parametrize("window_samples", [0, -7])
+def test_windows_reject_non_positive_length(tmp_path, window_samples):
+    store = _ingest(tmp_path, chunk_samples=128)
+    with pytest.raises(ValueError, match="window_samples must be positive"):
+        store.windows(0, window_samples)
+
+
 def test_window_views_are_copy_on_write(tmp_path):
     store = _ingest(tmp_path)
     ob = store.window_observation(0, 0, 256)
+    want = ob.detdata["signal"].copy()
     before = store.root.joinpath(
         "obs_0000", "chunks", "detdata__signal__w0000.chunk"
     ).read_bytes()
@@ -415,6 +423,141 @@ def test_window_views_are_copy_on_write(tmp_path):
         "obs_0000", "chunks", "detdata__signal__w0000.chunk"
     ).read_bytes()
     assert before == after
+    # No window's writes reach the next read of the same samples.
+    again = store.window_observation(0, 0, 256)
+    assert again.detdata["signal"].tobytes() == want.tobytes()
+
+
+def _stream_once(store, pipe, window_samples=128):
+    return stream_pipeline(
+        store,
+        pipe,
+        meta={"sky_map": _sky(_TINY)},
+        config=StreamConfig(window_samples=window_samples),
+    )
+
+
+def test_back_to_back_streams_bitwise(tmp_path):
+    """Units share one store (and its caches) and one pipeline; noise
+    weighting writes into every window's signal, and none of it may reach
+    the next unit or the chunk files."""
+    store = _ingest(tmp_path)
+    chunk_files = sorted(store.root.rglob("*.chunk"))
+    before = [p.read_bytes() for p in chunk_files]
+    oracle = _stream_oracle(_TINY)
+    pipe = satellite_processing_pipeline(
+        _TINY.nside, implementation=ImplementationType.NUMPY
+    )
+    for _ in range(3):
+        assert _stream_once(store, pipe)["zmap"].tobytes() == oracle.tobytes()
+    assert sorted(store.root.rglob("*.chunk")) == chunk_files
+    assert [p.read_bytes() for p in chunk_files] == before
+
+
+def test_warm_stream_parses_no_headers(tmp_path, monkeypatch):
+    import repro.store.format as store_format
+    import repro.store.store as store_module
+
+    store = _ingest(tmp_path)
+    parses = []
+    real = store_format.read_chunk_header
+
+    def counting(path):
+        parses.append(Path(path).name)
+        return real(path)
+
+    for module in (store_format, store_module):
+        monkeypatch.setattr(module, "read_chunk_header", counting, raising=False)
+    pipe = satellite_processing_pipeline(
+        _TINY.nside, implementation=ImplementationType.NUMPY
+    )
+    n_chunks = sum(
+        len(entry["chunks"])
+        for iobs in range(store.n_observations)
+        for entry in store.manifest(iobs)["arrays"].values()
+    )
+    _stream_once(store, pipe)
+    assert len(parses) == n_chunks  # the cold unit parses every header once
+    _stream_once(store, pipe)
+    assert len(parses) == n_chunks  # the warm unit parses none
+
+
+def _flip_header_byte(path):
+    blob = bytearray(path.read_bytes())
+    blob[10] ^= 0x01  # inside the header JSON
+    path.write_bytes(bytes(blob))
+
+
+#: Damage applied to a chunk after its header was cached, and the
+#: diagnostic the next read must raise.
+_CORRUPTIONS = {
+    "append-byte": (lambda p: p.write_bytes(p.read_bytes() + b"\0"), "payload truncated"),
+    "truncate-payload": (lambda p: p.write_bytes(p.read_bytes()[:-5]), "payload truncated"),
+    "flip-header-byte": (_flip_header_byte, "header CRC mismatch"),
+    "break-magic": (lambda p: p.write_bytes(b"XXXX" + p.read_bytes()[4:]), "bad magic"),
+    "delete": (lambda p: p.unlink(), "is missing"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+def test_cached_read_keeps_every_check(tmp_path, corruption):
+    store = _ingest(tmp_path)
+    store.window_observation(0, 0, 128)  # caches the window's headers
+    chunk = store.manifest(0)["arrays"]["detdata/signal"]["chunks"][0]
+    path = store.root / "obs_0000" / "chunks" / chunk["file"]
+    damage, message = _CORRUPTIONS[corruption]
+    damage(path)
+    with pytest.raises(StoreIntegrityError, match=message) as got:
+        store.window_observation(0, 0, 128)
+    with pytest.raises(StoreIntegrityError) as uncached:
+        read_chunk_header(path)
+    assert str(got.value) == str(uncached.value)
+
+
+def test_cached_read_follows_a_recommitted_chunk(tmp_path):
+    store = _ingest(tmp_path)
+    old = store.window_observation(0, 0, 128).detdata["signal"]
+    chunk = store.manifest(0)["arrays"]["detdata/signal"]["chunks"][0]
+    path = store.root / "obs_0000" / "chunks" / chunk["file"]
+    header = {
+        "key": "detdata/signal",
+        "window": 0,
+        "start": 0,
+        "stop": 128,
+        "generation": 2,
+    }
+    commit_chunk(path, header, old * 2.0)
+    new = store.window_observation(0, 0, 128).detdata["signal"]
+    assert new.tobytes() == (old * 2.0).tobytes()
+
+
+def _window_bytes(ob):
+    return {
+        f"{kind}/{key}": arr.tobytes()
+        for kind, arrays in (("shared", ob.shared), ("detdata", ob.detdata))
+        for key, arr in arrays.items()
+    }
+
+
+def test_regenerated_chunk_reads_back_on_the_fast_path(tmp_path):
+    store = _ingest(tmp_path)
+    earlier = store.window_observation(0, 0, 128)  # caches the window's headers
+    want = _window_bytes(earlier)
+    with resilient(named_plan("store-bitrot", seed=0)) as ctrl:
+        store.window_observation(0, 0, 128)
+        counters = ctrl.report()["counters"]
+    assert counters["store.chunks_regenerated"] == 1
+    [rotten] = (store.root / "obs_0000" / "quarantine").iterdir()
+    fresh = store.root / "obs_0000" / "chunks" / rotten.name
+    assert fresh.read_bytes() != rotten.read_bytes()
+    # The bit flip hit the file in place; a window read before it is
+    # its own array and keeps its bytes.
+    assert _window_bytes(earlier) == want
+
+    got = _window_bytes(store.window_observation(0, 0, 128))  # fast path
+    header, offset = read_chunk_header(fresh)
+    assert got[header["key"]] == fresh.read_bytes()[offset:]
+    assert got == want
 
 
 def test_stream_config_validation():
