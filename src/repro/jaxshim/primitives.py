@@ -17,6 +17,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..math.rows import add_rows, put_rows
 from .config import config
 from .core import Primitive, ShapedArray, aval_of, bind
 from .errors import ShapeError
@@ -525,12 +526,12 @@ _SCATTER_MODES = ("set", "add", "multiply", "min", "max")
 
 
 def _scatter_impl(operand, indices, updates, *, mode):
-    out = np.array(operand, copy=True)
+    out = np.array(operand, order="C")
     idx = np.asarray(indices)
     if mode == "set":
-        out[idx] = updates
+        put_rows(out, idx, updates)
     elif mode == "add":
-        np.add.at(out, idx, updates)
+        add_rows(out, idx, updates)
     elif mode == "multiply":
         np.multiply.at(out, idx, updates)
     elif mode == "min":

@@ -12,6 +12,7 @@ from ..ompshim.runtime import collapse3
 
 __all__ = [
     "check_intervals",
+    "max_interval_length",
     "pad_intervals",
     "pad_intervals_grouped",
     "flatten_intervals",
@@ -35,6 +36,16 @@ def check_intervals(starts: np.ndarray, stops: np.ndarray, n_samples: int) -> No
         raise ValueError("intervals out of range")
 
 
+def max_interval_length(starts: np.ndarray, stops: np.ndarray) -> int:
+    """The longest interval's sample count: the collapse(3) lane extent.
+
+    Empty and inverted spans count as zero samples, so a list with no
+    samples at all -- no spans, or only degenerate ones -- gives 0 and its
+    kernel launches nothing, like the scalar reference's empty ``range()``.
+    """
+    return int(np.max(np.subtract(stops, starts), initial=0))
+
+
 def pad_intervals(
     starts: np.ndarray, stops: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -46,23 +57,23 @@ def pad_intervals(
     non-accumulating kernels can let the padding lanes do "dummy work"
     (recomputing the last sample's value) exactly as the paper describes;
     accumulating kernels must zero their contribution using ``valid_mask``.
+    A degenerate (empty or inverted) interval has no sample of its own:
+    its lanes go to the list's first valid sample (the megabatch anchor
+    rule), so their dummy work rewrites a value a valid lane also writes.
     An empty interval list pads to a ``(0, 0)`` slab.
     """
     starts = np.asarray(starts, dtype=np.int64)
     stops = np.asarray(stops, dtype=np.int64)
     if len(starts) == 0:
         return np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0), dtype=bool), 0
-    # Degenerate (empty or inverted) intervals contribute no valid lanes,
-    # mirroring the scalar reference's empty range().
+    # Degenerate intervals contribute no valid lanes, mirroring the scalar
+    # reference's empty range().
     lengths = np.maximum(stops - starts, 0)
     max_len = int(lengths.max())
     lanes = np.arange(max_len, dtype=np.int64)
-    raw = starts[:, None] + lanes[None, :]
     valid = lanes[None, :] < lengths[:, None]
-    clamped = np.minimum(raw, np.maximum(stops[:, None] - 1, starts[:, None]))
-    # Clamp degenerate rows (start == stop at the sample-count boundary)
-    # into range: every lane there is masked anyway.
-    np.clip(clamped, 0, None, out=clamped)
+    clamped = np.minimum(starts[:, None] + lanes[None, :], stops[:, None] - 1)
+    clamped[lengths == 0] = starts[np.argmax(lengths > 0)]
     return clamped, valid, max_len
 
 
@@ -95,14 +106,16 @@ def flatten_intervals(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
 
     The batched CPU kernels use this to collapse the per-detector and
     per-interval Python loops into a single NumPy pass: gathering a
-    ``(n_det, n_samples)`` array at ``[:, flatten_intervals(...)]`` yields
-    the ``(n_det, n_flat)`` working set covering exactly the in-interval
-    samples, with lanes ascending in sample order.  Each scatter kernel
-    then enumerates this working set in the same order as its scalar
-    reference, so ordered scatter-accumulations (``np.add.at``) stay
-    bitwise identical to it -- most references are detector-major, while
-    ``build_noise_weighted`` is sample-major (detector inner) so windowed
-    streaming over the sample axis reproduces the full-run accumulation.
+    ``(n_det, n_samples)`` array with ``np.take(a, flatten_intervals(...),
+    axis=1)`` yields the ``(n_det, n_flat)`` working set covering exactly
+    the in-interval samples, with lanes ascending in sample order, and
+    :func:`~repro.math.rows.put_lanes` writes it back.  Each scatter
+    kernel then enumerates this working set in the same order as its
+    scalar reference, so ordered scatter-accumulations (``add_rows``,
+    ``np.add.at``) stay bitwise identical to it -- most references are
+    detector-major, while ``build_noise_weighted`` is sample-major
+    (detector inner) so windowed streaming over the sample axis
+    reproduces the full-run accumulation.
 
     The construction itself is vectorized (no Python loop over intervals);
     zero-length intervals contribute nothing.

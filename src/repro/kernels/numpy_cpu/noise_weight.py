@@ -1,6 +1,9 @@
 """noise_weight, batched CPU implementation."""
 
+import numpy as np
+
 from ...core.dispatch import ImplementationType, kernel
+from ...math.rows import put_lanes
 from ..common import flatten_intervals
 
 
@@ -16,4 +19,4 @@ def noise_weight(
     flat = flatten_intervals(starts, stops)
     if flat.size == 0:
         return
-    tod[:, flat] *= det_weights[:, None]
+    put_lanes(tod, flat, np.take(tod, flat, axis=1) * det_weights[:, None])

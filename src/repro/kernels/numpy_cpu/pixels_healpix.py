@@ -9,6 +9,7 @@ import numpy as np
 from ...core.dispatch import ImplementationType, kernel
 from ...healpix import ang2pix
 from ...math import qa
+from ...math.rows import put_lanes
 from ..common import flatten_intervals
 
 
@@ -28,9 +29,9 @@ def pixels_healpix(
     flat = flatten_intervals(starts, stops)
     if flat.size == 0:
         return
-    theta, phi = qa.to_position(quats[:, flat])
+    theta, phi = qa.to_position(np.take(quats, flat, axis=1))
     pix = ang2pix(nside, theta, phi, nest=nest)
     if shared_flags is not None and mask:
         flagged = (shared_flags[flat] & mask) != 0
         pix = np.where(flagged[None, :], np.int64(-1), pix)
-    pixels_out[:, flat] = pix
+    put_lanes(pixels_out, flat, pix)

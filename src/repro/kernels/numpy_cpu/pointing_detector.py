@@ -9,6 +9,7 @@ import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
 from ...math import qa
+from ...math.rows import put_lanes, take_rows
 from ..common import flatten_intervals
 
 
@@ -27,8 +28,8 @@ def pointing_detector(
     flat = flatten_intervals(starts, stops)
     if flat.size == 0:
         return
-    rotated = qa.mult(boresight[flat][None, :, :], fp_quats[:, None, :])
+    rotated = qa.mult(take_rows(boresight, flat)[None, :, :], fp_quats[:, None, :])
     if shared_flags is not None and mask:
         flagged = (shared_flags[flat] & mask) != 0
         rotated = np.where(flagged[None, :, None], fp_quats[:, None, :], rotated)
-    quats_out[:, flat] = rotated
+    put_lanes(quats_out, flat, rotated)

@@ -9,6 +9,7 @@ keep their exact bits.
 import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
+from ...math.rows import put_lanes, take_rows
 from ..common import flatten_intervals
 
 
@@ -30,27 +31,27 @@ def scan_map(
     if flat.size == 0:
         return
     nnz = map_data.shape[1]
-    pix = pixels[:, flat]
+    pix = np.take(pixels, flat, axis=1)
     good = pix >= 0
     if not good.any():
         # Every in-interval sample is invalid: no map gather to do.  The
         # zeroing side effect still applies to in-interval lanes.
         if should_zero:
-            tod[:, flat] = 0.0
+            put_lanes(tod, flat, 0.0)
         return
     safe = np.where(good, pix, 0)
-    gathered = map_data[safe]
-    w = weights[:, flat]
+    gathered = take_rows(map_data, safe)
+    w = np.take(weights, flat, axis=1)
     sampled = np.zeros(pix.shape, dtype=np.float64)
     for k in range(nnz):
         sampled += gathered[..., k] * w[..., k]
     value = sampled * data_scale
 
-    out = tod[:, flat]
+    out = np.take(tod, flat, axis=1)
     if should_zero:
         out[...] = 0.0
     if should_subtract:
         np.subtract(out, value, out=out, where=good)
     else:
         np.add(out, value, out=out, where=good)
-    tod[:, flat] = out
+    put_lanes(tod, flat, out)

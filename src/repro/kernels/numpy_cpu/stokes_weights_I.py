@@ -1,6 +1,7 @@
 """stokes_weights_I, batched CPU implementation."""
 
 from ...core.dispatch import ImplementationType, kernel
+from ...math.rows import put_lanes
 from ..common import flatten_intervals
 
 
@@ -16,4 +17,4 @@ def stokes_weights_I(
     flat = flatten_intervals(starts, stops)
     if flat.size == 0:
         return
-    weights_out[:, flat] = cal
+    put_lanes(weights_out, flat, cal)

@@ -9,6 +9,7 @@ import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
 from ...math import qa
+from ...math.rows import put_lanes
 from ..common import flatten_intervals
 
 
@@ -28,10 +29,13 @@ def stokes_weights_IQU(
     if flat.size == 0:
         return
     eta = (1.0 - epsilon) / (1.0 + epsilon)
-    _, _, pa = qa.to_angles(quats[:, flat])
+    _, _, pa = qa.to_angles(np.take(quats, flat, axis=1))
     angle = pa
     if hwp_angle is not None:
         angle = angle + 2.0 * hwp_angle[flat]
-    weights_out[:, flat, 0] = cal
-    weights_out[:, flat, 1] = cal * eta[:, None] * np.cos(2.0 * angle)
-    weights_out[:, flat, 2] = cal * eta[:, None] * np.sin(2.0 * angle)
+    iqu = (
+        np.full_like(angle, cal),
+        cal * eta[:, None] * np.cos(2.0 * angle),
+        cal * eta[:, None] * np.sin(2.0 * angle),
+    )
+    put_lanes(weights_out, flat, np.stack(iqu, axis=-1))

@@ -1,6 +1,9 @@
 """template_offset_add_to_signal, batched CPU implementation."""
 
+import numpy as np
+
 from ...core.dispatch import ImplementationType, kernel
+from ...math.rows import put_lanes
 from ..common import flatten_intervals
 
 
@@ -19,4 +22,4 @@ def template_offset_add_to_signal(
     if flat.size == 0:
         return
     amp = amp_offsets[:, None] + flat[None, :] // step_length
-    tod[:, flat] += amplitudes[amp]
+    put_lanes(tod, flat, np.take(tod, flat, axis=1) + amplitudes[amp])

@@ -26,4 +26,4 @@ def template_offset_project_signal(
     if flat.size == 0:
         return
     amp = amp_offsets[:, None] + flat[None, :] // step_length
-    np.add.at(amplitudes, amp, tod[:, flat])
+    np.add.at(amplitudes, amp, np.take(tod, flat, axis=1))

@@ -10,8 +10,12 @@ out-of-interval work; data is dereferenced through mapped device pointers.
 A kernel's loop body runs once per launch, over the collapsed
 ``(idet, iivl, lanes)`` index vectors in loop order (detector outermost,
 lane innermost).  The guard is a mask over all three; per-detector
-values become per-lane gathers; in-body ``np.add.at`` scatters add in
-the nested loop's order, so they match the scalar reference bit for bit.
+values become per-lane gathers.  Per-sample data is addressed by the flat
+offset ``row = idet * n_samp + s``, as in the C port, and moved through
+the ordered row substrate (:mod:`repro.math.rows`): ``take_rows``
+gathers, ``put_rows`` writes, and in-body ``add_rows`` (or a 1-D
+``np.add.at``) scatters add in the nested loop's order, so they match the
+scalar reference bit for bit.
 
 Without a runtime (``use_accel=False``) the kernels run on the host --
 OpenMP's fallback behaviour when no device is available.

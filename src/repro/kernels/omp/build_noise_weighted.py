@@ -1,20 +1,22 @@
 """build_noise_weighted, OpenMP Target Offload implementation.
 
 Each (detector, interval) launcher iteration computes its contributions
-into a private slice of a scratch buffer -- write-disjoint, so iteration
-order is free, as it is on the device.  The map commit is a single
-unbuffered scatter (``np.add.at``) over the scratch in sample-major
-(detector inner) order, standing in for the device kernel's atomic adds
-with the repo-wide canonical accumulation order -- the order that makes
-windowed streaming over the sample axis bitwise identical to a
-full-observation run.  The commit runs through ``after_launch``, so a
-stacked launch commits each observation after the whole group's loop.
+into its own slots of a scratch buffer -- write-disjoint, so iteration
+order is free, as it is on the device.  The scratch is laid out
+sample-major (interval, lane, detector inner), so the map commit is a
+single ordered scatter (:func:`~repro.math.rows.add_rows`) over it in
+that order, standing in for the device kernel's atomic adds with the
+repo-wide canonical accumulation order -- the order that makes windowed
+streaming over the sample axis bitwise identical to a full-observation
+run.  The commit runs through ``after_launch``, so a stacked launch
+commits each observation after the whole group's loop.
 """
 
 import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
-from ..common import after_launch, launcher_for, resolve_view
+from ...math.rows import add_rows, put_rows, take_rows
+from ..common import after_launch, launcher_for, max_interval_length, resolve_view
 
 
 @kernel("build_noise_weighted", ImplementationType.OMP_TARGET)
@@ -33,9 +35,9 @@ def build_noise_weighted(
     accel=None,
     use_accel=False,
 ):
-    n_det = pixels.shape[0]
+    n_det, n_samp = pixels.shape
     n_ivl = len(starts)
-    max_len = int(np.max(stops - starts)) if n_ivl else 0
+    max_len = max_interval_length(starts, stops)
     if max_len == 0:
         return
 
@@ -49,31 +51,30 @@ def build_noise_weighted(
 
     nnz = d_zmap.shape[1]
     # Padded lanes stay (pixel 0, contribution 0.0): a no-op add.
-    pix_buf = np.zeros((n_det, n_ivl, max_len), dtype=np.int64)
-    contrib_buf = np.zeros((n_det, n_ivl, max_len, nnz), dtype=d_zmap.dtype)
+    pix_buf = np.zeros((n_ivl, max_len, n_det), dtype=np.int64)
+    contrib_buf = np.zeros((n_ivl, max_len, n_det, nnz), dtype=d_zmap.dtype)
 
     def body(idet, iivl, lanes):
         keep = lanes < stops[iivl] - starts[iivl]
         idet, iivl, lanes = idet[keep], iivl[keep], lanes[keep]
         s = starts[iivl] + lanes
-        pix = d_pix[idet, s]
+        row = idet * n_samp + s
+        pix = take_rows(d_pix, row, lead=2)
         good = pix >= 0
         if d_flags is not None and mask:
             good = good & ((d_flags[s] & mask) == 0)
         if d_det_flags is not None and det_mask:
-            good = good & ((d_det_flags[idet, s] & det_mask) == 0)
-        z = d_scale[idet] * d_tod[idet, s]
-        pix_buf[idet, iivl, lanes] = np.where(good, pix, 0)
-        contrib_buf[idet, iivl, lanes] = np.where(
-            good[:, None], z[:, None] * d_wts[idet, s], 0.0
-        )
+            good = good & ((take_rows(d_det_flags, row, lead=2) & det_mask) == 0)
+        z = d_scale[idet] * take_rows(d_tod, row, lead=2)
+        contrib = z[:, None] * take_rows(d_wts, row, lead=2)
+        slot = (iivl * max_len + lanes) * n_det + idet
+        put_rows(pix_buf, slot, np.where(good, pix, 0), lead=3)
+        put_rows(contrib_buf, slot, np.where(good[:, None], contrib, 0.0), lead=3)
 
     def commit():
         # Ordered commit: intervals are sorted and lanes ascend within each,
-        # so this enumerates samples in ascending order with detectors inner.
-        pix_all = pix_buf.transpose(1, 2, 0).reshape(-1)
-        contrib_all = contrib_buf.transpose(1, 2, 0, 3).reshape(-1, nnz)
-        np.add.at(d_zmap, pix_all, contrib_all)
+        # so the scratch holds samples in ascending order with detectors inner.
+        add_rows(d_zmap, pix_buf.reshape(-1), contrib_buf.reshape(-1, nnz))
 
     launcher_for(accel, use_accel)(
         "build_noise_weighted",

@@ -3,7 +3,8 @@
 import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
-from ..common import launcher_for, resolve_view
+from ...math.rows import add_rows, take_rows
+from ..common import launcher_for, max_interval_length, resolve_view
 
 
 @kernel("cov_accum_diag_hits", ImplementationType.OMP_TARGET)
@@ -15,9 +16,9 @@ def cov_accum_diag_hits(
     accel=None,
     use_accel=False,
 ):
-    n_det = pixels.shape[0]
+    n_det, n_samp = pixels.shape
     n_ivl = len(starts)
-    max_len = int(np.max(stops - starts)) if n_ivl else 0
+    max_len = max_interval_length(starts, stops)
     if max_len == 0:
         return
 
@@ -28,7 +29,8 @@ def cov_accum_diag_hits(
         keep = lanes < stops[iivl] - starts[iivl]
         idet = idet[keep]
         s = starts[iivl[keep]] + lanes[keep]
-        pix = d_pix[idet, s]
+        row = idet * n_samp + s
+        pix = take_rows(d_pix, row, lead=2)
         good = pix >= 0
         np.add.at(d_hits, pix[good], 1)
 
@@ -52,9 +54,9 @@ def cov_accum_diag_invnpp(
     accel=None,
     use_accel=False,
 ):
-    n_det = pixels.shape[0]
+    n_det, n_samp = pixels.shape
     n_ivl = len(starts)
-    max_len = int(np.max(stops - starts)) if n_ivl else 0
+    max_len = max_interval_length(starts, stops)
     if max_len == 0:
         return
     nnz = weights.shape[2]
@@ -69,13 +71,13 @@ def cov_accum_diag_invnpp(
         keep = lanes < stops[iivl] - starts[iivl]
         idet = idet[keep]
         s = starts[iivl[keep]] + lanes[keep]
-        pix = d_pix[idet, s]
+        row = idet * n_samp + s
+        pix = take_rows(d_pix, row, lead=2)
         good = pix >= 0
-        p = pix[good]
-        w = d_wts[idet, s][good]
+        w = take_rows(d_wts, row[good], lead=2)
         g = d_scale[idet][good]
         outer = np.stack([g * w[:, i] * w[:, j] for i, j in tri], axis=1)
-        np.add.at(d_inv, p, outer)
+        add_rows(d_inv, pix[good], outer)
 
     launcher_for(accel, use_accel)(
         "cov_accum_diag_invnpp",

@@ -1,9 +1,8 @@
 """noise_weight, OpenMP Target Offload implementation."""
 
-import numpy as np
-
 from ...core.dispatch import ImplementationType, kernel
-from ..common import launcher_for, resolve_view
+from ...math.rows import put_rows, take_rows
+from ..common import launcher_for, max_interval_length, resolve_view
 
 
 @kernel("noise_weight", ImplementationType.OMP_TARGET)
@@ -15,9 +14,9 @@ def noise_weight(
     accel=None,
     use_accel=False,
 ):
-    n_det = tod.shape[0]
+    n_det, n_samp = tod.shape
     n_ivl = len(starts)
-    max_len = int(np.max(stops - starts)) if n_ivl else 0
+    max_len = max_interval_length(starts, stops)
     if max_len == 0:
         return
 
@@ -28,7 +27,8 @@ def noise_weight(
         keep = lanes < stops[iivl] - starts[iivl]
         idet = idet[keep]
         s = starts[iivl[keep]] + lanes[keep]
-        d_tod[idet, s] *= d_w[idet]
+        row = idet * n_samp + s
+        put_rows(d_tod, row, take_rows(d_tod, row, lead=2) * d_w[idet], lead=2)
 
     launcher_for(accel, use_accel)(
         "noise_weight",

@@ -9,7 +9,8 @@ import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
 from ...healpix import ang2pix
-from ..common import launcher_for, resolve_view
+from ...math.rows import put_rows, take_rows
+from ..common import launcher_for, max_interval_length, resolve_view
 
 
 @kernel("pixels_healpix", ImplementationType.OMP_TARGET)
@@ -25,9 +26,9 @@ def pixels_healpix(
     accel=None,
     use_accel=False,
 ):
-    n_det = quats.shape[0]
+    n_det, n_samp = quats.shape[:2]
     n_ivl = len(starts)
-    max_len = int(np.max(stops - starts)) if n_ivl else 0
+    max_len = max_interval_length(starts, stops)
     if max_len == 0:
         return
 
@@ -39,7 +40,8 @@ def pixels_healpix(
         keep = lanes < stops[iivl] - starts[iivl]
         idet = idet[keep]
         s = starts[iivl[keep]] + lanes[keep]
-        q = d_quats[idet, s]
+        row = idet * n_samp + s
+        q = take_rows(d_quats, row, lead=2)
         x, y, z, w = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
         dir_x = 2.0 * (x * z + w * y)
         dir_y = 2.0 * (y * z - w * x)
@@ -50,7 +52,7 @@ def pixels_healpix(
         if d_flags is not None and mask:
             flagged = (d_flags[s] & mask) != 0
             pix = np.where(flagged, np.int64(-1), pix)
-        d_out[idet, s] = pix
+        put_rows(d_out, row, pix, lead=2)
 
     launcher_for(accel, use_accel)(
         "pixels_healpix",

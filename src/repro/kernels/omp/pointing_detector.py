@@ -3,7 +3,8 @@
 import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
-from ..common import launcher_for, resolve_view
+from ...math.rows import put_rows, take_rows
+from ..common import launcher_for, max_interval_length, resolve_view
 
 
 def _qa_mult_one(p, q):
@@ -31,8 +32,9 @@ def pointing_detector(
     use_accel=False,
 ):
     n_det = fp_quats.shape[0]
+    n_samp = boresight.shape[0]
     n_ivl = len(starts)
-    max_len = int(np.max(stops - starts)) if n_ivl else 0
+    max_len = max_interval_length(starts, stops)
     if max_len == 0:
         return
 
@@ -45,11 +47,13 @@ def pointing_detector(
         keep = lanes < stops[iivl] - starts[iivl]  # the interval guard
         idet = idet[keep]
         s = starts[iivl[keep]] + lanes[keep]
-        rotated = _qa_mult_one(d_bore[s], d_fp[idet])
+        row = idet * n_samp + s
+        fp = take_rows(d_fp, idet)
+        rotated = _qa_mult_one(take_rows(d_bore, s), fp)
         if d_flags is not None and mask:
             flagged = (d_flags[s] & mask) != 0
-            rotated = np.where(flagged[:, None], d_fp[idet], rotated)
-        d_out[idet, s] = rotated
+            rotated = np.where(flagged[:, None], fp, rotated)
+        put_rows(d_out, row, rotated, lead=2)
 
     launcher_for(accel, use_accel)(
         "pointing_detector",

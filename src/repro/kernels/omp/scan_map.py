@@ -3,7 +3,8 @@
 import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
-from ..common import launcher_for, resolve_view
+from ...math.rows import put_rows, take_rows
+from ..common import launcher_for, max_interval_length, resolve_view
 
 
 @kernel("scan_map", ImplementationType.OMP_TARGET)
@@ -20,9 +21,9 @@ def scan_map(
     accel=None,
     use_accel=False,
 ):
-    n_det = pixels.shape[0]
+    n_det, n_samp = pixels.shape
     n_ivl = len(starts)
-    max_len = int(np.max(stops - starts)) if n_ivl else 0
+    max_len = max_interval_length(starts, stops)
     if max_len == 0:
         return
 
@@ -35,16 +36,20 @@ def scan_map(
         keep = lanes < stops[iivl] - starts[iivl]
         idet = idet[keep]
         s = starts[iivl[keep]] + lanes[keep]
-        pix = d_pix[idet, s]
+        row = idet * n_samp + s
+        pix = take_rows(d_pix, row, lead=2)
         good = pix >= 0
-        value = np.einsum("sk,sk->s", d_map[np.where(good, pix, 0)], d_wts[idet, s])
+        value = np.einsum(
+            "sk,sk->s",
+            take_rows(d_map, np.where(good, pix, 0)),
+            take_rows(d_wts, row, lead=2),
+        )
         value = np.where(good, value, 0.0) * data_scale
         if should_zero:
-            d_tod[idet, s] = 0.0
-        if should_subtract:
-            d_tod[idet, s] -= value
+            tod = np.zeros(len(row), dtype=d_tod.dtype)
         else:
-            d_tod[idet, s] += value
+            tod = take_rows(d_tod, row, lead=2)
+        put_rows(d_tod, row, tod - value if should_subtract else tod + value, lead=2)
 
     launcher_for(accel, use_accel)(
         "scan_map",

@@ -1,9 +1,8 @@
 """stokes_weights_I, OpenMP Target Offload implementation."""
 
-import numpy as np
-
 from ...core.dispatch import ImplementationType, kernel
-from ..common import launcher_for, resolve_view
+from ...math.rows import put_rows
+from ..common import launcher_for, max_interval_length, resolve_view
 
 
 @kernel("stokes_weights_I", ImplementationType.OMP_TARGET)
@@ -15,9 +14,9 @@ def stokes_weights_I(
     accel=None,
     use_accel=False,
 ):
-    n_det = weights_out.shape[0]
+    n_det, n_samp = weights_out.shape
     n_ivl = len(starts)
-    max_len = int(np.max(stops - starts)) if n_ivl else 0
+    max_len = max_interval_length(starts, stops)
     if max_len == 0:
         return
 
@@ -27,7 +26,8 @@ def stokes_weights_I(
         keep = lanes < stops[iivl] - starts[iivl]
         idet = idet[keep]
         s = starts[iivl[keep]] + lanes[keep]
-        d_out[idet, s] = cal
+        row = idet * n_samp + s
+        put_rows(d_out, row, cal, lead=2)
 
     launcher_for(accel, use_accel)(
         "stokes_weights_I",

@@ -3,7 +3,8 @@
 import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
-from ..common import launcher_for, resolve_view
+from ...math.rows import put_rows, take_rows
+from ..common import launcher_for, max_interval_length, resolve_view
 
 
 def _position_angle(q):
@@ -33,9 +34,9 @@ def stokes_weights_IQU(
     accel=None,
     use_accel=False,
 ):
-    n_det = quats.shape[0]
+    n_det, n_samp = quats.shape[:2]
     n_ivl = len(starts)
-    max_len = int(np.max(stops - starts)) if n_ivl else 0
+    max_len = max_interval_length(starts, stops)
     if max_len == 0:
         return
 
@@ -48,13 +49,17 @@ def stokes_weights_IQU(
         keep = lanes < stops[iivl] - starts[iivl]
         idet = idet[keep]
         s = starts[iivl[keep]] + lanes[keep]
+        row = idet * n_samp + s
         eta = (1.0 - d_eps[idet]) / (1.0 + d_eps[idet])
-        angle = _position_angle(d_quats[idet, s])
+        angle = _position_angle(take_rows(d_quats, row, lead=2))
         if d_hwp is not None:
             angle = angle + 2.0 * d_hwp[s]
-        d_out[idet, s, 0] = cal
-        d_out[idet, s, 1] = cal * eta * np.cos(2.0 * angle)
-        d_out[idet, s, 2] = cal * eta * np.sin(2.0 * angle)
+        iqu = (
+            np.full_like(angle, cal),
+            cal * eta * np.cos(2.0 * angle),
+            cal * eta * np.sin(2.0 * angle),
+        )
+        put_rows(d_out, row, np.stack(iqu, axis=-1), lead=2)
 
     launcher_for(accel, use_accel)(
         "stokes_weights_IQU",

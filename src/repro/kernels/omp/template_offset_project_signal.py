@@ -7,7 +7,8 @@ loses to XLA's linear-algebra rewriting on this particular kernel (§4.2).
 import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
-from ..common import launcher_for, resolve_view
+from ...math.rows import take_rows
+from ..common import launcher_for, max_interval_length, resolve_view
 
 
 @kernel("template_offset_project_signal", ImplementationType.OMP_TARGET)
@@ -21,9 +22,9 @@ def template_offset_project_signal(
     accel=None,
     use_accel=False,
 ):
-    n_det = tod.shape[0]
+    n_det, n_samp = tod.shape
     n_ivl = len(starts)
-    max_len = int(np.max(stops - starts)) if n_ivl else 0
+    max_len = max_interval_length(starts, stops)
     if max_len == 0:
         return
 
@@ -35,8 +36,9 @@ def template_offset_project_signal(
         keep = lanes < stops[iivl] - starts[iivl]
         idet = idet[keep]
         s = starts[iivl[keep]] + lanes[keep]
+        row = idet * n_samp + s
         amp_idx = d_off[idet] + s // step_length
-        np.add.at(d_amp, amp_idx, d_tod[idet, s])
+        np.add.at(d_amp, amp_idx, take_rows(d_tod, row, lead=2))
 
     launcher_for(accel, use_accel)(
         "template_offset_project_signal",

@@ -39,8 +39,21 @@ def make_intervals(n_samp: int, kind: str = "irregular") -> Tuple[np.ndarray, np
     """Interval lists exercising the flattening logic.
 
     ``irregular``: uneven spans with gaps (the realistic case);
-    ``full``: one span covering everything; ``empty``: no spans at all.
+    ``full``: one span covering everything; ``empty``: no spans at all;
+    ``degenerate``: the irregular spans plus three that hold no sample --
+    an empty span inside a gap, an inverted span starting in a gap, and
+    the empty span ``[n_samp, n_samp)`` -- so every kernel must give the
+    irregular list's result.
     """
+    if kind == "degenerate":
+        starts, stops = make_intervals(n_samp, "irregular")
+        if len(starts) < 3:
+            raise ValueError("degenerate intervals need n_samp >= 8")
+        gap = (stops[0] + starts[1]) // 2
+        starts = np.append(starts, [gap, stops[2], n_samp])
+        stops = np.append(stops, [gap, starts[2], n_samp])
+        order = np.argsort(starts, kind="stable")
+        return starts[order], stops[order]
     if kind == "empty":
         e = np.zeros(0, dtype=np.int64)
         return e, e

@@ -41,6 +41,8 @@ _IMPLEMENTATIONS: Dict[str, Tuple[str, List[Path]]] = {
         "numpy_cpu",
         [
             _KERNELS_ROOT.parent / "math" / "quaternion.py",
+            # The gather/scatter substrate both host-side ports index through.
+            _KERNELS_ROOT.parent / "math" / "rows.py",
             _KERNELS_ROOT.parent / "healpix" / "ring.py",
             _KERNELS_ROOT.parent / "healpix" / "nest.py",
             _KERNELS_ROOT.parent / "healpix" / "bits.py",
@@ -61,6 +63,7 @@ _IMPLEMENTATIONS: Dict[str, Tuple[str, List[Path]]] = {
         "omp",
         [
             _KERNELS_ROOT / "common.py",
+            _KERNELS_ROOT.parent / "math" / "rows.py",
             # The OMP port's hand-written accelerator machinery (paper
             # §3.1.2): the device memory pool and the host<->device
             # association/data-movement layer.

@@ -4,8 +4,10 @@ The numpy backend rewrites every per-detector/per-interval Python loop as
 one batched pass over flattened interval samples.  The contract is not
 "numerically close" -- it is **bit-identical**: same operation order on the
 same lanes, so ``tobytes()`` matches.  The suite sweeps detector counts
-(including 1 and a prime), interval shapes (irregular, one full span, and
-no spans at all), and flag masks on/off.
+(including 1 and a prime), interval shapes (irregular, one full span, no
+spans at all, and irregular spans mixed with empty and inverted ones), and
+flag masks on/off.  Degenerate spans are empty on every backend: adding
+them, or passing only inverted spans, changes no output bit.
 """
 
 import numpy as np
@@ -22,8 +24,17 @@ KERNELS = [
     name for name in kernel_registry.kernels() if kernel_registry.spec(name).parity
 ]
 
+# The kernels that loop over intervals (all but the amplitude-only one).
+INTERVAL_KERNELS = [name for name in KERNELS if kernel_registry.spec(name).has_arg("starts")]
+
 DET_COUNTS = [1, 3, 17]
-INTERVAL_KINDS = ["irregular", "full", "empty"]
+INTERVAL_KINDS = ["irregular", "full", "empty", "degenerate"]
+BACKENDS = [
+    ImplementationType.PYTHON,
+    ImplementationType.NUMPY,
+    ImplementationType.JAX,
+    ImplementationType.OMP_TARGET,
+]
 
 
 def _assert_bitwise(name, py_outs, np_outs):
@@ -71,6 +82,37 @@ def test_empty_intervals_leave_outputs_untouched():
         for key, arr in zip(outputs, out_arrays):
             assert arr.tobytes() == before[key].tobytes(), (
                 f"{name}: wrote to {key} despite empty interval list"
+            )
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda impl: impl.value)
+@pytest.mark.parametrize("kernel", INTERVAL_KERNELS)
+def test_degenerate_spans_change_nothing(kernel, impl):
+    """Empty and inverted spans add no samples: the result is the call's
+    without them, bit for bit (including ``[n, n)`` at the end)."""
+    factory = kernel_cases(n_det=3, n_samp=120, intervals="degenerate")[kernel]
+
+    def without_degenerate():
+        args, outputs = factory()
+        keep = args["stops"] > args["starts"]
+        return dict(args, starts=args["starts"][keep], stops=args["stops"][keep]), outputs
+
+    plain = run_kernel_case(kernel, impl, without_degenerate)
+    _assert_bitwise(kernel, plain, run_kernel_case(kernel, impl, factory))
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda impl: impl.value)
+def test_all_inverted_intervals_are_a_noop(impl):
+    cases = kernel_cases(n_det=2, n_samp=64)
+    for name in INTERVAL_KERNELS:
+        args, outputs = cases[name]()
+        args["starts"] = np.array([5, 40], dtype=np.int64)
+        args["stops"] = np.array([2, 30], dtype=np.int64)
+        before = {k: np.copy(args[k]) for k in outputs}
+        kernel_registry.get(name, impl, allow_fallback=False)(**args)
+        for key in outputs:
+            assert args[key].tobytes() == before[key].tobytes(), (
+                f"{name}/{impl.value}: wrote to {key} with only inverted intervals"
             )
 
 
@@ -137,3 +179,9 @@ def test_make_intervals_kinds():
     assert np.all(stops > starts) and np.all(stops <= 128)
     starts, stops = make_intervals(128, "empty")
     assert starts.size == 0 and stops.size == 0
+    starts, stops = make_intervals(128, "degenerate")
+    keep = stops > starts
+    plain = make_intervals(128, "irregular")
+    assert starts[keep].tolist() == plain[0].tolist() and stops[keep].tolist() == plain[1].tolist()
+    assert (~keep).sum() == 3 and np.all(np.diff(starts) >= 0)
+    assert [128, 128] in np.stack((starts, stops), axis=1).tolist()

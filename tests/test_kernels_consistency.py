@@ -13,6 +13,7 @@ from repro.core.dispatch import ImplementationType, kernel_registry
 from repro.kernels import EXTENSION_KERNELS  # noqa: F401  (registers kernels)
 from repro.math import qa
 from repro.ompshim import OmpTargetRuntime
+from repro.workflows.microbench import make_intervals
 
 IMPLS = [
     ImplementationType.PYTHON,
@@ -412,6 +413,47 @@ def test_outside_intervals_untouched():
         fn = kernel_registry.get("noise_weight", impl, allow_fallback=False)
         fn(**args)
         np.testing.assert_array_equal(args["tod"][:, gap_mask], before[:, gap_mask])
+
+
+def with_intervals(factory, starts, stops):
+    """``factory`` with its interval list replaced."""
+
+    def build():
+        args, outputs = factory()
+        return dict(args, starts=starts, stops=stops), outputs
+
+    return build
+
+
+INTERVAL_KERNELS = [name for name in KERNEL_NAMES if "starts" in CASES[name]()[0]]
+DEGENERATE = make_intervals(N_SAMP, "degenerate")
+INVERTED = (np.array([5, 40], dtype=np.int64), np.array([2, 30], dtype=np.int64))
+ACCEL_IMPLS = [ImplementationType.JAX, ImplementationType.OMP_TARGET]
+
+
+@pytest.mark.parametrize("name", INTERVAL_KERNELS)
+@pytest.mark.parametrize("impl", ACCEL_IMPLS, ids=lambda impl: impl.value)
+@pytest.mark.parametrize("use_accel", [False, True], ids=["host", "device"])
+def test_degenerate_spans_change_nothing(name, impl, use_accel):
+    """Empty and inverted spans -- one in a gap, one at ``[n, n)`` -- add no
+    samples on either accelerated port: bitwise the call without them."""
+    starts, stops = DEGENERATE
+    keep = stops > starts
+    plain = run_impl(name, impl, with_intervals(CASES[name], starts[keep], stops[keep]), use_accel)
+    degenerate = run_impl(name, impl, with_intervals(CASES[name], starts, stops), use_accel)
+    for a, b in zip(plain, degenerate):
+        assert a.tobytes() == b.tobytes(), f"{name}: degenerate spans changed the result"
+
+
+@pytest.mark.parametrize("name", INTERVAL_KERNELS)
+@pytest.mark.parametrize("impl", ACCEL_IMPLS, ids=lambda impl: impl.value)
+@pytest.mark.parametrize("use_accel", [False, True], ids=["host", "device"])
+def test_all_inverted_intervals_no_op(name, impl, use_accel):
+    factory = with_intervals(CASES[name], *INVERTED)
+    args, outputs = factory()
+    before = [args[k] for k in outputs]
+    for old, out in zip(before, run_impl(name, impl, factory, use_accel)):
+        assert out.tobytes() == old.tobytes(), f"{name}: wrote with only inverted intervals"
 
 
 def test_empty_intervals_no_op():

@@ -1,5 +1,7 @@
 """Tests for the satellite workflow assembly and figure reports."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,9 @@ from repro.workflows.satellite import (
     run_satellite_benchmark,
     satellite_processing_pipeline,
 )
+
+
+REPORTS = Path(__file__).resolve().parent.parent / "benchmarks" / "reports"
 
 
 class TestSizes:
@@ -152,6 +157,16 @@ class TestLocReports:
         text, per = fig3_loc_per_kernel()
         assert "pixels_healpix" in text
         assert per["omp_target"]["scan_map"] > 0
+
+    @pytest.mark.parametrize(
+        "name, report",
+        [("fig2_loc_total", fig2_loc_total), ("fig3_loc_per_kernel", fig3_loc_per_kernel)],
+    )
+    def test_committed_report_is_fresh(self, name, report):
+        """A kernel edit must regenerate Figs 2/3: ``pytest benchmarks/bench_fig2_loc_total.py
+        benchmarks/bench_fig3_loc_kernel.py`` rewrites the committed tables."""
+        committed = REPORTS / f"{name}.txt"
+        assert committed.read_text() == report()[0] + "\n", f"{committed} is stale"
 
 
 class TestFigureReports:
