@@ -24,5 +24,9 @@ Quickstart::
 """
 
 from ._version import __version__
+from .utils.hostmem import retain_freed_memory
+
+# Before any kernel runs: freed NumPy temporaries stay mapped for reuse.
+retain_freed_memory()
 
 __all__ = ["__version__"]

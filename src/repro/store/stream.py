@@ -10,10 +10,13 @@ a full in-memory run applies them.
 Because every scatter kernel accumulates sample-major, the result is
 bitwise identical to the all-in-memory run for any window size.
 
-The window length comes from a host-RSS budget: the largest whole-chunk
-multiple whose stored bytes fit the budget.  Pipeline-created detdata
-(pixels, weights, quats) scales with the same window length, so the
-budget bounds the streamed working set up to that constant factor.
+The window length comes from a per-window read budget in stored bytes
+(``StreamConfig.host_budget_bytes``): the largest whole-chunk multiple
+whose stored bytes fit the budget.  Nothing measures process RSS.
+Pipeline-created detdata (pixels, weights, quats) scales with the same
+window length, so the budget bounds the streamed working set up to that
+constant factor, and freed windows stay in the process heap for reuse
+(:mod:`repro.utils.hostmem`).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ __all__ = ["StreamConfig", "plan_windows", "stream_pipeline"]
 
 @dataclass(frozen=True)
 class StreamConfig:
-    """How much of an observation may be resident at once.
+    """How much of an observation one window reads.
 
     ``host_budget_bytes`` caps the stored bytes read per window (the
     window length is rounded down to a whole number of chunks, never below

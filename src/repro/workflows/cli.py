@@ -38,11 +38,12 @@ Subcommands::
     repro-bench ingest --smoke          out-of-core ingest drill: spill to
                                         a crash-consistent store under a
                                         torn-write plan, stream back
-                                        window-by-window under a host-RSS
-                                        budget (eager, compiled, elastic),
-                                        replay bit rot; exits nonzero
-                                        unless every leg is bitwise
-                                        identical to its in-memory oracle
+                                        window-by-window under a per-window
+                                        read budget (eager, compiled,
+                                        elastic), replay bit rot; exits
+                                        nonzero unless every leg is
+                                        bitwise identical to its
+                                        in-memory oracle
 
 Any unexpected failure exits nonzero with the error on stderr.
 """
@@ -283,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="the out-of-core ingest drill: spill the dataset into a "
         "crash-consistent chunked store under an injected torn-write "
         "plan, scrub, then stream the pipeline window-by-window under "
-        "a host-RSS budget (eager + compiled plans, elastic workers) "
+        "a per-window read budget (eager + compiled plans, elastic workers) "
         "with a bit-rot replay; every leg is parity-gated bitwise "
         "against its in-memory oracle and any mismatch exits nonzero",
     )
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help="host-RSS budget in bytes for streamed windows (default: a "
+        help="stored bytes each streamed window may read (default: a "
         "quarter of one observation's stored bytes)",
     )
     p_ingest.add_argument(

@@ -3,11 +3,11 @@
 The ingest benchmark measures the storage half of streaming out-of-core
 execution: the satellite dataset is simulated and spilled into a
 :class:`~repro.store.ObservationStore`, then the processing pipeline runs
-window-by-window under a host-RSS budget -- serially (eager and compiled
-plans) and on the elastic pool -- with every run parity-gated against the
-corresponding all-in-memory oracle.  Fault legs replay the ``store-*``
-plans: torn writes during spill (commit retries), and bit rot at read
-time (quarantine + regeneration from the registered producer).
+window-by-window under a per-window read budget -- serially (eager and
+compiled plans) and on the elastic pool -- with every run parity-gated
+against the corresponding all-in-memory oracle.  Fault legs replay the
+``store-*`` plans: torn writes during spill (commit retries), and bit rot
+at read time (quarantine + regeneration from the registered producer).
 
 The registered ``satellite-sim`` producer makes regeneration possible:
 simulation is counter-based and layout-independent, so re-simulating one
