@@ -2,7 +2,8 @@
 
 NESTED pixel numbers are Morton (Z-order) codes of the in-face ``(x, y)``
 coordinates.  The spread/compress operations below use the classic binary
-magic-number sequence and are fully vectorized over uint64 arrays.
+magic-number sequence and are fully vectorized over uint64 arrays;
+:func:`xyf2nest` spreads a byte at a time through a table of them.
 """
 
 from __future__ import annotations
@@ -42,13 +43,25 @@ def compress_bits(v: np.ndarray) -> np.ndarray:
     return x
 
 
+#: ``spread_bits`` of every byte, for ``x`` and (shifted to the odd bits) ``y``.
+_SPREAD_X = spread_bits(np.arange(256)).astype(np.int64)
+_SPREAD_Y = _SPREAD_X << 1
+
+
 def xyf2nest(ix: np.ndarray, iy: np.ndarray, face: np.ndarray, order: int) -> np.ndarray:
-    """Combine in-face coordinates and face number into a NESTED index."""
+    """Combine in-face coordinates and face number into a NESTED index.
+
+    The Morton code is looked up a byte of ``order`` at a time, one
+    ``np.take`` per coordinate: for ``0 <= ix, iy < 2**order`` it equals
+    ``spread_bits(ix) | spread_bits(iy) << 1``.
+    """
     ix = np.asarray(ix, dtype=np.int64)
     iy = np.asarray(iy, dtype=np.int64)
-    face = np.asarray(face, dtype=np.int64)
-    morton = spread_bits(ix) | (spread_bits(iy) << np.uint64(1))
-    return (face << np.int64(2 * order)) + morton.astype(np.int64)
+    pix = np.asarray(face, dtype=np.int64) << np.int64(2 * order)
+    for shift in range(0, max(order, 1), 8):
+        morton = np.take(_SPREAD_X, (ix >> shift) & 255) | np.take(_SPREAD_Y, (iy >> shift) & 255)
+        pix = pix + (morton << np.int64(2 * shift))
+    return pix
 
 
 def nest2xyf(pix: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,7 +1,7 @@
 """pixels_healpix, batched CPU implementation.
 
-The branch-heavy kernel the paper singles out (§4.2): here the branches
-become one masked write over the ``(n_det, n_flat)`` working set.
+The branch-heavy kernel the paper singles out (§4.2): here the flag branch
+becomes one write to the flagged lanes of the ``(n_det, n_flat)`` working set.
 """
 
 import numpy as np
@@ -32,6 +32,5 @@ def pixels_healpix(
     theta, phi = qa.to_position(np.take(quats, flat, axis=1))
     pix = ang2pix(nside, theta, phi, nest=nest)
     if shared_flags is not None and mask:
-        flagged = (shared_flags[flat] & mask) != 0
-        pix = np.where(flagged[None, :], np.int64(-1), pix)
+        put_lanes(pix, np.flatnonzero(shared_flags[flat] & mask), -1)
     put_lanes(pixels_out, flat, pix)

@@ -30,6 +30,5 @@ def pointing_detector(
         return
     rotated = qa.mult(take_rows(boresight, flat)[None, :, :], fp_quats[:, None, :])
     if shared_flags is not None and mask:
-        flagged = (shared_flags[flat] & mask) != 0
-        rotated = np.where(flagged[None, :, None], fp_quats[:, None, :], rotated)
+        put_lanes(rotated, np.flatnonzero(shared_flags[flat] & mask), fp_quats[:, None, :])
     put_lanes(quats_out, flat, rotated)

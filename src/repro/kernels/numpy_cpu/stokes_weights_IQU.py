@@ -29,8 +29,7 @@ def stokes_weights_IQU(
     if flat.size == 0:
         return
     eta = (1.0 - epsilon) / (1.0 + epsilon)
-    _, _, pa = qa.to_angles(np.take(quats, flat, axis=1))
-    angle = pa
+    angle = qa.position_angle(np.take(quats, flat, axis=1))
     if hwp_angle is not None:
         angle = angle + 2.0 * hwp_angle[flat]
     iqu = (

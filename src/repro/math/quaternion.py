@@ -30,6 +30,7 @@ __all__ = [
     "from_angles",
     "to_angles",
     "to_position",
+    "position_angle",
     "from_vectors",
     "slerp",
     "null_quat",
@@ -46,19 +47,42 @@ def _check_quat(q: np.ndarray) -> np.ndarray:
     return q
 
 
+def _components(q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ``x, y, z, w`` components of ``q``."""
+    return q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+
+
 def amplitude(q: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each quaternion."""
-    q = _check_quat(q)
-    return np.sqrt(np.sum(q * q, axis=-1))
+    """Euclidean norm of each quaternion.
+
+    The squares add left to right, as ``np.sum(q * q, axis=-1)`` adds them,
+    without a reduction over a length-4 axis.
+    """
+    x, y, z, w = _components(_check_quat(q))
+    return np.sqrt(x * x + y * y + z * z + w * w)
+
+
+def _nonzero_norm(q: np.ndarray) -> np.ndarray:
+    norm = amplitude(q)
+    if np.any(norm == 0):
+        raise ValueError("cannot normalize a zero quaternion")
+    return norm
 
 
 def normalize(q: np.ndarray) -> np.ndarray:
     """Return unit quaternions; raises on zero-norm input."""
     q = _check_quat(q)
-    norm = amplitude(q)
-    if np.any(norm == 0):
-        raise ValueError("cannot normalize a zero quaternion")
-    return q / norm[..., np.newaxis]
+    return q / _nonzero_norm(q)[..., np.newaxis]
+
+
+def _unit_components(q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The components of ``normalize(q)``, computed one by one.
+
+    ``x / norm`` is ``(q / norm[..., None])[..., 0]`` bit for bit.
+    """
+    q = _check_quat(q)
+    norm = _nonzero_norm(q)
+    return tuple(c / norm for c in _components(q))
 
 
 def inv(q: np.ndarray) -> np.ndarray:
@@ -99,26 +123,24 @@ def rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v + w * t + np.cross(r, t)
 
 
+def _zaxis(x, y, z, w) -> tuple[np.ndarray, ...]:
+    """Components of the z axis rotated by the quaternion ``(x, y, z, w)``."""
+    return 2.0 * (x * z + w * y), 2.0 * (y * z - w * x), 1.0 - 2.0 * (x * x + y * y)
+
+
+def _xaxis(x, y, z, w) -> tuple[np.ndarray, ...]:
+    """Components of the x axis rotated by the quaternion ``(x, y, z, w)``."""
+    return 1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y + w * z), 2.0 * (x * z - w * y)
+
+
 def rotate_zaxis(q: np.ndarray) -> np.ndarray:
     """Rotate the unit z axis: cheaper closed form used by pointing kernels."""
-    q = _check_quat(q)
-    x, y, z, w = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    out = np.empty(q.shape[:-1] + (3,), dtype=np.float64)
-    out[..., 0] = 2.0 * (x * z + w * y)
-    out[..., 1] = 2.0 * (y * z - w * x)
-    out[..., 2] = 1.0 - 2.0 * (x * x + y * y)
-    return out
+    return np.stack(_zaxis(*_components(_check_quat(q))), axis=-1)
 
 
 def rotate_xaxis(q: np.ndarray) -> np.ndarray:
     """Rotate the unit x axis: used to recover detector orientation."""
-    q = _check_quat(q)
-    x, y, z, w = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    out = np.empty(q.shape[:-1] + (3,), dtype=np.float64)
-    out[..., 0] = 1.0 - 2.0 * (y * y + z * z)
-    out[..., 1] = 2.0 * (x * y + w * z)
-    out[..., 2] = 2.0 * (x * z - w * y)
-    return out
+    return np.stack(_xaxis(*_components(_check_quat(q))), axis=-1)
 
 
 def from_axisangle(axis: np.ndarray, angle: np.ndarray) -> np.ndarray:
@@ -173,6 +195,32 @@ def from_angles(theta: np.ndarray, phi: np.ndarray, pa: np.ndarray) -> np.ndarra
     return mult(qphi, mult(qtheta, qpa))
 
 
+def _direction_angles(dx, dy, dz) -> tuple[np.ndarray, np.ndarray]:
+    """``(theta, phi)`` of a unit direction vector."""
+    return np.arccos(np.clip(dz, -1.0, 1.0)), np.arctan2(dy, dx)
+
+
+def _position_angle(direction, orient) -> np.ndarray:
+    """Position angle of the rotated x axis ``orient`` about ``direction``."""
+    dx, dy, dz = direction
+    ox, oy, oz = orient
+    # Project the orientation vector onto the local (e_theta, e_phi) basis:
+    # pa = atan2(o . e_phi, o . e_theta).  In the compact forms below,
+    # pa_y = sin(theta) * (o . e_phi) and pa_x = -sin(theta) * (o . e_theta).
+    sin2 = dx * dx + dy * dy
+    pa_y = oy * dx - ox * dy
+    pa_x = oz * sin2 - dz * (ox * dx + oy * dy)
+    # At the poles dx=dy=0 and the meridian is degenerate; fall back to the
+    # x-y components of the orientation vector there.
+    polar = sin2 < 1.0e-24
+    if polar.ndim == 0:
+        return np.arctan2(oy, ox) if polar else np.arctan2(pa_y, -pa_x)
+    pa = np.arctan2(pa_y, -pa_x)
+    if polar.any():
+        pa[polar] = np.arctan2(oy[polar], ox[polar])
+    return pa
+
+
 def to_angles(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inverse of :func:`from_angles`; returns ``(theta, phi, pa)``.
 
@@ -180,40 +228,24 @@ def to_angles(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rotated x axis, following the IAU convention used by TOAST's
     ``stokes_weights`` kernels.
     """
-    q = normalize(q)
-    direction = rotate_zaxis(q)
-    orient = rotate_xaxis(q)
-
-    z = np.clip(direction[..., 2], -1.0, 1.0)
-    theta = np.arccos(z)
-    phi = np.arctan2(direction[..., 1], direction[..., 0])
-
-    # Project the orientation vector onto the local (e_theta, e_phi) basis:
-    # pa = atan2(o . e_phi, o . e_theta).  In the compact forms below,
-    # pa_y = sin(theta) * (o . e_phi) and pa_x = -sin(theta) * (o . e_theta).
-    dx, dy, dz = direction[..., 0], direction[..., 1], direction[..., 2]
-    ox, oy, oz = orient[..., 0], orient[..., 1], orient[..., 2]
-    pa_y = oy * dx - ox * dy
-    pa_x = oz * (dx * dx + dy * dy) - dz * (ox * dx + oy * dy)
-    # At the poles dx=dy=0 and the meridian is degenerate; fall back to the
-    # x-y components of the orientation vector there.
-    polar = (dx * dx + dy * dy) < 1.0e-24
-    pa = np.where(
-        polar,
-        np.arctan2(oy, ox),
-        np.arctan2(pa_y, -pa_x),
-    )
-    return theta, phi, pa
+    x, y, z, w = _unit_components(q)
+    direction = _zaxis(x, y, z, w)
+    theta, phi = _direction_angles(*direction)
+    return theta, phi, _position_angle(direction, _xaxis(x, y, z, w))
 
 
 def to_position(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return only ``(theta, phi)`` -- cheaper than :func:`to_angles`."""
-    q = normalize(q)
-    direction = rotate_zaxis(q)
-    z = np.clip(direction[..., 2], -1.0, 1.0)
-    theta = np.arccos(z)
-    phi = np.arctan2(direction[..., 1], direction[..., 0])
-    return theta, phi
+    return _direction_angles(*_zaxis(*_unit_components(q)))
+
+
+def position_angle(q: np.ndarray) -> np.ndarray:
+    """Return only the ``pa`` of :func:`to_angles`, without theta and phi.
+
+    ``arctan2`` runs once per lane: the polar fallback only on polar lanes.
+    """
+    x, y, z, w = _unit_components(q)
+    return _position_angle(_zaxis(x, y, z, w), _xaxis(x, y, z, w))
 
 
 def from_vectors(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:

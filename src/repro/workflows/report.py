@@ -32,6 +32,12 @@ __all__ = [
 
 _KERNELS_ROOT = Path(__file__).resolve().parent.parent / "kernels"
 
+#: The HEALPix substrate both host-side ports map pixels through
+#: (``healpix.ang2pix`` in the numpy kernel and in the OMP loop body).
+_HEALPIX_DEPS = [
+    _KERNELS_ROOT.parent / "healpix" / name for name in ("ring.py", "nest.py", "bits.py", "core.py")
+]
+
 #: Implementation label -> (kernel directory, dependency files).  The
 #: dependency lists mirror the paper's Fig 2 definition: code the port
 #: authors wrote beyond the kernel bodies (shared math, data movement,
@@ -43,10 +49,7 @@ _IMPLEMENTATIONS: Dict[str, Tuple[str, List[Path]]] = {
             _KERNELS_ROOT.parent / "math" / "quaternion.py",
             # The gather/scatter substrate both host-side ports index through.
             _KERNELS_ROOT.parent / "math" / "rows.py",
-            _KERNELS_ROOT.parent / "healpix" / "ring.py",
-            _KERNELS_ROOT.parent / "healpix" / "nest.py",
-            _KERNELS_ROOT.parent / "healpix" / "bits.py",
-            _KERNELS_ROOT.parent / "healpix" / "core.py",
+            *_HEALPIX_DEPS,
         ],
     ),
     "jax": (
@@ -64,6 +67,7 @@ _IMPLEMENTATIONS: Dict[str, Tuple[str, List[Path]]] = {
         [
             _KERNELS_ROOT / "common.py",
             _KERNELS_ROOT.parent / "math" / "rows.py",
+            *_HEALPIX_DEPS,
             # The OMP port's hand-written accelerator machinery (paper
             # §3.1.2): the device memory pool and the host<->device
             # association/data-movement layer.

@@ -66,6 +66,26 @@ class TestBits:
         assert (ix[0], iy[0], face[0]) == (3, 1, 0)
 
 
+class TestMortonTable:
+    """``xyf2nest`` looks the Morton spread up a byte at a time."""
+
+    @pytest.mark.parametrize("order", range(hp.MAX_ORDER + 1))
+    def test_xyf2nest_equals_magic_numbers(self, order):
+        from repro.healpix.bits import nest2xyf, xyf2nest
+
+        nside = 1 << order
+        rng = np.random.default_rng(order)
+        edges = np.unique([c for c in (0, 255, 256, nside - 1) if c < nside])
+        ix = np.concatenate([np.repeat(edges, edges.size), rng.integers(0, nside, 200)])
+        iy = np.concatenate([np.tile(edges, edges.size), rng.integers(0, nside, 200)])
+        face = rng.integers(0, 12, ix.size)
+        pix = xyf2nest(ix, iy, face, order)
+        morton = hp.spread_bits(ix) | hp.spread_bits(iy) << np.uint64(1)
+        assert pix.tobytes() == ((face << 2 * order) + morton.astype(np.int64)).tobytes()
+        for got, want in zip(nest2xyf(pix, order), (ix, iy, face)):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestRingScheme:
     @pytest.mark.parametrize("nside", NSIDES)
     def test_center_roundtrip(self, nside):

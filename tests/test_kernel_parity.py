@@ -15,6 +15,8 @@ import pytest
 
 from repro.core.dispatch import ImplementationType
 from repro.kernels import kernel_registry
+from repro.kernels.common import flatten_intervals
+from repro.math import qa
 from repro.workflows.microbench import kernel_cases, make_intervals, run_kernel_case
 
 # Registry-driven, not hand-enumerated: every registered kernel whose spec
@@ -68,6 +70,39 @@ def test_numpy_matches_python_without_flags(kernel):
     py = run_kernel_case(kernel, ImplementationType.PYTHON, factory)
     npy = run_kernel_case(kernel, ImplementationType.NUMPY, factory)
     _assert_bitwise(kernel, py, npy)
+
+
+@pytest.mark.parametrize(
+    "kernel, impl",
+    [
+        ("pixels_healpix", ImplementationType.NUMPY),
+        ("stokes_weights_IQU", ImplementationType.NUMPY),
+        # The OMP body maps through the same healpix.ang2pix.  Its
+        # stokes_weights_IQU does not normalize the quaternions, so it
+        # matches the oracle only to rounding.
+        ("pixels_healpix", ImplementationType.OMP_TARGET),
+    ],
+    ids=lambda p: getattr(p, "value", p),
+)
+def test_pole_lanes_match_python_bitwise(kernel, impl):
+    """Exact-pole pointing on some lanes of a batch: the position angle's
+    polar fallback and HEALPix's polar caps run on a subset of the lanes."""
+    factory = kernel_cases(n_det=3, n_samp=120)[kernel]
+
+    def with_poles():
+        args, outputs = factory()
+        lanes = flatten_intervals(args["starts"], args["stops"])[::5]
+        rng = np.random.default_rng(17)
+        theta = np.where(np.arange(lanes.size) % 2, np.pi, 0.0)
+        phi, pa = rng.uniform(-np.pi, np.pi, (2, args["quats"].shape[0], lanes.size))
+        args["quats"][:, lanes] = qa.from_angles(theta, phi, pa)
+        return args, outputs
+
+    args, _ = with_poles()
+    if kernel == "pixels_healpix":
+        assert args["mask"] and args["shared_flags"] is not None
+    py = run_kernel_case(kernel, ImplementationType.PYTHON, with_poles)
+    _assert_bitwise(kernel, py, run_kernel_case(kernel, impl, with_poles))
 
 
 def test_empty_intervals_leave_outputs_untouched():

@@ -147,6 +147,108 @@ class TestAngles:
         assert np.allclose(d, expected)
 
 
+def where_position_angle(q):
+    """The position angle as one ``np.where`` over both branches, every lane."""
+    unit = qa.normalize(q)
+    d, o = qa.rotate_zaxis(unit), qa.rotate_xaxis(unit)
+    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
+    ox, oy, oz = o[..., 0], o[..., 1], o[..., 2]
+    pa_y = oy * dx - ox * dy
+    pa_x = oz * (dx * dx + dy * dy) - dz * (ox * dx + oy * dy)
+    polar = (dx * dx + dy * dy) < 1.0e-24
+    return np.where(polar, np.arctan2(oy, ox), np.arctan2(pa_y, -pa_x)), polar
+
+
+def pole_batch():
+    """Exact-pole quaternions at both poles, NaN lanes and random ones, mixed."""
+    rng = np.random.default_rng(7)
+    phi, pa = rng.uniform(-np.pi, np.pi, (2, 8))
+    theta = rng.uniform(0.0, np.pi, 24)
+    nan = np.array([[np.nan, 0.1, 0.2, 0.9], [np.nan] * 4])
+    q = np.concatenate([
+        qa.from_angles(0.0, phi, pa),
+        qa.from_angles(np.pi, phi, pa),
+        nan,
+        qa.from_angles(theta, rng.uniform(-np.pi, np.pi, 24), rng.uniform(-np.pi, np.pi, 24)),
+    ])
+    return q[rng.permutation(len(q))]
+
+
+#: Quaternion components: moderate values (where the order of the additions
+#: shows in the rounding), any float (subnormals included), ±inf, and the
+#: smallest subnormals and normals explicitly.
+components = st.one_of(
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.floats(allow_nan=False, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf, -0.0]),
+)
+
+
+@st.composite
+def quaternions_with_at_most_one_nan(draw):
+    q = draw(st.lists(components, min_size=4, max_size=4))
+    nan_at = draw(st.none() | st.integers(0, 3))
+    if nan_at is not None:
+        q[nan_at] = np.nan
+    return q
+
+
+class TestComponentForms:
+    """The component-wise helpers equal the array forms bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(qs=st.lists(quaternions_with_at_most_one_nan(), min_size=1, max_size=9))
+    def test_amplitude_is_the_length4_sum(self, qs):
+        # NaN + NaN leaves the payload to the loop (IEEE 754), so a
+        # quaternion carries at most one NaN component.
+        q = np.array(qs)
+        with np.errstate(all="ignore"):
+            assert qa.amplitude(q).tobytes() == np.sqrt(np.sum(q * q, axis=-1)).tobytes()
+            for row in q:
+                assert qa.amplitude(row).tobytes() == np.sqrt(np.sum(row * row, axis=-1)).tobytes()
+
+    def test_amplitude_is_the_length4_sum_on_random_scales(self):
+        # Hypothesis favours round values, whose squares add exactly in any
+        # order; random mantissas at every scale show the order.
+        q = RNG.normal(size=(4000, 4)) * 10.0 ** RNG.uniform(-170, 150, (4000, 1))
+        q[::7, RNG.integers(0, 4)] = RNG.choice([5e-324, np.inf, -np.inf, np.nan], size=len(q[::7]))
+        with np.errstate(all="ignore"):
+            want = np.sqrt(np.sum(q * q, axis=-1))
+            assert qa.amplitude(q).tobytes() == want.tobytes()
+            assert qa.amplitude(q.reshape(40, 100, 4)).tobytes() == want.tobytes()
+
+    def test_direction_angles_equal_the_rotated_axis_form(self):
+        q = np.concatenate([RNG.normal(size=(35, 4)), pole_batch()]).reshape(-1, 7, 4)
+        d = qa.rotate_zaxis(qa.normalize(q))
+        want = np.arccos(np.clip(d[..., 2], -1.0, 1.0)), np.arctan2(d[..., 1], d[..., 0])
+        for got in (qa.to_position(q), qa.to_angles(q)[:2]):
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    @pytest.mark.parametrize("fn", [qa.to_position, qa.to_angles, qa.position_angle])
+    def test_pointing_helpers_keep_normalize_errors(self, fn):
+        with pytest.raises(ValueError, match="zero quaternion"):
+            fn(np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="trailing axis of 4"):
+            fn(np.ones((3, 3)))
+
+    def test_position_angle_on_pole_and_nan_lanes(self):
+        q = pole_batch()
+        want, polar = where_position_angle(q)
+        assert polar.sum() == 16  # both poles take the fallback branch
+        pa = qa.position_angle(q)
+        assert pa.tobytes() == qa.to_angles(q)[2].tobytes()
+        assert pa.tobytes() == want.tobytes()
+        lanes = np.array([qa.position_angle(qi) for qi in q])
+        assert lanes.tobytes() == pa.tobytes()
+        assert np.isnan(pa).sum() == 2 and np.isfinite(pa[polar]).all()
+
+    def test_position_angle_keeps_the_batch_shape(self):
+        q = pole_batch().reshape(6, 7, 4)
+        assert qa.position_angle(q).shape == (6, 7)
+        assert qa.position_angle(q).tobytes() == qa.position_angle(q.reshape(-1, 4)).tobytes()
+        assert np.ndim(qa.position_angle(q[0, 0])) == 0
+
+
 class TestFromVectors:
     def test_maps_v1_to_v2(self):
         v1 = RNG.normal(size=(16, 3))

@@ -148,6 +148,17 @@ class TestLocReports:
             assert total > kernel > 0
             assert kernel == sum(loc_per_kernel(impl).values())
 
+    def test_host_ports_count_the_same_healpix_files(self):
+        """The numpy kernel and the OMP loop body both call ``healpix.ang2pix``,
+        so Fig 2 counts the same HEALPix files as dependencies of both."""
+        from repro.workflows.report import _IMPLEMENTATIONS
+
+        def healpix_deps(impl):
+            return sorted(p.name for p in _IMPLEMENTATIONS[impl][1] if p.parent.name == "healpix")
+
+        assert healpix_deps("cpu_baseline") == ["bits.py", "core.py", "nest.py", "ring.py"]
+        assert healpix_deps("omp_target") == healpix_deps("cpu_baseline")
+
     def test_fig2_rows(self):
         text, rows = fig2_loc_total()
         assert set(rows) == {"cpu_baseline", "jax", "omp_target"}
