@@ -4,13 +4,14 @@ The paper's Figure 4 sweeps the number of processes on one Perlmutter GPU
 node (64 CPU cores, 4 A100s) with the total compute held fixed -- threads
 per process fall as processes rise.  Figure 5 uses 8 nodes with 16
 processes per node and 4 threads each.  :class:`SimWorld` captures exactly
-those layouts so the performance model can evaluate them.
+those layouts so the performance model can evaluate them; a measured
+process sweep (:func:`repro.parallel.run_parallel_satellite`) records the
+layout it stands for with :meth:`SimWorld.describe`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 __all__ = ["NodeSpec", "SimWorld"]
 
@@ -64,33 +65,6 @@ class SimWorld:
         if self.node.gpus == 0:
             raise ValueError("this node has no GPUs")
         return self.procs_per_node / self.node.gpus
-
-    def shard_observations(self, n_obs: int) -> List[List[int]]:
-        """Observation indices owned by each modeled rank, in rank order.
-
-        The same uniform block distribution :class:`~repro.mpi.comm.
-        ToastComm` uses with one group per process, so a modeled rank's
-        shard matches what a real MPI run of this layout would own.  The
-        parallel engine maps each non-empty shard onto one live worker
-        process.
-        """
-        from .comm import ToastComm
-
-        blocks = ToastComm.distribute_uniform(n_obs, self.n_procs)
-        return [list(range(off, off + cnt)) for off, cnt in blocks]
-
-    def worker_layout(self, n_obs: int) -> List[Tuple[int, List[int]]]:
-        """``(rank, observation indices)`` for ranks with work.
-
-        Ranks beyond the observation count get empty shards and no live
-        worker; the survivors keep their modeled rank id so traces and
-        crash injection line up with the modeled world.
-        """
-        return [
-            (rank, shard)
-            for rank, shard in enumerate(self.shard_observations(n_obs))
-            if shard
-        ]
 
     def describe(self) -> str:
         return (

@@ -1,9 +1,8 @@
 """The elastic work-stealing worker pool: leases, hedging, live rejoin.
 
-Static sharding (one shard per modeled rank, :class:`ProcessEngine`) stalls
-the whole map on one straggler and reruns whole shards inline on a crash.
-This module replaces it with task-level elasticity at per-observation
-granularity:
+Every measured multiprocess run -- the Figure 4 process sweep, the
+parallel fault plans, the chaos legs, serve producers and streamed
+ingest -- runs per-observation tasks on this pool:
 
 * **Work stealing.**  Tasks live in one queue; every idle worker pulls the
   next task.  Nothing is pre-assigned, so a slow worker simply contributes
@@ -20,11 +19,12 @@ granularity:
   by a respawn budget); when no worker survives, the parent finishes the
   remaining tasks inline so the map always completes.
 
-Determinism is unchanged from the static engine: tasks are pure functions
-of their seeded inputs writing disjoint (or bitwise-identical, under
-hedging) slots of a :class:`~repro.parallel.shm.SharedSlab`, and the
-caller reduces in fixed task order -- so the result is bitwise identical
-for *any* steal, hedge, crash, or revival schedule.
+Determinism: tasks are pure functions of their seeded inputs writing
+disjoint (or bitwise-identical, under hedging) slots of a
+:class:`~repro.parallel.shm.SharedSlab`, and :func:`run_zmap_tasks`
+reduces the slots in fixed task order -- so the result is bitwise
+identical for *any* worker count and any steal, hedge, crash, or revival
+schedule.
 
 Faults are plan-driven and composable: the pool polls the resilience
 sites ``parallel.worker`` (WORKER_CRASH, at every spawn), ``parallel.task``
@@ -37,13 +37,14 @@ emitted as a typed ``repro.obs`` event (WORKER / LEASE / STEAL / HEDGE).
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -51,15 +52,22 @@ from ..obs import state as obs_state
 from ..obs.events import ClockDomain, Event, EventType
 from ..resilience import state as res_state
 from ..resilience.faults import FaultKind
-from .engine import CRASH_EXIT_CODE, ProcessEngine, replay_worker_events
+from .shm import SharedSlab
 
 __all__ = [
+    "CRASH_EXIT_CODE",
     "ElasticConfig",
     "ElasticAborted",
     "ElasticReport",
     "ElasticPool",
     "TaskCheckpoint",
+    "replay_worker_events",
+    "run_zmap_tasks",
 ]
+
+#: Exit code an injected worker crash dies with (mirrors a SIGKILL'd or
+#: OOM-killed worker: no result, no cleanup).
+CRASH_EXIT_CODE = 17
 
 #: Metric counted per scheduler event type (WORKER events are counted by
 #: phase inside :meth:`ElasticPool._emit`).
@@ -95,15 +103,23 @@ class ElasticConfig:
     drain_timeout_s: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.lease_s <= 0 or self.heartbeat_s <= 0 or self.hedge_s <= 0:
-            raise ValueError("lease, heartbeat, and hedge periods must be positive")
+        for name in ("lease_s", "heartbeat_s", "hedge_s", "total_timeout_s"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        for name in ("drain_timeout_s", "max_hedges_per_task", "max_respawns"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name} must be non-negative, got {value!r}")
+        if self.max_task_attempts < 1:
+            raise ValueError(
+                f"max_task_attempts must be at least 1, got {self.max_task_attempts!r}"
+            )
         if self.heartbeat_s >= self.lease_s:
             raise ValueError(
                 f"heartbeat period ({self.heartbeat_s}s) must be shorter than "
                 f"the lease ({self.lease_s}s), or every task looks dead"
             )
-        if self.max_hedges_per_task < 0 or self.max_task_attempts < 1:
-            raise ValueError("hedge and attempt bounds must be non-negative")
 
 
 class ElasticAborted(RuntimeError):
@@ -274,6 +290,34 @@ def _pool_worker_entry(conn, wid: int, heartbeat_s: float, task_fn, args, cleanu
             pass
 
 
+def replay_worker_events(streams: Iterable[Tuple[int, Sequence[Event]]]) -> None:
+    """Merge worker event streams into the parent's active tracer.
+
+    Each stream is ``(worker_id, events)``; every replayed event is tagged
+    ``worker=<id>`` so one merged trace shows a track per worker.  Device
+    events go through ``device_event`` to keep the tracer's device-side
+    aggregates in sync with the replayed launches/transfers.
+    """
+    tr = obs_state.active
+    if tr is None:
+        return
+    for wid, events in streams:
+        for ev in events:
+            attrs = dict(ev.attrs)
+            attrs["worker"] = wid
+            if ev.clock is ClockDomain.DEVICE:
+                charged = attrs.pop("charged_s", None)
+                tr.device_event(
+                    ev.type, ev.name, ts=ev.ts, dur=ev.dur,
+                    charged_s=charged, **attrs,
+                )
+            else:
+                tr.emit(
+                    Event(ev.type, ev.name, ts=ev.ts, dur=ev.dur,
+                          clock=ev.clock, attrs=attrs)
+                )
+
+
 class ElasticPool:
     """Run pure tasks across an elastic set of worker processes.
 
@@ -290,7 +334,6 @@ class ElasticPool:
         args: Tuple = (),
         n_workers: int = 1,
         config: Optional[ElasticConfig] = None,
-        start_method: Optional[str] = None,
         worker_cleanup: Optional[Callable] = None,
     ):
         if n_workers < 1:
@@ -299,10 +342,10 @@ class ElasticPool:
         self.args = tuple(args)
         self.n_workers = n_workers
         self.config = config if config is not None else ElasticConfig()
-        # Reuse the engine's start-method resolution (fork when available).
-        self._engine = ProcessEngine(start_method=start_method)
-        self.ctx = self._engine.ctx
-        self.start_method = self._engine.start_method
+        # fork shares the already-imported interpreter (fast start);
+        # spawn is the portable fallback.
+        self.start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        self.ctx = mp.get_context(self.start_method)
         self.worker_cleanup = worker_cleanup
 
     # -- observability helpers -------------------------------------------------
@@ -389,6 +432,8 @@ class ElasticPool:
         tasks: Dict[Any, _Task] = {tid: _Task(tid) for tid in task_ids}
         if len(tasks) != len(task_ids):
             raise ValueError("task ids must be unique")
+        if not tasks:
+            return report  # nothing to do: start no workers
         queue: deque = deque(task_ids)
         workers: Dict[int, _Worker] = {}
         respawn_budget = (
@@ -767,7 +812,9 @@ class TaskCheckpoint:
     Files commit atomically (same-directory tmp file, fsync, rename): a
     writer killed mid-``save`` can never leave a half-written ``.npy`` in
     place of a good one.  Load validates every file and discards (and
-    unlinks) any that does not parse -- the task just reruns.
+    unlinks) any that does not parse -- the task just reruns.  A
+    ``task_*.npy`` whose id is not an integer is not a checkpoint: it is
+    left in place and ignored.
     """
 
     def __init__(self, root: Optional[os.PathLike] = None):
@@ -782,7 +829,10 @@ class TaskCheckpoint:
                 stale.unlink()
                 self.discarded.append(stale.name)
             for path in sorted(self.root.glob("task_*.npy")):
-                tid = int(path.stem.split("_", 1)[1])
+                try:
+                    tid = int(path.stem.split("_", 1)[1])
+                except ValueError:
+                    continue
                 try:
                     self._arrays[tid] = np.load(path)
                 except (ValueError, OSError, EOFError):
@@ -816,3 +866,76 @@ class TaskCheckpoint:
     def __repr__(self) -> str:
         where = str(self.root) if self.root is not None else "memory"
         return f"TaskCheckpoint({len(self._arrays)} task(s), {where})"
+
+
+def run_zmap_tasks(
+    task_fn: Callable,
+    args: Tuple,
+    n_tasks: int,
+    map_shape: Tuple[int, ...],
+    n_procs: int,
+    config: Optional[ElasticConfig] = None,
+    checkpoint: Optional[TaskCheckpoint] = None,
+    abort_after_commits: Optional[int] = None,
+    cleanup: Optional[Callable[[], None]] = None,
+) -> Dict[str, Any]:
+    """One partial map per task on the elastic pool, summed in task order.
+
+    Creates a shared slab with one float64 ``zmap`` slot of ``map_shape``
+    per task id ``0 .. n_tasks - 1`` and runs ``task_fn(wid, task_id,
+    slab_spec, *args)`` for each on up to ``n_procs`` workers; a task's
+    only output is its slot.  The parent sums the slots in task order, so
+    the map is bitwise independent of the worker count and of any steal,
+    hedge or crash schedule.
+
+    ``checkpoint`` seeds the slots of the tasks it holds (they do not run)
+    and saves every new commit; ``abort_after_commits`` models a kill
+    (:class:`ElasticAborted`).  ``cleanup`` runs in every worker before it
+    exits, and in the parent once the pool is done, to close the slab
+    attachment the inline lane may have cached.
+    """
+    wall0 = time.perf_counter()
+    with SharedSlab.create({"zmap": ((n_tasks, *map_shape), np.float64)}) as slab:
+        resumed = [t for t in range(n_tasks) if checkpoint is not None and t in checkpoint]
+        for tid in resumed:
+            slab.array("zmap")[tid] = checkpoint.load(tid)
+        todo = [t for t in range(n_tasks) if t not in resumed]
+        n_workers = min(max(1, n_procs), len(todo))
+
+        def save(tid: int) -> None:
+            checkpoint.save(tid, slab.array("zmap")[tid])
+
+        pool = ElasticPool(
+            task_fn,
+            args=(slab.spec, *args),
+            n_workers=max(1, n_workers),
+            config=config,
+            worker_cleanup=cleanup,
+        )
+        try:
+            report = pool.run(
+                todo,
+                on_commit=None if checkpoint is None else save,
+                abort_after_commits=abort_after_commits,
+            )
+        finally:
+            if cleanup is not None:
+                cleanup()
+        zmap = np.zeros(map_shape, dtype=np.float64)
+        for tid in range(n_tasks):
+            zmap += slab.array("zmap")[tid]
+    return {
+        "zmap": zmap,
+        "wall_seconds": time.perf_counter() - wall0,
+        "n_workers": n_workers,
+        "start_method": pool.start_method,
+        "worker_seconds": report.worker_seconds,
+        "recovered_ranks": list(report.recovered_workers),
+        "crash_injected_ranks": list(report.crash_armed),
+        "resumed_tasks": resumed,
+        "elastic": {
+            "counters": dict(report.counters),
+            "committed": len(report.committed),
+            "workers_spawned": report.workers_spawned,
+        },
+    }

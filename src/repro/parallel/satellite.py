@@ -1,11 +1,12 @@
 """The satellite benchmark on live worker processes.
 
-Each worker stands in for one modeled MPI rank: it simulates and processes
-only its shard of observations (via :class:`~repro.parallel.sharding.
-SubsetComm`) and writes one partial noise-weighted map **per observation**
-into a shared-memory slab.  The parent reduces the per-observation
-partials in fixed observation order, so the final map is bitwise identical
-for any worker count -- the property the determinism tests pin down.
+Each elastic task simulates and processes one observation (a
+:class:`~repro.core.Data` pinned to it by :class:`~repro.parallel.sharding.
+SubsetComm`) and writes its partial noise-weighted map into that
+observation's slot of a shared-memory slab.  The parent reduces the
+per-observation partials in fixed observation order, so the final map is
+bitwise identical for any worker count -- the property the determinism
+tests pin down.
 
 Simulation is layout-independent by construction: observation timestamps
 derive from the global observation index and every random draw is
@@ -15,24 +16,20 @@ exactly the bytes a serial run produces for the same observation.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from .. import obs as _obs
 from ..core import Data, ImplementationType, fake_hexagon_focalplane
 from ..healpix import npix as healpix_npix
 from ..mpi.simworld import SimWorld
 from ..obs import state as obs_state
 from ..ops import DefaultNoiseModel, SimNoise, SimSatellite, create_fake_sky
-from .elastic import ElasticAborted, ElasticConfig, ElasticPool, TaskCheckpoint
-from .engine import CRASH_EXIT_CODE, ProcessEngine
+from .elastic import ElasticConfig, TaskCheckpoint, run_zmap_tasks
 from .sharding import SubsetComm
 from .shm import SharedSlab, SlabSpec
 
 __all__ = [
-    "satellite_shard_worker",
     "satellite_task_runner",
     "run_parallel_satellite",
 ]
@@ -90,46 +87,6 @@ def make_satellite_data_shard(
     return data
 
 
-def satellite_shard_worker(
-    rank: int,
-    obs_indices: List[int],
-    size,
-    implementation: ImplementationType,
-    realization: int,
-    slab_spec: SlabSpec,
-    plan: str = "eager",
-    crash: bool = False,
-) -> Dict[str, Any]:
-    """One worker's shard: per-observation partial maps into the slab.
-
-    Runs under its own :class:`~repro.obs.tracer.Tracer`; the recorded
-    events travel back over the result pipe and are merged into the
-    parent's trace tagged with this worker's rank.  With ``crash=True``
-    the process dies after its first observation -- partial slab writes
-    and all -- exactly like an OOM-killed rank.
-    """
-    slab = SharedSlab.attach(slab_spec)
-    t0 = time.perf_counter()
-    with _obs.tracing() as tracer:
-        sky = create_fake_sky(size.nside, nnz=_NNZ, seed=realization + 11)
-        for count, iobs in enumerate(obs_indices):
-            with tracer.span(f"shard_obs_{iobs:04d}", rank=rank, obs=iobs):
-                slab.array("zmap")[iobs] = _process_one_observation(
-                    iobs, size, implementation, realization, sky, plan
-                )
-            if crash and count == 0:
-                import os
-
-                os._exit(CRASH_EXIT_CODE)
-    slab.close()
-    return {
-        "rank": rank,
-        "n_obs": len(obs_indices),
-        "seconds": time.perf_counter() - t0,
-        "events": list(tracer.events),
-    }
-
-
 #: Per-worker-process cache for the elastic task runner: attach the slab
 #: and synthesise the input sky once per (segment, realization), not once
 #: per stolen/hedged task.
@@ -139,10 +96,10 @@ _ELASTIC_CTX: Dict[Any, Any] = {}
 def satellite_task_runner(
     wid: int,
     iobs: int,
+    slab_spec: SlabSpec,
     size,
     implementation: ImplementationType,
     realization: int,
-    slab_spec: SlabSpec,
     plan: str = "eager",
 ) -> None:
     """One elastic task: one observation's partial map into the slab.
@@ -184,9 +141,6 @@ def run_parallel_satellite(
     implementation: ImplementationType = ImplementationType.NUMPY,
     n_procs: int = 1,
     realization: int = 0,
-    world: Optional[SimWorld] = None,
-    engine: Optional[ProcessEngine] = None,
-    scheduler: str = "elastic",
     elastic_config: Optional[ElasticConfig] = None,
     checkpoint: Optional[TaskCheckpoint] = None,
     abort_after_commits: Optional[int] = None,
@@ -194,153 +148,37 @@ def run_parallel_satellite(
 ) -> Dict[str, Any]:
     """The Figure 4 measurement: the benchmark across live processes.
 
-    ``scheduler="elastic"`` (the default) runs per-observation tasks on
-    the work-stealing :class:`~repro.parallel.elastic.ElasticPool`;
-    ``scheduler="static"`` (or passing ``engine``) keeps the original
-    one-shard-per-rank :class:`ProcessEngine`.  Both reduce the same
-    per-observation slab slots in fixed observation order, so the two
-    schedulers -- and every steal/hedge schedule within the elastic one --
-    produce bitwise-identical maps.
+    Per-observation tasks run on the work-stealing
+    :class:`~repro.parallel.elastic.ElasticPool` with up to ``n_procs``
+    workers, and the parent reduces the per-observation partial maps in
+    fixed observation order (:func:`~repro.parallel.elastic.run_zmap_tasks`),
+    so the map is bitwise identical for any worker count and any
+    steal/hedge/crash schedule.  The iterative map-maker needs every
+    detector timestream at once, so this measured path stops at the
+    noise-weighted map -- the section the Figure 4 timings are dominated by.
 
     ``checkpoint`` makes completed observations durable: their slots are
-    seeded from the store and skipped on resume, and every elastic commit
-    saves its slot back.  ``abort_after_commits`` models a mid-ensemble
-    kill (raises :class:`~repro.parallel.elastic.ElasticAborted`).
+    seeded from the store and skipped on resume, and every commit saves
+    its slot back.  ``abort_after_commits`` models a mid-ensemble kill
+    (raises :class:`~repro.parallel.elastic.ElasticAborted`).
     """
-    if world is None:
-        world = SimWorld(n_nodes=1, procs_per_node=n_procs)
-    if engine is not None:
-        scheduler = "static"
-    if scheduler not in ("elastic", "static"):
-        raise ValueError(f"unknown scheduler {scheduler!r}: elastic or static")
-    n_obs = size.n_observations
-    n_pix = healpix_npix(size.nside)
-
-    wall0 = time.perf_counter()
-    with SharedSlab.create({"zmap": ((n_obs, n_pix, _NNZ), np.float64)}) as slab:
-        if scheduler == "static":
-            out = _run_static(
-                size, implementation, realization, world, engine, slab, plan
-            )
-        else:
-            out = _run_elastic(
-                size,
-                implementation,
-                realization,
-                n_procs,
-                slab,
-                elastic_config,
-                checkpoint,
-                abort_after_commits,
-                plan,
-            )
-        # Fixed-order reduction over observations: the sum is independent
-        # of how observations were packed onto workers.
-        zmap = np.zeros((n_pix, _NNZ), dtype=np.float64)
-        for iobs in range(n_obs):
-            zmap += slab.array("zmap")[iobs]
-    wall = time.perf_counter() - wall0
-
+    world = SimWorld(n_nodes=1, procs_per_node=n_procs)
+    out = run_zmap_tasks(
+        satellite_task_runner,
+        (size, implementation, realization, plan),
+        size.n_observations,
+        (healpix_npix(size.nside), _NNZ),
+        n_procs,
+        config=elastic_config,
+        checkpoint=checkpoint,
+        abort_after_commits=abort_after_commits,
+        cleanup=satellite_task_cleanup,
+    )
     tr = obs_state.active
     if tr is not None:
         tr.metrics.gauge_set("parallel.workers", float(out["n_workers"]))
         tr.metrics.count(
             "parallel.worker_recoveries", float(len(out["recovered_ranks"]))
         )
-
-    out.update(
-        zmap=zmap,
-        wall_seconds=wall,
-        world=world.describe(),
-        scheduler=scheduler,
-    )
+    out["world"] = world.describe()
     return out
-
-
-def _run_static(
-    size, implementation, realization, world, engine, slab, plan="eager"
-) -> Dict[str, Any]:
-    """The original one-shard-per-rank path on :class:`ProcessEngine`."""
-    if engine is None:
-        engine = ProcessEngine()
-    shards = world.worker_layout(size.n_observations)
-    outcomes = engine.map_shards(
-        satellite_shard_worker,
-        shards,
-        args=(size, implementation, realization, slab.spec, plan),
-    )
-    return {
-        "n_workers": len(shards),
-        "start_method": engine.start_method,
-        "worker_seconds": {o.rank: o.result["seconds"] for o in outcomes},
-        "recovered_ranks": [o.rank for o in outcomes if o.recovered],
-        "crash_injected_ranks": [o.rank for o in outcomes if o.crash_injected],
-    }
-
-
-def _run_elastic(
-    size,
-    implementation,
-    realization,
-    n_procs,
-    slab,
-    config,
-    checkpoint,
-    abort_after_commits,
-    plan="eager",
-) -> Dict[str, Any]:
-    """Per-observation tasks on the work-stealing elastic pool."""
-    n_obs = size.n_observations
-    todo = list(range(n_obs))
-    resumed: List[int] = []
-    if checkpoint is not None:
-        for iobs in list(todo):
-            if iobs in checkpoint:
-                slab.array("zmap")[iobs] = checkpoint.load(iobs)
-                resumed.append(iobs)
-        todo = [iobs for iobs in todo if iobs not in checkpoint]
-
-    n_workers = max(1, min(n_procs, len(todo))) if todo else 0
-    if not todo:
-        return {
-            "n_workers": 0,
-            "start_method": None,
-            "worker_seconds": {},
-            "recovered_ranks": [],
-            "crash_injected_ranks": [],
-            "resumed_tasks": resumed,
-            "elastic": {"counters": {}, "committed": 0},
-        }
-
-    def on_commit(iobs: int) -> None:
-        if checkpoint is not None:
-            checkpoint.save(iobs, slab.array("zmap")[iobs])
-
-    pool = ElasticPool(
-        satellite_task_runner,
-        args=(size, implementation, realization, slab.spec, plan),
-        n_workers=n_workers,
-        config=config,
-        worker_cleanup=satellite_task_cleanup,
-    )
-    try:
-        report = pool.run(
-            todo, on_commit=on_commit, abort_after_commits=abort_after_commits
-        )
-    finally:
-        # The inline-recovery lane runs tasks in *this* process and caches
-        # a slab attachment; close it before the owner unlinks the segment.
-        satellite_task_cleanup()
-    return {
-        "n_workers": n_workers,
-        "start_method": pool.start_method,
-        "worker_seconds": report.worker_seconds,
-        "recovered_ranks": list(report.recovered_workers),
-        "crash_injected_ranks": list(report.crash_armed),
-        "resumed_tasks": resumed,
-        "elastic": {
-            "counters": dict(report.counters),
-            "committed": len(report.committed),
-            "workers_spawned": report.workers_spawned,
-        },
-    }

@@ -1,12 +1,10 @@
-"""Mapping modeled MPI ranks onto live worker shards.
+"""Pinning a dataset to a fixed set of observations.
 
-:class:`~repro.mpi.simworld.SimWorld` describes the modeled process layout
-(the paper's Figure 4 x-axis); :meth:`SimWorld.worker_layout` turns it into
-``(rank, observation indices)`` shards.  Inside a worker, a
-:class:`SubsetComm` makes the simulation operators generate exactly that
-rank's observations: ``distribute_observations`` returns the fixed shard
-instead of a block of a live communicator, so a worker behaves like the
-modeled MPI rank it stands in for.
+Inside a worker, a :class:`SubsetComm` makes the simulation operators
+generate exactly the observations a task owns: ``distribute_observations``
+returns the fixed indices instead of a block of a live communicator, so a
+task simulates its observations with the bytes a serial run produces for
+them.
 """
 
 from __future__ import annotations

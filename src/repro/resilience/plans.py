@@ -72,9 +72,10 @@ NAMED_PLANS: Dict[str, FaultPlan] = {
             site="device.launch", kind=FaultKind.DEVICE_LOST, nth=(5,), max_fires=1
         ),
     ),
-    # A sharded worker process dies mid-shard; the parallel engine re-runs
-    # that worker's observations (each shard is a pure function of the
-    # seeded inputs), so the reduced maps stay bitwise identical.
+    # A worker process dies after its first task's compute; the elastic
+    # pool requeues that observation for another worker to steal (each
+    # task is a pure function of the seeded inputs), so the reduced maps
+    # stay bitwise identical.
     "worker-crash": _plan(
         "worker-crash",
         FaultSpec(

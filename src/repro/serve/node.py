@@ -29,7 +29,7 @@ from ..core import ImplementationType
 from ..mpi.simworld import SimWorld
 from ..obs import state as obs_state
 from ..obs.events import ClockDomain, Event, EventType
-from ..parallel.engine import CRASH_EXIT_CODE
+from ..parallel.elastic import CRASH_EXIT_CODE
 from ..parallel.shm import SharedSlab, slab_until_registered
 from ..resilience import state as res_state
 from ..workflows.products import ProductSpec, get_product, product_names

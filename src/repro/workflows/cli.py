@@ -589,9 +589,9 @@ def _cmd_perf(
     import datetime
     import json
 
+    from ..parallel import run_parallel_satellite
     from ..perfmodel import cpu_runtime
     from .microbench import microbench_kernels
-    from .satellite import run_parallel_satellite_benchmark
 
     if procs < 1:
         print("repro-bench: error: --procs must be >= 1", file=sys.stderr)
@@ -600,12 +600,12 @@ def _cmd_perf(
     impl = _BACKENDS[backend_name]
     host = _host_info()
 
-    run = run_parallel_satellite_benchmark(
+    run = run_parallel_satellite(
         size, impl, n_procs=procs, realization=seed
     )
     baseline_seconds = None
     if procs > 1 and not no_baseline:
-        baseline = run_parallel_satellite_benchmark(
+        baseline = run_parallel_satellite(
             size, impl, n_procs=1, realization=seed
         )
         baseline_seconds = baseline["wall_seconds"]
@@ -882,8 +882,8 @@ def _cmd_sweep(
     bench_path.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"\nrecorded movement comparison: {bench_path}")
 
+    from ..parallel import run_parallel_satellite
     from ..perfmodel import cpu_runtime
-    from .satellite import run_parallel_satellite_benchmark
 
     size = SIZES[live_size]
     counts = sorted({int(p) for p in live_procs.split(",") if p.strip()})
@@ -893,7 +893,7 @@ def _cmd_sweep(
     )
     base = None
     for p in counts:
-        run = run_parallel_satellite_benchmark(
+        run = run_parallel_satellite(
             size, ImplementationType.NUMPY, n_procs=p
         )
         wall = run["wall_seconds"]

@@ -29,7 +29,7 @@ from ..healpix import npix as healpix_npix
 from ..obs import state as obs_state
 from ..ompshim import OmpTargetRuntime
 from ..ops import create_fake_sky
-from ..parallel.elastic import ElasticConfig, ElasticPool
+from ..parallel.elastic import ElasticConfig, run_zmap_tasks
 from ..parallel.satellite import make_satellite_data_shard
 from ..parallel.shm import SharedSlab
 from ..resilience import named_plan, resilient
@@ -125,11 +125,11 @@ _STREAM_CTX: Dict[Any, Any] = {}
 def streamed_task_runner(
     wid: int,
     iobs: int,
+    slab_spec,
     store_root: str,
     nside: int,
     implementation: ImplementationType,
     window_samples: Optional[int],
-    slab_spec,
 ) -> None:
     """One elastic task: stream one observation's windows into slab slot ``iobs``.
 
@@ -206,36 +206,18 @@ def run_streamed_elastic(
         per = max(store.bytes_per_sample(i) for i in range(n_obs))
         window_samples = max(1, host_budget_bytes // per)
 
-    wall0 = time.perf_counter()
-    with SharedSlab.create({"zmap": ((n_obs, n_pix, _NNZ), np.float64)}) as slab:
-        pool = ElasticPool(
-            streamed_task_runner,
-            args=(store_root, nside, implementation, window_samples, slab.spec),
-            n_workers=max(1, min(n_procs, n_obs)),
-            config=elastic_config,
-            worker_cleanup=streamed_task_cleanup,
-        )
-        try:
-            report = pool.run(list(range(n_obs)))
-        finally:
-            # The inline-recovery lane caches a slab attachment in this
-            # process; close it before the owner unlinks the segment.
-            streamed_task_cleanup()
-        zmap = np.zeros((n_pix, _NNZ), dtype=np.float64)
-        for iobs in range(n_obs):
-            zmap += slab.array("zmap")[iobs]
-    return {
-        "zmap": zmap,
-        "wall_seconds": time.perf_counter() - wall0,
-        "n_workers": pool.n_workers,
-        "window_samples": window_samples,
-        "scrub": store.scrub_report.as_dict() if store.scrub_report else None,
-        "elastic": {
-            "counters": dict(report.counters),
-            "committed": len(report.committed),
-            "workers_spawned": report.workers_spawned,
-        },
-    }
+    out = run_zmap_tasks(
+        streamed_task_runner,
+        (store_root, nside, implementation, window_samples),
+        n_obs,
+        (n_pix, _NNZ),
+        n_procs,
+        config=elastic_config,
+        cleanup=streamed_task_cleanup,
+    )
+    out["window_samples"] = window_samples
+    out["scrub"] = store.scrub_report.as_dict() if store.scrub_report else None
+    return out
 
 
 # -- the parity-gated ingest benchmark -----------------------------------------

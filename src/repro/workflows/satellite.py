@@ -46,7 +46,6 @@ __all__ = [
     "make_satellite_data",
     "satellite_processing_pipeline",
     "run_satellite_benchmark",
-    "run_parallel_satellite_benchmark",
     "run_fault_injection_benchmark",
     "run_movement_comparison",
 ]
@@ -223,33 +222,6 @@ def run_satellite_benchmark(
     return result
 
 
-def run_parallel_satellite_benchmark(
-    size: SizeSpec,
-    implementation: ImplementationType = ImplementationType.NUMPY,
-    n_procs: int = 1,
-    realization: int = 0,
-) -> Dict[str, object]:
-    """The benchmark's processing chain sharded across live processes.
-
-    Thin wrapper over :func:`repro.parallel.run_parallel_satellite` (kept
-    here so workflow callers import one module).  Simulation and the
-    noise-weighted map accumulation run per observation inside the
-    workers; the parent reduces the partial maps in fixed observation
-    order, making the result bitwise independent of ``n_procs``.  The
-    iterative map-maker needs every detector timestream at once, so this
-    measured path stops at the noise-weighted map -- the same section the
-    hybrid-pipeline timings in Figure 4 are dominated by.
-    """
-    from ..parallel import run_parallel_satellite
-
-    return run_parallel_satellite(
-        size,
-        implementation=implementation,
-        n_procs=n_procs,
-        realization=realization,
-    )
-
-
 def run_movement_comparison(
     size: SizeSpec,
     implementation: ImplementationType = ImplementationType.OMP_TARGET,
@@ -357,6 +329,7 @@ def run_fault_injection_benchmark(
 
     from .. import obs as _obs
     from .. import resilience
+    from ..parallel import run_parallel_satellite
     from ..resilience.plans import named_plan
 
     plan = named_plan(plan_name, seed=seed)
@@ -373,7 +346,7 @@ def run_fault_injection_benchmark(
 
     def _run_once(accel) -> Dict[str, object]:
         if parallel_mode:
-            return run_parallel_satellite_benchmark(
+            return run_parallel_satellite(
                 size, implementation, n_procs=2, realization=realization
             )
         return run_satellite_benchmark(

@@ -41,16 +41,25 @@ class TestConfig:
             ElasticConfig(lease_s=1.0, heartbeat_s=1.0)
 
     def test_periods_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ElasticConfig(lease_s=0.0)
-        with pytest.raises(ValueError):
-            ElasticConfig(hedge_s=-1.0)
+        # total_timeout_s=0 would spawn the workers, then run every task
+        # inline in the parent.
+        for field in ("lease_s", "heartbeat_s", "hedge_s", "total_timeout_s"):
+            for value in (0.0, -1.0, float("nan")):
+                with pytest.raises(ValueError, match=f"^{field} must be positive"):
+                    ElasticConfig(**{field: value})
 
     def test_attempt_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^max_task_attempts must be at least 1"):
             ElasticConfig(max_task_attempts=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^max_hedges_per_task must be non-negative"):
             ElasticConfig(max_hedges_per_task=-1)
+
+    def test_budgets_must_be_non_negative(self):
+        for field in ("drain_timeout_s", "max_respawns"):
+            with pytest.raises(ValueError, match=f"^{field} must be non-negative"):
+                ElasticConfig(**{field: -1})
+        cfg = ElasticConfig(drain_timeout_s=0.0, max_respawns=0, max_hedges_per_task=0)
+        assert (cfg.drain_timeout_s, cfg.max_respawns) == (0.0, 0)
 
 
 class TestPool:
@@ -76,6 +85,14 @@ class TestPool:
         # A clean run steals, hedges, and respawns nothing.
         for counter in ("steals", "hedges", "respawns", "lease_expiries"):
             assert report.counters.get(counter, 0) == 0
+
+    def test_empty_run_spawns_no_workers(self, tmp_path):
+        pool = ElasticPool(_touch_task, args=(tmp_path,), n_workers=2, config=QUICK)
+        report = pool.run([])
+        assert report.complete
+        assert report.committed == {}
+        assert report.workers_spawned == 0
+        assert not list(tmp_path.iterdir())
 
     def test_persistent_failure_escalates(self, tmp_path):
         cfg = ElasticConfig(
@@ -160,3 +177,19 @@ class TestTaskCheckpoint:
         # And a fresh save of the discarded task works normally.
         reborn.save(2, np.arange(7.0))
         assert TaskCheckpoint(root).task_ids() == [1, 2]
+
+    def test_non_integer_task_name_is_left_alone(self, tmp_path):
+        """A ``task_*.npy`` this store did not write is not a checkpoint."""
+        root = tmp_path / "ckpt"
+        store = TaskCheckpoint(root)
+        store.save(3, np.arange(4.0))
+        np.save(root / "task_notes.npy", np.zeros(2))
+
+        reborn = TaskCheckpoint(root)
+        assert reborn.task_ids() == [3]
+        assert np.array_equal(reborn.load(3), np.arange(4.0))
+        assert reborn.discarded == []
+        assert sorted(p.name for p in root.iterdir()) == [
+            "task_000003.npy",
+            "task_notes.npy",
+        ]
