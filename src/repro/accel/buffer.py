@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import TransferError
@@ -49,8 +51,7 @@ class DeviceBuffer:
         """
         self._check_live()
         dtype = np.dtype(dtype)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        needed = count * dtype.itemsize
+        needed = math.prod(shape) * dtype.itemsize
         if needed > self.nbytes:
             raise TransferError(
                 f"view of {needed} bytes exceeds buffer of {self.nbytes} bytes"

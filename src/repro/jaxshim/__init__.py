@@ -9,7 +9,8 @@ evaluates:
 * a NumPy-like ``jnp`` namespace whose operations either execute eagerly
   or record into a static graph ("HLO") while tracing;
 * :func:`jit` -- trace-and-cache compilation keyed on shapes/dtypes and
-  static arguments, with ``donate_argnums`` buffer donation;
+  static arguments; ``donate_argnums`` is accepted and its bytes counted,
+  but no buffer is reused;
 * :func:`vmap` -- vectorization via per-primitive batching rules;
 * functional updates (``x.at[idx].set(v)``) in place of mutation, with the
   purity errors JAX raises on in-place assignment;

@@ -3,7 +3,9 @@
 These are the two transformations the TOAST port uses (paper §3.1.3: loops
 become ``vmap`` calls and the resulting functions are ``jax.jit``-compiled
 with static arguments such as the maximum interval size, and with output
-memory donated for reuse).
+memory donated for reuse).  The shim only counts donated bytes
+(``CompiledFunction.donated_bytes_last_call``, and ``jit.donated_bytes``
+under tracing); it never writes an output into a donated buffer.
 """
 
 from __future__ import annotations
@@ -77,12 +79,22 @@ def _canonicalize_leaf(leaf: Any) -> np.ndarray:
     return arr.astype(config.canonical_dtype(arr.dtype), copy=False)
 
 
-def _static_key(value: Any) -> Any:
+def _static_key(name: str, argnum: int, value: Any) -> Any:
+    """A static argument as its own cache key; it must be hashable.
+
+    JAX rejects an unhashable static argument.  No stand-in key is safe:
+    NumPy shortens the ``repr`` of a large array, so two different arrays
+    would share one executable.
+    """
     try:
         hash(value)
-        return value
     except TypeError:
-        return repr(value)
+        raise TypeError(
+            f"{name}: static argument {argnum} has unhashable type "
+            f"{type(value).__name__}; static arguments must be hashable "
+            "(pass arrays as dynamic arguments)"
+        ) from None
+    return value
 
 
 class JitFunction:
@@ -134,7 +146,7 @@ class JitFunction:
         arg_leaf_spans: list[Tuple[int, int]] = []  # (first, count) per arg; (-1,0)=static
         for i, a in enumerate(args):
             if i in self.static_argnums:
-                statics.append((i, _static_key(a)))
+                statics.append((i, _static_key(self.name, i, a)))
                 arg_leaf_spans.append((-1, 0))
             else:
                 leaves, td = tree_flatten(a)
@@ -146,7 +158,7 @@ class JitFunction:
             len(args),
             tuple(statics),
             tuple(dyn_tds),
-            tuple((l.shape, str(l.dtype)) for l in dyn_leaves),
+            tuple((l.shape, l.dtype) for l in dyn_leaves),
             config.enable_x64,
         )
         return key, dyn_leaves, arg_leaf_spans
@@ -264,8 +276,9 @@ def jit(
 
     Usable as ``@jit`` or ``jit(fn, static_argnums=(2,))``.  Static
     arguments become part of the cache key (e.g. the maximum interval size
-    in the TOAST kernels); donated arguments release their buffers to the
-    runtime for reuse as outputs.
+    in the TOAST kernels) and must be hashable: an unhashable one raises
+    ``TypeError``, as in JAX.  Donated arguments are only counted
+    (``jit.donated_bytes``): the shim reuses no buffer as an output.
     """
     if fn is None:
         return lambda f: JitFunction(f, tuple(static_argnums), tuple(donate_argnums))

@@ -18,6 +18,7 @@ exactly the sequence the eager loop performs, so the sums are bitwise
 identical.
 """
 
+import functools
 import inspect
 
 import numpy as np
@@ -39,16 +40,36 @@ def group_lanes(starts, stops):
     extended across the group's rectangular slab).  Observations with no
     valid lanes at all must not be written back: their eager call was a
     no-op.
+
+    The lanes are derived once per distinct slab value and kept for the
+    two most recent slabs, so they are shared, hence read-only.  A group
+    reaches the stacked kernels as at most two slabs: padded to the
+    batch bucket, and unpadded for a kernel that writes a broadcast
+    array (``MegabatchCollector._run_stacked``).
     """
-    idx, valid, max_len = pad_intervals_grouped(starts, stops)
+    starts = np.ascontiguousarray(starts, dtype=np.int64)
+    stops = np.ascontiguousarray(stops, dtype=np.int64)
+    return _slab_lanes(starts.shape, stops.shape, starts.tobytes(), stops.tobytes())
+
+
+@functools.lru_cache(maxsize=2)  # a group's padded and unpadded slabs
+def _slab_lanes(starts_shape, stops_shape, starts, stops):
+    idx, valid, max_len = pad_intervals_grouped(
+        np.frombuffer(starts, dtype=np.int64).reshape(starts_shape),
+        np.frombuffer(stops, dtype=np.int64).reshape(stops_shape),
+    )
     n_obs = idx.shape[0]
     flat = idx.reshape(n_obs, -1)
     vmask = valid.reshape(n_obs, -1)
     if max_len == 0:
-        return flat, vmask, 0, np.zeros(n_obs, dtype=bool)
-    rows = vmask.any(axis=1)
-    anchor = np.where(rows, flat[np.arange(n_obs), np.argmax(vmask, axis=1)], 0)
-    return np.where(vmask, flat, anchor[:, None]), vmask, max_len, rows
+        rows = np.zeros(n_obs, dtype=bool)
+    else:
+        rows = vmask.any(axis=1)
+        anchor = np.where(rows, flat[np.arange(n_obs), np.argmax(vmask, axis=1)], 0)
+        flat = np.where(vmask, flat, anchor[:, None])
+    for a in (flat, vmask, rows):
+        a.flags.writeable = False
+    return flat, vmask, max_len, rows
 
 
 def stacked_entry(spec, per_observation):

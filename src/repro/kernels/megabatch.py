@@ -237,7 +237,7 @@ class MegabatchCollector:
                 # equivalent when every member targets that array.
                 parts.append(("broadcast", id(value)))
             else:
-                parts.append(("stack", value.shape, str(value.dtype)))
+                parts.append(("stack", value.shape, value.dtype))
         return tuple(parts)
 
     def _run_bucket(self, calls: List[_Deferred]) -> None:

@@ -113,6 +113,28 @@ class TestJitCache:
         f2(np.zeros(3), 3)  # different static value: retrace
         assert f2.n_traces == 2
 
+    def test_unhashable_static_argument_raises(self):
+        # Keyed on repr(), NumPy's shortened repr of a 2000-element array
+        # let a different array reuse the first one's executable.
+        g = jit(lambda x, t: x + t[5], static_argnums=(1,))
+        table = np.arange(2000.0)
+        with pytest.raises(TypeError, match=r"static argument 1 .*unhashable type ndarray"):
+            g(np.zeros(()), table)
+        with pytest.raises(TypeError, match=r"static argument 1 .*unhashable type list"):
+            g(np.zeros(()), [0.0] * 6)
+        assert g.n_traces == 0
+
+    def test_dtype_spellings_share_one_executable(self):
+        @jit
+        def f(a):
+            return a + a
+
+        f(np.zeros(3, dtype=np.dtype("<f8")))
+        f(np.zeros(3, dtype=np.dtype("float64")))
+        assert f.n_traces == 1 and f.cache_size == 1
+        f(np.zeros(3, dtype=np.float32))  # another dtype retraces
+        assert f.n_traces == 2 and f.cache_size == 2
+
     def test_static_arg_enables_python_control_flow(self):
         @jit
         def f(a):

@@ -22,6 +22,7 @@ from repro.jaxshim import PRNGKey, normal, split, uniform, vmap
 from repro.jaxshim.primitives import BATCHING_WAIVERS, batching_coverage
 from repro.kernels import MegabatchCollector, kernel_registry
 from repro.kernels.common import pad_intervals, pad_intervals_grouped
+from repro.kernels.jax import stacked
 from repro.kernels.spec import ArgRole
 from repro.workflows.microbench import kernel_cases
 
@@ -393,3 +394,80 @@ class TestPadIntervals:
         assert idx.shape == (2, 2, max_len)
         assert not valid[1, 1].any()  # the (0, 0) padding row
         assert valid[1, 0].sum() == 4
+
+
+class TestGroupLanesCache:
+    """The JAX stacked kernels of a flush share one derivation of the
+    group's lanes per distinct interval slab (``stacked.group_lanes``)."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        derived, lookups = [], []
+        real_pad, real_lanes = stacked.pad_intervals_grouped, stacked.group_lanes
+
+        def counting_pad(starts, stops):
+            derived.append(starts.shape)
+            return real_pad(starts, stops)
+
+        def counting_lanes(starts, stops):
+            lookups.append(starts.shape)
+            return real_lanes(starts, stops)
+
+        monkeypatch.setattr(stacked, "pad_intervals_grouped", counting_pad)
+        monkeypatch.setattr(stacked, "group_lanes", counting_lanes)
+        stacked._slab_lanes.cache_clear()
+        return derived, lookups
+
+    @pytest.mark.parametrize(
+        "n_obs, slabs",
+        [
+            (4, 1),  # jax-megabatch's group: padding to the bucket adds no rows
+            (3, 2),  # padded to 4 rows, and unpadded for build_noise_weighted
+        ],
+    )
+    def test_warm_unit_derives_lanes_once_per_slab(self, monkeypatch, n_obs, slabs):
+        # The JAX chain on the device, every observation in one group.
+        d_eager = make_data(n_obs=n_obs)
+        Pipeline(processing_ops(), implementation=ImplementationType.JAX).exec(
+            d_eager, use_accel=True, accel=fresh_runtime()
+        )
+        pipe = Pipeline(processing_ops(), implementation=ImplementationType.JAX, plan="megabatch")
+        pipe.exec(make_data(n_obs=n_obs), use_accel=True, accel=fresh_runtime())  # traces
+        derived, lookups = self._count(monkeypatch)
+        # A unit with new slabs, then a unit whose data, and so whose
+        # slabs, are identical: it derives none.
+        for expected in (slabs, 0):
+            derived.clear()
+            lookups.clear()
+            d = make_data(n_obs=n_obs)
+            pipe.exec(d, use_accel=True, accel=fresh_runtime())
+            assert len(lookups) == 6  # the six stacked kernels
+            assert len(derived) == expected
+            assert_bitwise_equal(d_eager, d)
+            assert d["zmap"].tobytes() == d_eager["zmap"].tobytes()
+
+    def test_cached_lanes_are_read_only(self):
+        starts = np.array([[0, 5], [2, 0]], dtype=np.int64)
+        stops = np.array([[3, 8], [6, 0]], dtype=np.int64)
+        flat, valid, max_len, rows = stacked.group_lanes(starts, stops)
+        assert max_len == 4
+        for a in (flat, valid, rows):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+        again = stacked.group_lanes(starts.copy(), stops.copy())
+        assert all(x is y for x, y in zip(again, (flat, valid, max_len, rows)))
+
+    def test_same_shape_other_values_get_their_own_lanes(self, monkeypatch):
+        derived, _ = self._count(monkeypatch)
+        starts = np.array([[0, 5], [2, 0]], dtype=np.int64)
+        stops = np.array([[3, 8], [6, 0]], dtype=np.int64)
+        first = stacked.group_lanes(starts, stops)
+        other = stacked.group_lanes(starts, stops + np.array([[1, 0], [0, 0]]))
+        assert len(derived) == 2
+        assert other[2] == first[2] == 4
+        assert not np.array_equal(other[0], first[0])
+        assert not np.array_equal(other[1], first[1])
+        stacked._slab_lanes.cache_clear()  # a fresh derivation agrees
+        for cached, fresh in zip(other, stacked.group_lanes(starts, stops + [[1, 0], [0, 0]])):
+            assert np.array_equal(cached, fresh)
+        assert len(derived) == 3
