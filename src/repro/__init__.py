@@ -15,12 +15,20 @@ The package rebuilds, in pure Python, the system the paper studies:
 
 Quickstart::
 
-    from repro.workflows.satellite import make_satellite_data, satellite_pipeline
-    from repro.core.dispatch import ImplementationType
+    from repro.core import ImplementationType
+    from repro.workflows.satellite import (
+        SIZES,
+        make_satellite_data,
+        satellite_processing_pipeline,
+    )
 
-    data = make_satellite_data(n_detectors=4, n_samples=4096, seed=0)
-    pipe = satellite_pipeline(implementation=ImplementationType.NUMPY)
+    size = SIZES["tiny"]
+    data = make_satellite_data(size)
+    pipe = satellite_processing_pipeline(
+        size.nside, implementation=ImplementationType.NUMPY
+    )
     pipe.apply(data)
+    zmap = data["zmap"]  # the noise-weighted I/Q/U map, one row per pixel
 """
 
 from ._version import __version__

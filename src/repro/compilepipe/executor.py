@@ -58,18 +58,10 @@ class CompiledRun:
         self.runtime = runtime
         self.device = runtime.device
         self.clock = runtime.device.clock
-        from ..core.pipeline import LoopOrder, MovementPolicy
+        from ..core.pipeline import MovementPolicy
 
-        # Work units exactly as the host path forms them.
         self.megabatch = pipeline.plan == "megabatch"
-        if self.megabatch:
-            # Stacked launches need multi-observation units: one chunk of
-            # megabatch_group observations per unit (None: all in one).
-            self.units = pipeline.megabatch_units(data, pipeline.megabatch_group)
-        elif pipeline.order is LoopOrder.OBSERVATION_MAJOR:
-            self.units = pipeline.observation_units(data)
-        else:
-            self.units = [data]
+        self.units = pipeline.work_units(data)
         self.ir = lower_workflow(pipeline.operators, self.units)
         if pipeline.plan == "eager":
             naive = pipeline.policy is MovementPolicy.NAIVE

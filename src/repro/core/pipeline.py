@@ -137,42 +137,30 @@ class Pipeline(Operator):
 
     # -- execution -------------------------------------------------------------------
 
-    @staticmethod
-    def observation_units(data: Data) -> List[Data]:
-        """One single-observation :class:`Data` view per observation.
+    def work_units(self, data: Data) -> List[Data]:
+        """The :class:`Data` views one ``exec`` runs the operators over.
 
-        Each view shares the parent's communicator and ``meta`` dict (global
-        products such as sky maps and output accumulators), so running the
-        views in sequence is equivalent to an OBSERVATION_MAJOR ``exec``.
-        The parallel engine uses the same decomposition to ship one
-        observation per worker task.
+        ``plan="megabatch"`` chunks the observations into stacked-launch
+        groups of ``megabatch_group`` (None: every observation in one
+        chunk; ``data`` itself when it has no observations).  Otherwise
+        OBSERVATION_MAJOR gives one view per observation and
+        OPERATOR_MAJOR runs over ``data`` itself.  Each view shares the
+        parent's communicator and ``meta`` dict (global products such as
+        sky maps and output accumulators), so the host path and
+        :class:`~repro.compilepipe.CompiledRun` form the same units.
         """
-        units: List[Data] = []
-        for ob in data.obs:
-            sub = Data(comm=data.comm)
-            sub.obs = [ob]
-            sub.meta = data.meta  # global products are shared
-            units.append(sub)
-        return units
-
-    @staticmethod
-    def megabatch_units(data: Data, group: Optional[int]) -> List[Data]:
-        """Chunk observations into stacked-launch groups of ``group``.
-
-        Each chunk is a multi-observation :class:`Data` view sharing the
-        parent's communicator and ``meta``; ``group=None`` puts every
-        observation in one chunk.  Running chunks in sequence,
-        operator-major within each chunk, performs exactly the eager
-        OPERATOR_MAJOR kernel sequence -- the megabatch collector then
-        stacks each chunk's per-observation calls into one launch.
-        """
-        if not data.obs:
+        if self.plan == "megabatch":
+            if not data.obs:
+                return [data]
+            group = self.megabatch_group or len(data.obs)
+        elif self.order is LoopOrder.OBSERVATION_MAJOR:
+            group = 1
+        else:
             return [data]
-        g = len(data.obs) if group is None else group
         units: List[Data] = []
-        for lo in range(0, len(data.obs), g):
+        for lo in range(0, len(data.obs), group):
             sub = Data(comm=data.comm)
-            sub.obs = list(data.obs[lo : lo + g])
+            sub.obs = data.obs[lo : lo + group]
             sub.meta = data.meta
             units.append(sub)
         return units
@@ -203,14 +191,11 @@ class Pipeline(Operator):
 
         with use_implementation(impl):
             if not accel_enabled:
+                units = self.work_units(data)
                 if self.plan == "megabatch":
-                    self._exec_megabatch_host(data)
+                    self._exec_megabatch_host(units)
                     return
-                if self.order is LoopOrder.OBSERVATION_MAJOR:
-                    work_units = self.observation_units(data)
-                else:
-                    work_units = [data]
-                for unit in work_units:
+                for unit in units:
                     for op in self.operators:
                         op.ensure_outputs(unit)
                         with self._stage(op):
@@ -233,18 +218,19 @@ class Pipeline(Operator):
             # A plan holds the data it ran on; eager ones are not kept.
             self.last_plan = None if plan.eager else plan
 
-    def _exec_megabatch_host(self, data: Data) -> None:
+    def _exec_megabatch_host(self, chunks: List[Data]) -> None:
         """Stacked launches without a device: operator-major over chunks.
 
         Each operator's per-observation kernel calls within a chunk are
         collected and flushed as single stacked host launches; kernels
         without a stacked implementation replay per observation, so the
-        result is bitwise identical to the eager path.
+        result is bitwise identical to the eager path.  Running chunks in
+        sequence, operator-major within each chunk, performs exactly the
+        eager OPERATOR_MAJOR kernel sequence.
         """
         from ..kernels.megabatch import MegabatchCollector
         from .dispatch import megabatch_collection
 
-        chunks = self.megabatch_units(data, self.megabatch_group)
         for op in self.operators:
             for unit in chunks:
                 op.ensure_outputs(unit)

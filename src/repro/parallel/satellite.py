@@ -16,26 +16,28 @@ exactly the bytes a serial run produces for the same observation.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
-from ..core import Data, ImplementationType, fake_hexagon_focalplane
+from ..core import ImplementationType
 from ..healpix import npix as healpix_npix
 from ..mpi.simworld import SimWorld
 from ..obs import state as obs_state
-from ..ops import DefaultNoiseModel, SimNoise, SimSatellite, create_fake_sky
+from ..workflows.satellite import (
+    NNZ,
+    make_satellite_data as make_satellite_data_shard,
+    satellite_processing_pipeline,
+    satellite_sky,
+)
 from .elastic import ElasticConfig, TaskCheckpoint, run_zmap_tasks
-from .sharding import SubsetComm
 from .shm import SharedSlab, SlabSpec
 
 __all__ = [
+    "make_satellite_data_shard",
     "satellite_task_runner",
     "run_parallel_satellite",
 ]
-
-#: Stokes components accumulated by the benchmark pipeline.
-_NNZ = 3
 
 
 def _process_one_observation(
@@ -47,44 +49,12 @@ def _process_one_observation(
     plan: str = "eager",
 ) -> np.ndarray:
     """Simulate + process one observation; return its partial zmap."""
-    from ..workflows.satellite import satellite_processing_pipeline
-
     data = make_satellite_data_shard(size, [iobs], realization=realization, sky=sky)
     pipe = satellite_processing_pipeline(
         size.nside, implementation=implementation, plan=plan
     )
     pipe.apply(data)
     return data["zmap"]
-
-
-def make_satellite_data_shard(
-    size,
-    obs_indices: List[int],
-    realization: int = 0,
-    sky: Optional[np.ndarray] = None,
-) -> Data:
-    """The benchmark dataset restricted to a fixed set of observations."""
-    focalplane = fake_hexagon_focalplane(
-        n_pixels=size.n_pixels,
-        sample_rate=50.0,
-        net=1.0,
-        fknee=0.05,
-    )
-    data = Data(comm=SubsetComm(obs_indices))
-    sim = SimSatellite(
-        focalplane,
-        n_observations=size.n_observations,
-        n_samples=size.n_samples,
-        scan_samples=max(128, size.n_samples // 8),
-        gap_samples=max(8, size.n_samples // 128),
-    )
-    sim.apply(data)
-    DefaultNoiseModel().apply(data)
-    if sky is None:
-        sky = create_fake_sky(size.nside, nnz=_NNZ, seed=realization + 11)
-    data["sky_map"] = sky
-    SimNoise(realization=realization).apply(data)
-    return data
 
 
 #: Per-worker-process cache for the elastic task runner: attach the slab
@@ -114,7 +84,7 @@ def satellite_task_runner(
     ctx = _ELASTIC_CTX.get(key)
     if ctx is None:
         slab = SharedSlab.attach(slab_spec)
-        sky = create_fake_sky(size.nside, nnz=_NNZ, seed=realization + 11)
+        sky = satellite_sky(size, realization)
         _ELASTIC_CTX[key] = ctx = (slab, sky)
     slab, sky = ctx
     tr = obs_state.active
@@ -167,7 +137,7 @@ def run_parallel_satellite(
         satellite_task_runner,
         (size, implementation, realization, plan),
         size.n_observations,
-        (healpix_npix(size.nside), _NNZ),
+        (healpix_npix(size.nside), NNZ),
         n_procs,
         config=elastic_config,
         checkpoint=checkpoint,

@@ -33,7 +33,7 @@ import numpy as np
 from .. import obs
 from ..core import ImplementationType
 from ..workflows.products import get_product
-from ..workflows.satellite import SIZES
+from ..workflows.satellite import SIZES, same_bits
 from .broker import Broker, BrokerServer, route_order
 from .client import ServeClient
 from .handles import ProductKey, SliceSpec
@@ -231,7 +231,7 @@ def run_serve_smoke(
             results = _concurrent_requests(clients, key0, windows)
             for i, (win, got) in enumerate(zip(windows, results)):
                 want = reference0 if win is None else reference0[win.as_slices()]
-                if not (got.shape == want.shape and np.array_equal(got, want)):
+                if not same_bits(got, want):
                     raise SmokeFailure(
                         f"round 1: client-{i} bytes differ from serverless "
                         f"reference for window {win.describe() if win else '[:]'}"
@@ -257,7 +257,7 @@ def run_serve_smoke(
                 clients, key_crash, [None] * n_clients
             )
             for i, got in enumerate(results):
-                if not np.array_equal(got, reference_crash):
+                if not same_bits(got, reference_crash):
                     raise SmokeFailure(
                         f"round 2: client-{i} bytes differ after failover"
                     )

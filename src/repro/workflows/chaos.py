@@ -55,7 +55,13 @@ import numpy as np
 from ..core import ImplementationType
 from ..parallel.elastic import ElasticConfig
 from ..resilience.faults import FaultKind, FaultPlan, FaultSpec
-from .satellite import SIZES, SizeSpec
+from .satellite import (
+    SIZES,
+    SizeSpec,
+    run_satellite_benchmark,
+    same_bits,
+    satellite_sky,
+)
 
 __all__ = ["ChaosFailure", "generate_plan", "run_chaos_soak", "CHAOS_MENU"]
 
@@ -219,68 +225,40 @@ def _leak_sweep(
     return leaked_shm, leaked_procs
 
 
-def _bitwise(a: np.ndarray, b: np.ndarray) -> bool:
-    return bool(a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b))
-
-
 class _References:
-    """Fault-free serial oracles, computed once per (leg, realization)."""
+    """Fault-free reference maps, computed once per (kind, size, realization).
+
+    ``"device"`` and ``"stream"`` are the continuous-accumulation map of
+    :func:`run_satellite_benchmark` -- on a simulated device with jax, and
+    on the numpy host path -- which the device leg and windowed streaming
+    must reproduce.  ``"fixed_order"`` is :func:`produce_zmap`, the
+    per-observation maps summed in observation order, which the elastic
+    and serve legs must reproduce.  The two maps differ bitwise by design.
+    """
 
     def __init__(self) -> None:
-        self._cache: Dict[Tuple[str, int], np.ndarray] = {}
+        self._cache: Dict[Tuple[str, str, int], np.ndarray] = {}
 
-    def device(self, realization: int) -> np.ndarray:
-        key = ("device", realization)
+    def get(self, kind: str, size: SizeSpec, realization: int) -> np.ndarray:
+        key = (kind, size.name, realization)
         if key not in self._cache:
-            from ..accel import SimulatedDevice
-            from ..ompshim import OmpTargetRuntime
-            from .satellite import run_satellite_benchmark
+            if kind == "fixed_order":
+                from .products import produce_zmap
 
-            out = run_satellite_benchmark(
-                SIZES["tiny"],
-                ImplementationType.JAX,
-                accel=OmpTargetRuntime(SimulatedDevice()),
-                mapmaking=False,
-                realization=realization,
-            )
-            self._cache[key] = np.asarray(out["zmap"])
-        return self._cache[key]
+                zmap = produce_zmap(size, ImplementationType.NUMPY, realization)
+            else:
+                from ..accel import SimulatedDevice
+                from ..ompshim import OmpTargetRuntime
 
-    def map_oracle(self, size: SizeSpec, realization: int) -> np.ndarray:
-        """The serial fixed-order zmap: the oracle both the elastic and
-        serve legs must reproduce bitwise."""
-        key = (f"oracle-{size.name}", realization)
-        if key not in self._cache:
-            from .products import produce_zmap
-
-            self._cache[key] = produce_zmap(
-                size, ImplementationType.NUMPY, realization
-            )
-        return self._cache[key]
-
-    def stream_oracle(self, size: SizeSpec, realization: int) -> np.ndarray:
-        """The continuous-accumulation zmap: one pipeline applied to the
-        full in-memory dataset.  This is what windowed streaming must
-        reproduce bitwise -- a *different* byte sequence from
-        :meth:`map_oracle`, which sums per-observation partials."""
-        key = (f"stream-{size.name}", realization)
-        if key not in self._cache:
-            from ..ops import create_fake_sky
-            from ..parallel.satellite import make_satellite_data_shard
-            from .satellite import satellite_processing_pipeline
-
-            sky = create_fake_sky(size.nside, nnz=3, seed=realization + 11)
-            data = make_satellite_data_shard(
-                size,
-                list(range(size.n_observations)),
-                realization=realization,
-                sky=sky,
-            )
-            pipe = satellite_processing_pipeline(
-                size.nside, implementation=ImplementationType.NUMPY
-            )
-            pipe.apply(data)
-            self._cache[key] = np.array(data["zmap"])
+                on_device = kind == "device"
+                zmap = run_satellite_benchmark(
+                    size,
+                    ImplementationType.JAX if on_device else ImplementationType.NUMPY,
+                    accel=OmpTargetRuntime(SimulatedDevice()) if on_device else None,
+                    mapmaking=False,
+                    realization=realization,
+                )["zmap"]
+            self._cache[key] = zmap
         return self._cache[key]
 
 
@@ -290,9 +268,8 @@ def _run_device_leg(
     from ..accel import SimulatedDevice
     from ..ompshim import OmpTargetRuntime
     from ..resilience import resilient
-    from .satellite import run_satellite_benchmark
 
-    reference = refs.device(realization)
+    reference = refs.get("device", SIZES["tiny"], realization)
     accel = OmpTargetRuntime(SimulatedDevice())
     error: Optional[str] = None
     faulted: Optional[np.ndarray] = None
@@ -312,7 +289,7 @@ def _run_device_leg(
         report = ctrl.report()
     return {
         "leg": "device",
-        "bitwise": faulted is not None and _bitwise(reference, faulted),
+        "bitwise": faulted is not None and same_bits(reference, faulted),
         "error": error,
         "counters": report["counters"],
         "fired": report["faults"],
@@ -325,7 +302,7 @@ def _run_elastic_leg(
     from ..parallel import run_parallel_satellite
     from ..resilience import resilient
 
-    reference = refs.map_oracle(_ELASTIC_SIZE, realization)
+    reference = refs.get("fixed_order", _ELASTIC_SIZE, realization)
     error: Optional[str] = None
     faulted: Optional[np.ndarray] = None
     out: Dict[str, Any] = {}
@@ -364,7 +341,7 @@ def _run_elastic_leg(
     return {
         "leg": "elastic",
         "n_workers": n_workers,
-        "bitwise": faulted is not None and _bitwise(reference, faulted),
+        "bitwise": faulted is not None and same_bits(reference, faulted),
         "error": error,
         "counters": report["counters"],
         "elastic_counters": counters,
@@ -380,7 +357,7 @@ def _run_serve_leg(
     from ..serve.handles import ProductKey
     from ..serve.node import NodeLostError, ServeNode
 
-    reference = refs.map_oracle(SIZES["tiny"], realization)
+    reference = refs.get("fixed_order", SIZES["tiny"], realization)
     key = ProductKey("satellite/zmap", "tiny", "numpy", realization=realization)
     nodes = [
         ServeNode(f"chaos-{nid}", elastic_workers=elastic_workers)
@@ -411,7 +388,7 @@ def _run_serve_leg(
         "leg": "serve",
         "elastic_workers": elastic_workers,
         "failed_over": failed_over,
-        "bitwise": got is not None and _bitwise(reference, got),
+        "bitwise": got is not None and same_bits(reference, got),
         "error": error,
         "counters": report["counters"],
         "fired": report["faults"],
@@ -424,7 +401,6 @@ def _run_store_leg(
     import tempfile
     from pathlib import Path
 
-    from ..ops import create_fake_sky
     from ..resilience import resilient
     from ..store import (
         ObservationStore,
@@ -437,8 +413,8 @@ def _run_store_leg(
     from .satellite import satellite_processing_pipeline
 
     size = SIZES["tiny"]
-    reference = refs.stream_oracle(size, realization)
-    sky = create_fake_sky(size.nside, nnz=3, seed=realization + 11)
+    reference = refs.get("stream", size, realization)
+    sky = satellite_sky(size, realization)
     error: Optional[str] = None
     faulted: Optional[np.ndarray] = None
     scrub: Optional[Dict[str, Any]] = None
@@ -490,7 +466,7 @@ def _run_store_leg(
     }
     return {
         "leg": "store",
-        "bitwise": faulted is not None and _bitwise(reference, faulted),
+        "bitwise": faulted is not None and same_bits(reference, faulted),
         "error": error,
         "scrub": scrub,
         "store_leaks": store_leaks,

@@ -692,11 +692,8 @@ def _cmd_perf(
 
 
 def _cmd_plan(size_name: str, backend_name: str, as_json: bool, seed: int) -> int:
-    import numpy as np
-
     from ..compilepipe import lower_workflow, build_plan, plan_report, render_plan
-    from ..core.pipeline import LoopOrder
-    from .satellite import make_satellite_data, satellite_processing_pipeline
+    from .satellite import make_satellite_data, same_bits, satellite_processing_pipeline
 
     size = SIZES[size_name]
     impl = _BACKENDS[backend_name]
@@ -704,12 +701,7 @@ def _cmd_plan(size_name: str, backend_name: str, as_json: bool, seed: int) -> in
     # Static plan over the real dataset (the planner never executes).
     data = make_satellite_data(size, realization=seed)
     pipe = satellite_processing_pipeline(size.nside, implementation=impl)
-    units = (
-        pipe.observation_units(data)
-        if pipe.order is LoopOrder.OBSERVATION_MAJOR
-        else [data]
-    )
-    plan = build_plan(lower_workflow(pipe.operators, units))
+    plan = build_plan(lower_workflow(pipe.operators, pipe.work_units(data)))
 
     # Parity gate: eager and compiled runs over fresh data must agree bit
     # for bit on every product.
@@ -723,11 +715,11 @@ def _cmd_plan(size_name: str, backend_name: str, as_json: bool, seed: int) -> in
 
     de, dc = _run("eager"), _run("compiled")
     mismatches = []
-    if not np.array_equal(de["zmap"], dc["zmap"]):
+    if not same_bits(de["zmap"], dc["zmap"]):
         mismatches.append("zmap")
     for ob_e, ob_c in zip(de.obs, dc.obs):
         for k in ob_e.detdata:
-            if not np.array_equal(ob_e.detdata[k], ob_c.detdata[k]):
+            if not same_bits(ob_e.detdata[k], ob_c.detdata[k]):
                 mismatches.append(f"{ob_e.name}.{k}")
 
     if as_json:

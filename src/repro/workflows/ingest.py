@@ -16,6 +16,7 @@ observation reproduces its spilled bytes exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
 import time
 from pathlib import Path
@@ -23,14 +24,11 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core import Data, ImplementationType
+from ..core import ImplementationType
 from ..core.pipeline import MovementPolicy
-from ..healpix import npix as healpix_npix
 from ..obs import state as obs_state
 from ..ompshim import OmpTargetRuntime
-from ..ops import create_fake_sky
 from ..parallel.elastic import ElasticConfig, run_zmap_tasks
-from ..parallel.satellite import make_satellite_data_shard
 from ..parallel.shm import SharedSlab
 from ..resilience import named_plan, resilient
 from ..store import (
@@ -39,7 +37,17 @@ from ..store import (
     register_producer,
     stream_pipeline,
 )
-from .satellite import SIZES, SizeSpec, satellite_processing_pipeline
+from .products import produce_zmap
+from .satellite import (
+    NNZ,
+    SIZES,
+    SizeSpec,
+    make_satellite_data,
+    run_satellite_benchmark,
+    same_bits,
+    satellite_processing_pipeline,
+    satellite_sky,
+)
 
 __all__ = [
     "satellite_observation_producer",
@@ -50,20 +58,8 @@ __all__ = [
     "streamed_task_cleanup",
 ]
 
-_NNZ = 3
-
 #: The producer name recorded in every ingested manifest.
 PRODUCER_NAME = "satellite-sim"
-
-
-def _size_args(size: SizeSpec) -> Dict[str, Any]:
-    return {
-        "name": size.name,
-        "n_observations": size.n_observations,
-        "n_pixels": size.n_pixels,
-        "n_samples": size.n_samples,
-        "nside": size.nside,
-    }
 
 
 def satellite_observation_producer(
@@ -71,9 +67,7 @@ def satellite_observation_producer(
 ) -> Any:
     """Re-simulate one observation from scratch (pure, counter-based)."""
     spec = SizeSpec(**size) if isinstance(size, dict) else size
-    sky = create_fake_sky(spec.nside, nnz=_NNZ, seed=realization + 11)
-    data = make_satellite_data_shard(spec, [iobs], realization=realization, sky=sky)
-    return data.obs[0]
+    return make_satellite_data(spec, [iobs], realization=realization).obs[0]
 
 
 register_producer(PRODUCER_NAME, satellite_observation_producer)
@@ -95,23 +89,20 @@ def ingest_satellite_store(
     if chunk_samples is None:
         chunk_samples = max(64, size.n_samples // 8)
     store = ObservationStore.create(root, chunk_samples=chunk_samples)
-    sky = create_fake_sky(size.nside, nnz=_NNZ, seed=realization + 11)
-    data = make_satellite_data_shard(
-        size, list(range(size.n_observations)), realization=realization, sky=sky
-    )
+    data = make_satellite_data(size, realization=realization)
     for iobs, ob in enumerate(data.obs):
         store.spill_observation(
             ob,
             producer={
                 "name": PRODUCER_NAME,
                 "args": {
-                    "size": _size_args(size),
+                    "size": dataclasses.asdict(size),
                     "iobs": iobs,
                     "realization": realization,
                 },
             },
         )
-    store.save_meta("sky_map", sky)
+    store.save_meta("sky_map", data["sky_map"])
     return store
 
 
@@ -210,7 +201,7 @@ def run_streamed_elastic(
         streamed_task_runner,
         (store_root, nside, implementation, window_samples),
         n_obs,
-        (n_pix, _NNZ),
+        (n_pix, NNZ),
         n_procs,
         config=elastic_config,
         cleanup=streamed_task_cleanup,
@@ -246,7 +237,7 @@ def run_ingest_benchmark(
     """
     if isinstance(size, str):
         size = SIZES[size]
-    sky = create_fake_sky(size.nside, nnz=_NNZ, seed=realization + 11)
+    sky = satellite_sky(size, realization)
     tmp = None
     if out_dir is None:
         tmp = tempfile.TemporaryDirectory(prefix="repro-ingest-")
@@ -259,11 +250,9 @@ def run_ingest_benchmark(
     }
     try:
         # -- in-memory eager oracle (continuous accumulation) -----------------
-        all_obs = list(range(size.n_observations))
-        data = make_satellite_data_shard(size, all_obs, realization=realization, sky=sky)
-        pipe = satellite_processing_pipeline(size.nside, implementation=implementation)
-        pipe.apply(data)
-        zmap_mem = np.array(data["zmap"])
+        zmap_mem = run_satellite_benchmark(
+            size, implementation, mapmaking=False, realization=realization
+        )["zmap"]
 
         # -- ingest under the torn-write plan (commit retries) ----------------
         t0 = time.perf_counter()
@@ -297,7 +286,7 @@ def run_ingest_benchmark(
         streamed = stream_pipeline(store, pipe2, meta={"sky_map": sky}, config=cfg)
         report["stream_seconds"] = time.perf_counter() - t0
         report["stream_windows"] = streamed.stream_windows
-        report["eager_identical"] = bool(np.array_equal(streamed["zmap"], zmap_mem))
+        report["eager_identical"] = same_bits(streamed["zmap"], zmap_mem)
 
         # -- streamed bit-rot replay ------------------------------------------
         if faults:
@@ -309,7 +298,7 @@ def run_ingest_benchmark(
                 "faults_injected": counters.get("faults_injected", 0),
                 "quarantined": counters.get("store.chunks_quarantined", 0),
                 "regenerated": counters.get("store.chunks_regenerated", 0),
-                "identical": bool(np.array_equal(rotted["zmap"], zmap_mem)),
+                "identical": same_bits(rotted["zmap"], zmap_mem),
             }
 
         # -- compiled plan streamed vs in-memory ------------------------------
@@ -325,7 +314,7 @@ def run_ingest_benchmark(
                 p.plan = "compiled"
                 return p, accel
 
-            cdata = make_satellite_data_shard(size, all_obs, realization=realization, sky=sky)
+            cdata = make_satellite_data(size, realization=realization, sky=sky)
             cp, caccel = compiled_pipe()
             cp.exec(cdata, use_accel=True, accel=caccel)
             sp, saccel = compiled_pipe()
@@ -333,18 +322,10 @@ def run_ingest_benchmark(
                 store, sp, meta={"sky_map": sky}, config=cfg,
                 use_accel=True, accel=saccel,
             )
-            report["compiled_identical"] = bool(
-                np.array_equal(cstream["zmap"], cdata["zmap"])
-            )
+            report["compiled_identical"] = same_bits(cstream["zmap"], cdata["zmap"])
 
         # -- elastic streamed for each worker count ---------------------------
-        n_pix = healpix_npix(size.nside)
-        oracle = np.zeros((n_pix, _NNZ), dtype=np.float64)
-        for iobs in all_obs:
-            d = make_satellite_data_shard(size, [iobs], realization=realization, sky=sky)
-            p = satellite_processing_pipeline(size.nside, implementation=implementation)
-            p.apply(d)
-            oracle += d["zmap"]
+        oracle = produce_zmap(size, implementation, realization)
         report["elastic"] = {}
         for n_procs in elastic_procs:
             out = run_streamed_elastic(
@@ -355,7 +336,7 @@ def run_ingest_benchmark(
                 scrub=False,
             )
             report["elastic"][str(n_procs)] = {
-                "identical": bool(np.array_equal(out["zmap"], oracle)),
+                "identical": same_bits(out["zmap"], oracle),
                 "window_samples": out["window_samples"],
                 "committed": out["elastic"]["committed"],
             }

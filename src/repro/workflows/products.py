@@ -24,8 +24,7 @@ import numpy as np
 
 from ..core import ImplementationType
 from ..healpix import npix as healpix_npix
-from ..ops import create_fake_sky
-from .satellite import SizeSpec
+from .satellite import NNZ, SizeSpec, satellite_sky
 
 __all__ = [
     "ProductSpec",
@@ -37,9 +36,6 @@ __all__ = [
     "produce_zmap_elastic",
     "produce_sky",
 ]
-
-#: Stokes components in every served map product.
-_NNZ = 3
 
 
 @dataclass(frozen=True)
@@ -105,7 +101,7 @@ def namespaces() -> List[str]:
 
 
 def _map_shape(size: SizeSpec) -> Tuple[int, ...]:
-    return (healpix_npix(size.nside), _NNZ)
+    return (healpix_npix(size.nside), NNZ)
 
 
 def produce_zmap(
@@ -123,7 +119,7 @@ def produce_zmap(
     """
     from ..parallel.satellite import _process_one_observation
 
-    sky = create_fake_sky(size.nside, nnz=_NNZ, seed=realization + 11)
+    sky = satellite_sky(size, realization)
     zmap = np.zeros(_map_shape(size), dtype=np.float64)
     for iobs in range(size.n_observations):
         zmap += _process_one_observation(iobs, size, implementation, realization, sky)
@@ -163,7 +159,7 @@ def produce_sky(
     realization: int = 0,
 ) -> np.ndarray:
     """The simulated input sky itself (cheap; exercises routing/quotas)."""
-    return create_fake_sky(size.nside, nnz=_NNZ, seed=realization + 11)
+    return satellite_sky(size, realization)
 
 
 register_product(

@@ -12,7 +12,7 @@ scales (see :mod:`repro.perfmodel`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +43,10 @@ from ..ops import (
 __all__ = [
     "SizeSpec",
     "SIZES",
+    "NNZ",
+    "satellite_sky",
     "make_satellite_data",
+    "same_bits",
     "satellite_processing_pipeline",
     "run_satellite_benchmark",
     "run_fault_injection_benchmark",
@@ -94,14 +97,35 @@ SIZES: Dict[str, SizeSpec] = {
 }
 
 
+#: Stokes components (I, Q, U) of every satellite map.
+NNZ = 3
+
+
+def satellite_sky(size: SizeSpec, realization: int = 0) -> np.ndarray:
+    """The input sky map (I/Q/U) of the benchmark's ``realization``."""
+    return create_fake_sky(size.nside, nnz=NNZ, seed=realization + 11)
+
+
 def make_satellite_data(
     size: SizeSpec,
-    comm=None,
+    obs_indices: Optional[Sequence[int]] = None,
     realization: int = 0,
-    with_noise: bool = True,
-    with_sky: bool = True,
+    sky: Optional[np.ndarray] = None,
 ) -> Data:
-    """Simulate the benchmark dataset: scan, noise model, sky map, signal."""
+    """Simulate the benchmark dataset: scan, noise model, sky map, signal.
+
+    ``obs_indices`` restricts the dataset to those observations (pinned
+    by a :class:`~repro.parallel.sharding.SubsetComm`); ``None`` means
+    every observation.  Simulation is counter-based and layout-independent,
+    so a shard holds exactly the bytes of the same observations in a full
+    run.  ``sky`` passes in an already built :func:`satellite_sky` of the
+    same ``realization``, so many shards need not rebuild it.
+    """
+    comm = None
+    if obs_indices is not None:
+        from ..parallel.sharding import SubsetComm
+
+        comm = SubsetComm(obs_indices)
     focalplane = fake_hexagon_focalplane(
         n_pixels=size.n_pixels,
         sample_rate=50.0,
@@ -118,11 +142,20 @@ def make_satellite_data(
     )
     sim.apply(data)
     DefaultNoiseModel().apply(data)
-    if with_sky:
-        data["sky_map"] = create_fake_sky(size.nside, nnz=3, seed=realization + 11)
-    if with_noise:
-        SimNoise(realization=realization).apply(data)
+    data["sky_map"] = satellite_sky(size, realization) if sky is None else sky
+    SimNoise(realization=realization).apply(data)
     return data
+
+
+def same_bits(a, b) -> bool:
+    """Byte-exact equality: same dtype, same shape, same bytes.
+
+    The parity gates' one comparison.  Unlike ``np.array_equal`` it tells
+    -0.0 from +0.0, and it compares NaNs by payload instead of failing
+    on any NaN.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def satellite_processing_pipeline(
@@ -148,7 +181,7 @@ def satellite_processing_pipeline(
             ScanMap(),
             NoiseWeight(),
             # The NoiseWeight op already applied N^-1 to the timestream.
-            BuildNoiseWeighted(n_pix=n_pix, nnz=3, use_det_weights=False),
+            BuildNoiseWeighted(n_pix=n_pix, nnz=NNZ, use_det_weights=False),
         ],
         name="satellite_processing",
         implementation=implementation,
@@ -187,7 +220,7 @@ def run_satellite_benchmark(
     if mapmaking:
         mapper = MapMaker(
             n_pix=healpix_npix(size.nside),
-            nnz=3,
+            nnz=NNZ,
             step_length=max(64, size.n_samples // 64),
             max_iterations=10,
         )
@@ -237,6 +270,11 @@ def run_movement_comparison(
     observation dispatch launches divided by its own.  All four runs
     must produce bitwise-identical noise-weighted maps; ``identical`` in
     the result records the check.
+
+    Every plan is reported at one jit-cache state: a run that traced a
+    new executable was charged the modeled ``jit_compile`` (which also
+    hides copy tails behind it), so it is rerun warm and the rerun is
+    reported.
     """
     from .. import obs as _obs
     from ..compilepipe import transfer_seconds
@@ -248,9 +286,8 @@ def run_movement_comparison(
         ("compiled", MovementPolicy.HYBRID, "compiled"),
         ("megabatch", MovementPolicy.HYBRID, "megabatch"),
     ]
-    out: Dict[str, object] = {"policies": {}}
-    zmaps = {}
-    for mode, policy, plan in runs:
+
+    def measure(policy: MovementPolicy, plan: str):
         accel = OmpTargetRuntime()
         data = make_satellite_data(size, realization=realization)
         pipe = satellite_processing_pipeline(
@@ -260,6 +297,14 @@ def run_movement_comparison(
         tracer = _obs.Tracer()
         with _obs.tracing(tracer):
             pipe.exec(data, use_accel=True, accel=accel)
+        return accel, data, pipe, tracer
+
+    out: Dict[str, object] = {"policies": {}}
+    zmaps = {}
+    for mode, policy, plan in runs:
+        accel, data, pipe, tracer = measure(policy, plan)
+        if accel.device.clock.region_time("jit_compile") > 0:
+            accel, data, pipe, tracer = measure(policy, plan)
         clock = accel.device.clock
         m = tracer.metrics
         entry: Dict[str, object] = {
@@ -294,10 +339,9 @@ def run_movement_comparison(
     out["policies"]["megabatch"]["launch_reduction"] = (
         hybrid_l / mb_l if mb_l > 0 else 0.0
     )
-    out["identical"] = bool(
-        np.array_equal(zmaps["naive"], zmaps["hybrid"])
-        and np.array_equal(zmaps["naive"], zmaps["compiled"])
-        and np.array_equal(zmaps["naive"], zmaps["megabatch"])
+    out["identical"] = all(
+        same_bits(zmaps["naive"], zmaps[mode])
+        for mode in ("hybrid", "compiled", "megabatch")
     )
     out["zmap"] = zmaps["compiled"]
     return out
@@ -388,9 +432,7 @@ def run_fault_injection_benchmark(
             a, b = np.asarray(clean[name]), np.asarray(faulted[name])
             maps[name] = {
                 "max_abs_diff": float(np.max(np.abs(a - b))) if a.size else 0.0,
-                "identical": bool(
-                    a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
-                ),
+                "identical": same_bits(a, b),
                 "crc32_clean": _crc(a),
                 "crc32_faulted": _crc(b),
             }

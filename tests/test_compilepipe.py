@@ -37,6 +37,7 @@ from repro.ops import (
     create_fake_sky,
 )
 from repro.resilience.plans import named_plan
+from repro.workflows.satellite import same_bits
 
 NSIDE = 16
 
@@ -93,12 +94,14 @@ def run_pipeline(
 
 
 def assert_bitwise_equal(da, db):
+    assert len(da.obs) == len(db.obs)
     for ob_a, ob_b in zip(da.obs, db.obs):
-        for k in ob_a.detdata:
-            assert np.array_equal(ob_a.detdata[k], ob_b.detdata[k]), k
-        for k in ob_a.shared:
-            assert np.array_equal(ob_a.shared[k], ob_b.shared[k]), k
-    assert np.array_equal(da["zmap"], db["zmap"])
+        for field in ("detdata", "shared"):
+            a, b = getattr(ob_a, field), getattr(ob_b, field)
+            assert a.keys() == b.keys(), field
+            for k in a:
+                assert same_bits(a[k], b[k]), k
+    assert same_bits(da["zmap"], db["zmap"])
 
 
 class TestPlanStructure:
@@ -462,6 +465,28 @@ class TestMovementComparison:
         assert compiled["fused_groups"] >= 1
         assert compiled["overlap_seconds"] > 0
         assert compiled["kernels_launched"] < hybrid["kernels_launched"]
+
+    def test_plans_compare_at_one_jit_cache_state(self):
+        # A plan that traces a new executable is charged the modeled
+        # jit_compile; the comparison reruns it warm, so a process's first
+        # and second calls report the same numbers.
+        import sys
+
+        from repro.jaxshim.api import JitFunction
+        from repro.workflows.satellite import SIZES, run_movement_comparison
+
+        for name, mod in list(sys.modules.items()):
+            if mod is not None and name.split(".")[0] == "repro":
+                for value in list(vars(mod).values()):
+                    if isinstance(value, JitFunction):
+                        value._cache.clear()
+        first, second = (
+            run_movement_comparison(SIZES["tiny"], implementation=ImplementationType.JAX)
+            for _ in range(2)
+        )
+        for mode, entry in first["policies"].items():
+            again = second["policies"][mode]
+            assert entry["virtual_seconds"] == again["virtual_seconds"], mode
 
     def test_movement_model_ordering(self):
         from repro.accel.transfer import TransferModel

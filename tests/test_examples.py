@@ -6,9 +6,12 @@ rotting as the library evolves.
 
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
+
+import repro
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
@@ -40,3 +43,16 @@ def test_example_runs(name):
 def test_satellite_benchmark_rejects_bad_backend():
     result = run_example("satellite_benchmark.py", "tiny", "cuda")
     assert result.returncode != 0
+
+
+def test_package_quickstart_runs():
+    """The ``Quickstart::`` block of the package docstring runs as written."""
+    lines = []
+    for line in repro.__doc__.split("Quickstart::", 1)[1].splitlines()[1:]:
+        if line.strip() and not line.startswith("    "):
+            break
+        lines.append(line)
+    namespace = {}
+    exec(compile(textwrap.dedent("\n".join(lines)), "repro.__doc__", "exec"), namespace)
+    assert namespace["zmap"].shape == (12 * namespace["size"].nside ** 2, 3)
+    assert namespace["zmap"].any()

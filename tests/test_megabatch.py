@@ -251,10 +251,11 @@ class TestPipelineParity:
 
     def test_megabatch_units_chunking(self):
         d = make_data(n_obs=5)
-        units = Pipeline.megabatch_units(d, 2)
+        pipe = Pipeline(processing_ops(), plan="megabatch", megabatch_group=2)
+        units = pipe.work_units(d)
         assert [len(u.obs) for u in units] == [2, 2, 1]
         assert sum(len(u.obs) for u in units) == len(d.obs)
-        (whole,) = Pipeline.megabatch_units(d, None)
+        (whole,) = Pipeline(processing_ops(), plan="megabatch").work_units(d)
         assert len(whole.obs) == 5
 
 

@@ -250,6 +250,18 @@ class TestJaxPipelineDeviceAccounting:
 class TestLoopOrder:
     """The §3.2.2 looping patterns: observation-major vs operator-major."""
 
+    def test_work_units(self):
+        from repro.core import Data, LoopOrder
+
+        d, empty = make_data(n_obs=3), Data()
+        obs_major = Pipeline(processing_ops(), order=LoopOrder.OBSERVATION_MAJOR)
+        per_obs = obs_major.work_units(d)
+        assert [u.obs for u in per_obs] == [[ob] for ob in d.obs]
+        assert all(u.meta is d.meta and u.comm is d.comm for u in per_obs)
+        assert obs_major.work_units(empty) == []
+        assert Pipeline(processing_ops()).work_units(d) == [d]
+        assert Pipeline(processing_ops(), plan="megabatch").work_units(empty) == [empty]
+
     def test_orders_produce_identical_results(self):
         from repro.core import LoopOrder
 

@@ -20,7 +20,6 @@ from repro import obs
 from repro.core import Data, ImplementationType
 from repro.core.pipeline import MovementPolicy
 from repro.ompshim import OmpTargetRuntime
-from repro.ops import create_fake_sky
 from repro.parallel.satellite import make_satellite_data_shard
 from repro.resilience import named_plan, resilient
 from repro.resilience.faults import FaultKind, FaultPlan, FaultSpec
@@ -36,15 +35,17 @@ from repro.store import (
 )
 from repro.store.manifest import MANIFEST_NAME, load_manifest
 from repro.workflows.ingest import ingest_satellite_store, run_streamed_elastic
+from repro.workflows.products import produce_zmap
 from repro.workflows.satellite import (
     SIZES,
     SizeSpec,
+    run_satellite_benchmark,
     satellite_processing_pipeline,
+    satellite_sky,
 )
 
 pytestmark = pytest.mark.usefixtures("leak_sentinel")
 
-_NNZ = 3
 _TINY = SIZES["tiny"]
 #: Four observations so the elastic leg genuinely runs four workers.
 _PAR_SIZE = SizeSpec("store_par", 4, 2, 512, 16)
@@ -58,23 +59,11 @@ def _ingest(tmp_path, size=_TINY, realization=0, chunk_samples=128):
     )
 
 
-def _sky(size, realization=0):
-    return create_fake_sky(size.nside, nnz=_NNZ, seed=realization + 11)
-
-
 def _stream_oracle(size, realization=0):
     """Continuous accumulation over the full in-memory dataset."""
-    data = make_satellite_data_shard(
-        size,
-        list(range(size.n_observations)),
-        realization=realization,
-        sky=_sky(size, realization),
-    )
-    pipe = satellite_processing_pipeline(
-        size.nside, implementation=ImplementationType.NUMPY
-    )
-    pipe.apply(data)
-    return np.array(data["zmap"])
+    return run_satellite_benchmark(
+        size, ImplementationType.NUMPY, mapmaking=False, realization=realization
+    )["zmap"]
 
 
 def _plan(site, kind, **kw):
@@ -321,16 +310,14 @@ def test_scrub_regenerates_bitrot_from_producer(tmp_path):
     assert report.regenerated == [chunk["file"]]
     assert verify_chunk(path)["key"] == "detdata/signal"
     # The regenerated bytes match the originals exactly.
-    ref = make_satellite_data_shard(
-        _TINY, [0], realization=0, sky=_sky(_TINY)
-    ).obs[0]
+    ref = make_satellite_data_shard(_TINY, [0]).obs[0]
     got = reopened.load_observation(0)
     assert np.array_equal(got.detdata["signal"], ref.detdata["signal"])
 
 
 def test_scrub_without_producer_names_chunk(tmp_path):
     store = ObservationStore.create(tmp_path / "bare", chunk_samples=128)
-    ob = make_satellite_data_shard(_TINY, [0], realization=0, sky=_sky(_TINY)).obs[0]
+    ob = make_satellite_data_shard(_TINY, [0]).obs[0]
     store.spill_observation(ob)  # no producer registered in the manifest
     doc = store.manifest(0)
     chunk = doc["arrays"]["detdata/signal"]["chunks"][0]
@@ -347,7 +334,7 @@ def test_scrub_without_producer_names_chunk(tmp_path):
 
 def test_scrub_unknown_producer_names_known(tmp_path):
     store = ObservationStore.create(tmp_path / "bare", chunk_samples=128)
-    ob = make_satellite_data_shard(_TINY, [0], realization=0, sky=_sky(_TINY)).obs[0]
+    ob = make_satellite_data_shard(_TINY, [0]).obs[0]
     store.spill_observation(ob, producer={"name": "who-dis", "args": {}})
     doc = store.manifest(0)
     chunk = doc["arrays"]["detdata/signal"]["chunks"][0]
@@ -377,9 +364,7 @@ def test_store_index_version_rejected(tmp_path):
 
 def test_load_observation_roundtrip(tmp_path):
     store = _ingest(tmp_path)
-    ref = make_satellite_data_shard(
-        _TINY, [0, 1], realization=0, sky=_sky(_TINY)
-    )
+    ref = make_satellite_data_shard(_TINY, [0, 1])
     for iobs in range(2):
         got = store.load_observation(iobs)
         want = ref.obs[iobs]
@@ -432,7 +417,7 @@ def _stream_once(store, pipe, window_samples=128):
     return stream_pipeline(
         store,
         pipe,
-        meta={"sky_map": _sky(_TINY)},
+        meta={"sky_map": satellite_sky(_TINY)},
         config=StreamConfig(window_samples=window_samples),
     )
 
@@ -582,7 +567,7 @@ def test_streamed_eager_bitwise_parity(tmp_path, window_samples):
     out = stream_pipeline(
         store,
         pipe,
-        meta={"sky_map": _sky(_TINY)},
+        meta={"sky_map": satellite_sky(_TINY)},
         config=StreamConfig(window_samples=window_samples),
     )
     assert np.array_equal(out["zmap"], oracle)
@@ -599,7 +584,7 @@ def test_streamed_budget_bitwise_parity(tmp_path):
     out = stream_pipeline(
         store,
         pipe,
-        meta={"sky_map": _sky(_TINY)},
+        meta={"sky_map": satellite_sky(_TINY)},
         config=StreamConfig(host_budget_bytes=budget),
     )
     assert out.stream_windows >= 8
@@ -620,7 +605,7 @@ def test_streamed_compiled_bitwise_parity(tmp_path):
         p.plan = "compiled"
         return p, accel
 
-    data = make_satellite_data_shard(_TINY, [0, 1], realization=0, sky=_sky(_TINY))
+    data = make_satellite_data_shard(_TINY, [0, 1])
     cp, caccel = compiled_pipe()
     cp.exec(data, use_accel=True, accel=caccel)
 
@@ -628,7 +613,7 @@ def test_streamed_compiled_bitwise_parity(tmp_path):
     out = stream_pipeline(
         store,
         sp,
-        meta={"sky_map": _sky(_TINY)},
+        meta={"sky_map": satellite_sky(_TINY)},
         config=StreamConfig(window_samples=256),
         use_accel=True,
         accel=saccel,
@@ -640,16 +625,7 @@ def test_streamed_compiled_bitwise_parity(tmp_path):
 def test_streamed_elastic_bitwise_parity(tmp_path, n_procs):
     store = _ingest(tmp_path, size=_PAR_SIZE, chunk_samples=128)
     # The elastic oracle: per-observation partials summed in fixed order.
-    oracle = None
-    for iobs in range(_PAR_SIZE.n_observations):
-        d = make_satellite_data_shard(
-            _PAR_SIZE, [iobs], realization=0, sky=_sky(_PAR_SIZE)
-        )
-        p = satellite_processing_pipeline(
-            _PAR_SIZE.nside, implementation=ImplementationType.NUMPY
-        )
-        p.apply(d)
-        oracle = d["zmap"].copy() if oracle is None else oracle + d["zmap"]
+    oracle = produce_zmap(_PAR_SIZE, ImplementationType.NUMPY, 0)
 
     out = run_streamed_elastic(
         store.root, n_procs=n_procs, window_samples=128, scrub=True
@@ -670,7 +646,7 @@ def test_streamed_bitrot_recovers_bitwise(tmp_path):
         out = stream_pipeline(
             store,
             pipe,
-            meta={"sky_map": _sky(_TINY)},
+            meta={"sky_map": satellite_sky(_TINY)},
             config=StreamConfig(window_samples=256),
         )
         counters = ctrl.report()["counters"]

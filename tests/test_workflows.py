@@ -62,11 +62,6 @@ class TestMakeData:
         assert "signal" in ob.detdata
         assert ob.detdata["signal"].std() > 0  # noise present
 
-    def test_optional_pieces(self):
-        data = make_satellite_data(SIZES["tiny"], with_noise=False, with_sky=False)
-        assert "sky_map" not in data
-        assert "signal" not in data.obs[0].detdata
-
     def test_realizations_differ(self):
         a = make_satellite_data(SIZES["tiny"], realization=0)
         b = make_satellite_data(SIZES["tiny"], realization=1)
