@@ -6,7 +6,9 @@ them to CSV; the authors added a script merging several CSVs into a
 comparative spreadsheet -- "a tremendously useful and simple tool to
 identify operations where our updated code spent a suspect amount of
 time".  This example runs the same pipeline under two kernel
-implementations, dumps one CSV per run, and prints the merged comparison.
+implementations, each under ``obs.tracing()`` so every ``function_timer``
+call (each operator ``exec``) is a span, reads the timing table off the
+tracer, dumps one CSV per run, and prints the merged comparison.
 
 Usage::
 
@@ -16,20 +18,21 @@ Usage::
 import tempfile
 from pathlib import Path
 
+from repro import obs
 from repro.accel import SimulatedDevice
 from repro.core import ImplementationType
-from repro.core.timing import global_timers, merge_timing_csv
+from repro.core.timing import GlobalTimers, merge_timing_csv
 from repro.ompshim import OmpTargetRuntime
 from repro.workflows.satellite import SIZES, run_satellite_benchmark
 
 
 def timed_run(impl: ImplementationType, csv_path: Path) -> None:
-    global_timers.clear()
     accel = None
     if impl is not ImplementationType.NUMPY:
         accel = OmpTargetRuntime(SimulatedDevice(memory_bytes=1 << 28))
-    run_satellite_benchmark(SIZES["small"], impl, accel=accel)
-    global_timers.dump_csv(csv_path)
+    with obs.tracing() as tracer:
+        run_satellite_benchmark(SIZES["small"], impl, accel=accel)
+    GlobalTimers.from_tracer(tracer).dump_csv(csv_path)
 
 
 def main() -> None:

@@ -27,6 +27,7 @@ suite pins this.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -257,13 +258,20 @@ class CompiledRun:
             life = self.ir.buffers[label]
             self._ensure_on_device(life.array, label, elide=False)
 
+    def _stage_region(self, stage):
+        """The stage's device-clock PIPELINE_STAGE event (none untraced)."""
+        tr = obs_state.active
+        if tr is None:
+            return nullcontext()
+        return tr.stage(stage.op.name, self.clock, pipeline=self.pipeline.name)
+
     def _run_accel_stage(self, stage, sp) -> None:
         self._stage_in(stage, sp)
         group = self.plan.group_of(stage.index)
         if group is not None and group.stage_indices[0] == stage.index:
             self.device.begin_fused(group.name)
             self._fused_open = group
-        with self.pipeline._stage(stage.op, self.runtime):
+        with self._stage_region(stage):
             if self.megabatch:
                 from ..core.dispatch import megabatch_collection
                 from ..kernels.megabatch import MegabatchCollector
@@ -298,8 +306,7 @@ class CompiledRun:
         for acc in stage.accesses:
             if acc.reads:
                 self._sync_back(acc.array)
-        with self.pipeline._stage(stage.op):
-            stage.op.exec(stage.unit, use_accel=False, accel=None)
+        stage.op.exec(stage.unit, use_accel=False, accel=None)
         for acc in stage.accesses:
             key = id(acc.array)
             if acc.writes and key in self._mapped:

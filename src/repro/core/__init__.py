@@ -21,7 +21,7 @@ from .dispatch import (
 from .operator import Operator
 from .pipeline import LoopOrder, MovementPolicy, Pipeline
 from .pixdist import PixelDistribution
-from .timing import GlobalTimers, Timer, function_timer, global_timers
+from .timing import GlobalTimers, Timer, function_timer
 
 __all__ = [
     "Focalplane",
@@ -41,6 +41,5 @@ __all__ = [
     "PixelDistribution",
     "Timer",
     "GlobalTimers",
-    "global_timers",
     "function_timer",
 ]

@@ -13,11 +13,9 @@ that ablation.  Every plan and policy executes on the device through
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from enum import Enum
 from typing import Dict, List, Optional, Sequence
 
-from ..obs import state as obs_state
 from ..ompshim import OmpTargetRuntime
 from .data import Data
 from .dispatch import (
@@ -140,18 +138,20 @@ class Pipeline(Operator):
     def work_units(self, data: Data) -> List[Data]:
         """The :class:`Data` views one ``exec`` runs the operators over.
 
-        ``plan="megabatch"`` chunks the observations into stacked-launch
-        groups of ``megabatch_group`` (None: every observation in one
-        chunk; ``data`` itself when it has no observations).  Otherwise
+        A ``data`` without observations is its own single unit under
+        every plan and order, so the operators still create their global
+        outputs (an all-zero map).  Otherwise ``plan="megabatch"`` chunks
+        the observations into stacked-launch groups of
+        ``megabatch_group`` (None: every observation in one chunk),
         OBSERVATION_MAJOR gives one view per observation and
         OPERATOR_MAJOR runs over ``data`` itself.  Each view shares the
         parent's communicator and ``meta`` dict (global products such as
         sky maps and output accumulators), so the host path and
         :class:`~repro.compilepipe.CompiledRun` form the same units.
         """
+        if not data.obs:
+            return [data]
         if self.plan == "megabatch":
-            if not data.obs:
-                return [data]
             group = self.megabatch_group or len(data.obs)
         elif self.order is LoopOrder.OBSERVATION_MAJOR:
             group = 1
@@ -164,24 +164,6 @@ class Pipeline(Operator):
             sub.meta = data.meta
             units.append(sub)
         return units
-
-    def _stage(self, op: Operator, runtime: Optional[OmpTargetRuntime] = None):
-        """A PIPELINE_STAGE region around one operator's execution.
-
-        On the accelerated path the stage event lands on the device
-        timeline (virtual clock); otherwise it is a host span.  Free when
-        tracing is off.
-        """
-        tr = obs_state.active
-        if tr is None:
-            return nullcontext()
-        clock = runtime.device.clock if runtime is not None else None
-        return tr.stage(
-            op.name,
-            device_clock=clock,
-            pipeline=self.name,
-            accel=runtime is not None,
-        )
 
     @function_timer
     def exec(self, data: Data, use_accel: bool = False, accel=None) -> None:
@@ -198,8 +180,7 @@ class Pipeline(Operator):
                 for unit in units:
                     for op in self.operators:
                         op.ensure_outputs(unit)
-                        with self._stage(op):
-                            op.exec(unit, use_accel=False, accel=None)
+                        op.exec(unit, use_accel=False, accel=None)
                 return
 
             # Every plan runs on the device through the one executor.
@@ -234,9 +215,8 @@ class Pipeline(Operator):
         for op in self.operators:
             for unit in chunks:
                 op.ensure_outputs(unit)
-                with self._stage(op):
-                    with megabatch_collection(MegabatchCollector()):
-                        op.exec(unit, use_accel=False, accel=None)
+                with megabatch_collection(MegabatchCollector()):
+                    op.exec(unit, use_accel=False, accel=None)
 
     @function_timer
     def finalize(self, data: Data) -> None:

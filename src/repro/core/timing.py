@@ -3,8 +3,18 @@
 TOAST ships a decorator collecting per-function timing that dumps to CSV;
 the authors added a script merging several CSVs into a comparative
 spreadsheet and call it "the most significant productivity boost throughout
-the project".  Both pieces are here: :func:`function_timer`,
-:class:`GlobalTimers` with CSV dump, and :func:`merge_timing_csv`.
+the project".  Here the decorator, :func:`function_timer`, times each call
+as a :mod:`repro.obs` span named after the function, so with tracing off
+it costs one ``is None`` branch and records nothing.  To collect the table,
+run under :func:`repro.obs.tracing`, read it off the tracer with
+:meth:`GlobalTimers.from_tracer` and dump it to CSV; :func:`merge_timing_csv`
+turns several runs' CSVs into the comparison spreadsheet::
+
+    with obs.tracing() as tracer:
+        pipeline.apply(data)
+    GlobalTimers.from_tracer(tracer).dump_csv("cpu.csv")
+    ...
+    print(merge_timing_csv(["cpu.csv", "gpu.csv"], labels=["cpu", "gpu"]))
 """
 
 from __future__ import annotations
@@ -17,12 +27,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from ..obs import state as obs_state
+from ..obs.export import TIMING_COLUMNS, write_csv
+from ..obs.tracer import Tracer
 from ..utils.table import Table
 
 __all__ = [
     "Timer",
     "GlobalTimers",
-    "global_timers",
     "function_timer",
     "merge_timing_csv",
 ]
@@ -74,38 +86,46 @@ class Timer:
 
 @dataclass
 class GlobalTimers:
-    """A process-wide table of named timers."""
+    """The paper's per-function timing table: one row per timer name."""
 
     records: Dict[str, TimerRecord] = field(default_factory=dict)
 
-    def record(self, name: str, seconds: float) -> None:
+    @classmethod
+    def from_tracer(cls, tracer: Tracer) -> "GlobalTimers":
+        """The table of a tracer's spans.
+
+        One row per span name, read from the tracer's live
+        ``span.<name>_seconds`` counters (exact even after the event
+        buffer has dropped old spans).
+        """
+        timers = cls()
+        for key, counter in tracer.metrics.counters.items():
+            if key.startswith("span.") and key.endswith("_seconds"):
+                name = key[len("span.") : -len("_seconds")]
+                timers.record(name, counter.value, counter.samples, counter.max_sample)
+        return timers
+
+    def record(
+        self, name: str, seconds: float, calls: int = 1, max_seconds: Optional[float] = None
+    ) -> None:
+        """Add ``calls`` calls of ``name`` taking ``seconds`` in total.
+
+        ``max_seconds`` is the longest of them; it defaults to ``seconds``,
+        which is exact for one call.
+        """
         rec = self.records.setdefault(name, TimerRecord(name))
         rec.total_seconds += seconds
-        rec.calls += 1
-        rec.max_seconds = max(rec.max_seconds, seconds)
-
-    def total(self, name: str) -> float:
-        return self.records[name].total_seconds if name in self.records else 0.0
-
-    def calls(self, name: str) -> int:
-        return self.records[name].calls if name in self.records else 0
-
-    def clear(self) -> None:
-        self.records.clear()
+        rec.calls += calls
+        rec.max_seconds = max(rec.max_seconds, seconds if max_seconds is None else max_seconds)
 
     def dump_csv(self, path: Union[str, Path, io.TextIOBase]) -> None:
         """Write one row per timer: name, total, calls, mean, max."""
-        own = isinstance(path, (str, Path))
-        fh = open(path, "w", newline="") if own else path
-        try:
-            writer = csv.writer(fh)
-            writer.writerow(["name", "total_seconds", "calls", "mean_seconds", "max_seconds"])
-            for name in sorted(self.records):
-                r = self.records[name]
-                writer.writerow([r.name, r.total_seconds, r.calls, r.mean_seconds, r.max_seconds])
-        finally:
-            if own:
-                fh.close()
+        rows = [self.records[name] for name in sorted(self.records)]
+        write_csv(
+            path,
+            TIMING_COLUMNS,
+            [[r.name, r.total_seconds, r.calls, r.mean_seconds, r.max_seconds] for r in rows],
+        )
 
     def render(self, title: str = "timers") -> str:
         table = Table(["name", "total [s]", "calls", "mean [s]"], title=title)
@@ -115,21 +135,23 @@ class GlobalTimers:
         return table.render()
 
 
-#: The default process-wide timer table.
-global_timers = GlobalTimers()
-
-
 def function_timer(fn: Callable) -> Callable:
-    """Decorator accumulating wall time under the function's qualname."""
+    """Time each call of ``fn`` as a span named after its qualname.
+
+    With tracing off the wrapper calls ``fn`` directly.  Under
+    :func:`repro.obs.tracing` the call runs inside
+    ``tracer.span(qualname)``, which adds it to the tracer's
+    ``span.<qualname>_seconds`` counter (see :meth:`GlobalTimers.from_tracer`).
+    """
     name = getattr(fn, "__qualname__", getattr(fn, "__name__", "anonymous"))
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
-        try:
+        tr = obs_state.active
+        if tr is None:
             return fn(*args, **kwargs)
-        finally:
-            global_timers.record(name, time.perf_counter() - t0)
+        with tr.span(name):
+            return fn(*args, **kwargs)
 
     return wrapper
 

@@ -66,11 +66,11 @@ def jax_kernel(name, compiled):
     observation's arguments (device views) and returns
     ``operands(flat, valid)``: the positional arguments of ``compiled``
     on that observation's padded lanes ``flat``, whose validity mask is
-    ``valid``.  An operand for a parameter named after a spec argument
-    must be that argument itself.  For a ``scatter`` kernel ``compiled``
-    is its contributions function, returning ``(indices, values)`` in
-    accumulation order, and the entry commits them with
-    :func:`scatter_add`.
+    ``valid``.  An operand for a parameter named after a spec argument,
+    or named ``flat`` or ``valid``, must be that array itself.  For a
+    ``scatter`` kernel ``compiled`` is its contributions function,
+    returning ``(indices, values)`` in accumulation order, and the entry
+    commits them with :func:`scatter_add`.
     """
     spec = kernel_registry.spec(name)
     (out_name,) = spec.output_names()

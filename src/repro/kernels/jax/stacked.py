@@ -114,10 +114,13 @@ def stacked_entry(spec, per_observation):
         for i in range(len(flat)):
             own = {k: v if v is None else v[i] for k, v in kwargs.items() if k in stack}
             members.append(operands_for(**shared, **own)(flat[i], valid[i]))
+        lanes = {"flat": flat, "valid": valid}
         operands = []
         for j, p in enumerate(params):
             if p in stack:  # the collector's slab, not a re-stacked copy
                 operands.append(kwargs[p])
+            elif p in lanes:  # the cached group lanes, likewise
+                operands.append(lanes[p])
             elif in_axes[j] is None:
                 operands.append(members[0][j])
             else:

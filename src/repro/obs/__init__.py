@@ -2,11 +2,15 @@
 
 The paper's team called their CSV timing decorator "the most significant
 productivity boost throughout the project" (§3.2.3).  This package is that
-idea grown up: a span tracer with context-manager/decorator APIs, a typed
+idea grown up: a span tracer (``with tracer.span(name):``), a typed
 device-timeline event stream fed by hooks inside the dispatch, pipeline,
 accelerator, jaxshim, and ompshim layers, live counters/gauges/per-kernel
 aggregates, and exporters for Chrome ``trace_event`` JSON (Perfetto /
-``chrome://tracing``), merge-friendly CSV, and rendered tables.
+``chrome://tracing``), merge-friendly CSV, and rendered tables.  The
+paper's decorator itself is :func:`repro.core.timing.function_timer`: each
+decorated call (every operator ``exec``) is one span of the active tracer,
+and :meth:`repro.core.timing.GlobalTimers.from_tracer` reads those spans
+back as the per-function timing table.
 
 Tracing is **off by default and free when off**: every hook reads one
 module attribute and branches on ``is None``.  Turn it on around a region::
@@ -26,7 +30,7 @@ timelines show modeled GPU time; host spans ride a separate track.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .events import (
     DEVICE_TIMELINE_TYPES,
@@ -47,7 +51,7 @@ from .export import (
     write_kernel_metrics_csv,
 )
 from .metrics import Counter, Gauge, KernelStats, MetricsRegistry
-from .tracer import NULL_TRACER, NullTracer, Span, Tracer
+from .tracer import Span, Tracer
 
 __all__ = [
     "Event",
@@ -59,8 +63,6 @@ __all__ = [
     "STORE_TYPES",
     "Span",
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "Counter",
     "Gauge",
     "KernelStats",
@@ -73,7 +75,6 @@ __all__ = [
     "write_events_csv",
     "render_summary",
     "active_tracer",
-    "current_tracer",
     "set_tracer",
     "tracing",
 ]
@@ -88,11 +89,6 @@ def active_tracer() -> Optional[Tracer]:
     ``repro.obs.state.active is not None``.
     """
     return _state.active
-
-
-def current_tracer() -> Union[Tracer, NullTracer]:
-    """Like :func:`active_tracer` but never ``None`` (no-op when off)."""
-    return _state.active if _state.active is not None else NULL_TRACER
 
 
 def set_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:

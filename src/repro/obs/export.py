@@ -6,9 +6,9 @@ Three consumers, three formats:
   :func:`write_chrome_trace` (the ``trace_event`` format's ``X``
   complete-events, ``i`` instants, and ``C`` counter series);
 * the paper's comparison-spreadsheet flow consumes the CSV produced by
-  :func:`write_kernel_metrics_csv`, whose columns match
-  :meth:`repro.core.timing.GlobalTimers.dump_csv` so
-  :func:`repro.core.timing.merge_timing_csv` merges both kinds;
+  :func:`write_kernel_metrics_csv`, which begins with the same
+  :data:`TIMING_COLUMNS` as :meth:`repro.core.timing.GlobalTimers.dump_csv`
+  so :func:`repro.core.timing.merge_timing_csv` merges both kinds;
 * humans read :func:`render_summary`.
 """
 
@@ -18,7 +18,7 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Iterable, List, Sequence, Union
 
 from ..utils.table import Table, format_bytes, format_seconds
 from .events import ClockDomain, Event, EventType
@@ -32,6 +32,8 @@ __all__ = [
     "write_kernel_metrics_csv",
     "write_events_csv",
     "render_summary",
+    "TIMING_COLUMNS",
+    "write_csv",
 ]
 
 #: Synthetic process ids: pid 0 is the parent; events replayed from a
@@ -158,46 +160,39 @@ def kernel_metrics_rows(tracer: Tracer) -> List[Dict[str, Any]]:
     ]
 
 
-def write_kernel_metrics_csv(
-    tracer: Tracer, path: Union[str, Path, io.TextIOBase]
-) -> None:
-    """Per-kernel CSV in the ``GlobalTimers.dump_csv`` column layout.
+#: The timing-CSV columns that :func:`repro.core.timing.merge_timing_csv`
+#: reads; every timing table is written with these first.
+TIMING_COLUMNS = ("name", "total_seconds", "calls", "mean_seconds", "max_seconds")
 
-    The first five columns are exactly the timing-CSV schema, so the
-    output drops straight into :func:`repro.core.timing.merge_timing_csv`
-    next to host-timer dumps; two extra columns carry launch counts and
-    device occupancy.
-    """
+
+def write_csv(
+    path: Union[str, Path, io.TextIOBase], header: Sequence[str], rows: Iterable[Sequence]
+) -> None:
+    """Write ``header`` and ``rows`` to a path or an open text stream."""
     own = isinstance(path, (str, Path))
     fh = open(path, "w", newline="") if own else path
     try:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "name",
-                "total_seconds",
-                "calls",
-                "mean_seconds",
-                "max_seconds",
-                "launches",
-                "device_seconds",
-            ]
-        )
-        for row in sorted(kernel_metrics_rows(tracer), key=lambda r: r["name"]):
-            writer.writerow(
-                [
-                    row["name"],
-                    row["total_seconds"],
-                    row["calls"],
-                    row["mean_seconds"],
-                    row["max_seconds"],
-                    row["launches"],
-                    row["device_seconds"],
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
     finally:
         if own:
             fh.close()
+
+
+def write_kernel_metrics_csv(
+    tracer: Tracer, path: Union[str, Path, io.TextIOBase]
+) -> None:
+    """Per-kernel CSV: :data:`TIMING_COLUMNS`, then launches and occupancy.
+
+    The first five columns are the timing-CSV schema, so the output drops
+    straight into :func:`repro.core.timing.merge_timing_csv` next to
+    host-timer dumps; two extra columns carry launch counts and device
+    occupancy.
+    """
+    columns = TIMING_COLUMNS + ("launches", "device_seconds")
+    rows = sorted(kernel_metrics_rows(tracer), key=lambda r: r["name"])
+    write_csv(path, columns, [[row[c] for c in columns] for row in rows])
 
 
 def write_events_csv(
@@ -211,29 +206,22 @@ def write_events_csv(
     Attributes are flattened into one ``key=value;...`` column to keep the
     schema fixed.
     """
-    own = isinstance(path, (str, Path))
-    fh = open(path, "w", newline="") if own else path
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["type", "name", "clock", "ts_seconds", "dur_seconds", "trace_id", "attrs"]
-        )
-        for e in sorted(tracer.events, key=lambda e: (e.clock.value, e.ts, e.end)):
-            attrs = ";".join(f"{k}={e.attrs[k]}" for k in sorted(e.attrs))
-            writer.writerow(
-                [
-                    e.type.value,
-                    e.name,
-                    e.clock.value,
-                    repr(e.ts),
-                    repr(e.dur),
-                    e.trace_id if e.trace_id is not None else "",
-                    attrs,
-                ]
-            )
-    finally:
-        if own:
-            fh.close()
+    write_csv(
+        path,
+        ["type", "name", "clock", "ts_seconds", "dur_seconds", "trace_id", "attrs"],
+        [
+            [
+                e.type.value,
+                e.name,
+                e.clock.value,
+                repr(e.ts),
+                repr(e.dur),
+                e.trace_id if e.trace_id is not None else "",
+                ";".join(f"{k}={e.attrs[k]}" for k in sorted(e.attrs)),
+            ]
+            for e in sorted(tracer.events, key=lambda e: (e.clock.value, e.ts, e.end))
+        ],
+    )
 
 
 def render_summary(tracer: Tracer, title: str = "trace summary") -> str:

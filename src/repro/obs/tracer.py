@@ -1,27 +1,26 @@
-"""The span tracer: context managers, decorators, and the event buffer.
+"""The span tracer: host spans, device-clock stages, and the event buffer.
 
 One :class:`Tracer` owns a bounded in-memory event buffer, a
 :class:`~repro.obs.metrics.MetricsRegistry` of live aggregates, and a
-thread-local stack of open :class:`Span`\\ s.  A :class:`NullTracer` with
-the same surface is available for call sites that want an unconditional
-object; the instrumentation hooks themselves check the module-global
-active tracer (``None`` by default) so disabled tracing costs one
-attribute load and one ``is None`` branch.
+thread-local stack of open :class:`Span`\\ s.  The instrumentation hooks
+check the module-global active tracer (``None`` by default), so disabled
+tracing costs one attribute load and one ``is None`` branch.  The one
+timing decorator is :func:`repro.core.timing.function_timer`, which opens
+a :meth:`Tracer.span` per call while a tracer is active.
 """
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional
 
 from .events import ClockDomain, Event, EventType
 from .metrics import MetricsRegistry
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
+__all__ = ["Span", "Tracer"]
 
 #: Default event-buffer bound: large enough for a medium_scaled run,
 #: small enough that a runaway loop cannot exhaust memory.
@@ -31,19 +30,10 @@ DEFAULT_MAX_EVENTS = 200_000
 class Span:
     """One open host-side region; closed by its context manager."""
 
-    __slots__ = ("name", "type", "t0", "t1", "attrs", "depth", "parent_name")
+    __slots__ = ("name", "t0", "t1", "attrs", "depth", "parent_name")
 
-    def __init__(
-        self,
-        name: str,
-        type: EventType,
-        t0: float,
-        attrs: dict,
-        depth: int,
-        parent_name: Optional[str],
-    ):
+    def __init__(self, name: str, t0: float, attrs: dict, depth: int, parent_name: Optional[str]):
         self.name = name
-        self.type = type
         self.t0 = t0
         self.t1: Optional[float] = None
         self.attrs = attrs
@@ -213,15 +203,12 @@ class Tracer:
         return stack[-1] if stack else None
 
     @contextmanager
-    def span(
-        self, name: str, etype: EventType = EventType.SPAN, **attrs: Any
-    ) -> Iterator[Span]:
-        """Open a host-side region; emits one event when the block exits."""
+    def span(self, name: str, **attrs: Any) -> Iterator[Span]:
+        """Open a host-side region; emits one SPAN event when the block exits."""
         stack = self._span_stack()
         parent = stack[-1] if stack else None
         sp = Span(
             name,
-            etype,
             t0=self.now(),
             attrs=dict(attrs),
             depth=len(stack),
@@ -238,7 +225,7 @@ class Tracer:
                 sp.attrs.setdefault("parent", sp.parent_name)
             self.emit(
                 Event(
-                    sp.type,
+                    EventType.SPAN,
                     sp.name,
                     ts=sp.t0,
                     dur=sp.duration,
@@ -248,37 +235,15 @@ class Tracer:
             )
             self.metrics.count(f"span.{sp.name}_seconds", sp.duration)
 
-    def trace(
-        self, fn: Optional[Callable] = None, *, name: Optional[str] = None
-    ) -> Callable:
-        """Decorator form of :meth:`span` (``@tracer.trace`` or
-        ``@tracer.trace(name="...")``)."""
-        if fn is None:
-            return lambda f: self.trace(f, name=name)
-        label = name or getattr(fn, "__qualname__", getattr(fn, "__name__", "anonymous"))
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            with self.span(label):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
     @contextmanager
-    def stage(
-        self, name: str, device_clock=None, **attrs: Any
-    ) -> Iterator[None]:
-        """A pipeline-stage region.
+    def stage(self, name: str, device_clock, **attrs: Any) -> Iterator[None]:
+        """A pipeline-stage region on the *device* timeline.
 
-        When ``device_clock`` (a :class:`~repro.accel.clock.VirtualClock`)
-        is given, the stage event lands on the *device* timeline spanning
-        the virtual time the stage consumed; host wall time rides along as
-        an attribute.  Without a clock it is a plain host span.
+        The event spans the virtual time the stage consumed on
+        ``device_clock`` (a :class:`~repro.accel.clock.VirtualClock`);
+        host wall time rides along as an attribute.  A host operator's
+        exec is a plain span instead (:func:`repro.core.timing.function_timer`).
         """
-        if device_clock is None:
-            with self.span(name, etype=EventType.PIPELINE_STAGE, **attrs):
-                yield
-            return
         t0_host = self.now()
         t0_dev = device_clock.now
         try:
@@ -317,62 +282,3 @@ class Tracer:
             f"Tracer({len(self.events)} events, {self.dropped} dropped, "
             f"{len(self.metrics.kernels)} kernels)"
         )
-
-
-class NullTracer:
-    """A tracer whose every operation is a no-op.
-
-    Mirrors the :class:`Tracer` surface so user code can call it
-    unconditionally; the framework's own hooks never call it (they check
-    for an active real tracer instead, which is cheaper still).
-    """
-
-    events: Tuple[()] = ()
-    dropped = 0
-    max_events = 0
-    metrics = MetricsRegistry()
-    current_span = None
-    current_trace_id = None
-
-    def now(self) -> float:
-        return 0.0
-
-    @contextmanager
-    def trace_context(self, trace_id: Optional[str]) -> Iterator[None]:
-        yield
-
-    def emit(self, event: Event) -> None:
-        pass
-
-    def device_event(self, etype, name, ts, dur=0.0, charged_s=None, **attrs):
-        return None
-
-    @contextmanager
-    def span(self, name: str, etype: EventType = EventType.SPAN, **attrs) -> Iterator[None]:
-        yield None
-
-    def trace(self, fn: Optional[Callable] = None, *, name: Optional[str] = None) -> Callable:
-        if fn is None:
-            return lambda f: f
-        return fn
-
-    @contextmanager
-    def stage(self, name: str, device_clock=None, **attrs) -> Iterator[None]:
-        yield None
-
-    def events_of(self, *types: EventType) -> List[Event]:
-        return []
-
-    def device_timeline(self) -> List[Event]:
-        return []
-
-    def clear(self) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return "NullTracer()"
-
-
-#: The shared disabled tracer (what :func:`repro.obs.current_tracer`
-#: returns when tracing is off).
-NULL_TRACER = NullTracer()

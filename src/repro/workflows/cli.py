@@ -708,8 +708,7 @@ def _cmd_plan(size_name: str, backend_name: str, as_json: bool, seed: int) -> in
     def _run(plan_mode: str):
         d = make_satellite_data(size, realization=seed)
         accel = OmpTargetRuntime(SimulatedDevice())
-        p = satellite_processing_pipeline(size.nside, implementation=impl)
-        p.plan = plan_mode
+        p = satellite_processing_pipeline(size.nside, implementation=impl, plan=plan_mode)
         p.exec(d, use_accel=True, accel=accel)
         return d
 

@@ -310,8 +310,8 @@ def run_ingest_benchmark(
                     implementation=ImplementationType.OMP_TARGET,
                     accel=accel,
                     policy=MovementPolicy.HYBRID,
+                    plan="compiled",
                 )
-                p.plan = "compiled"
                 return p, accel
 
             cdata = make_satellite_data(size, realization=realization, sky=sky)

@@ -291,9 +291,12 @@ def run_movement_comparison(
         accel = OmpTargetRuntime()
         data = make_satellite_data(size, realization=realization)
         pipe = satellite_processing_pipeline(
-            size.nside, implementation=implementation, accel=accel, policy=policy
+            size.nside,
+            implementation=implementation,
+            accel=accel,
+            policy=policy,
+            plan=plan,
         )
-        pipe.plan = plan
         tracer = _obs.Tracer()
         with _obs.tracing(tracer):
             pipe.exec(data, use_accel=True, accel=accel)

@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import (
     Data,
     Focalplane,
@@ -16,7 +17,6 @@ from repro.core import (
     default_implementation,
     fake_hexagon_focalplane,
     function_timer,
-    global_timers,
     kernel_registry,
     use_implementation,
 )
@@ -229,10 +229,12 @@ class TestTiming:
         def snoozer():
             return 42
 
-        before = global_timers.calls("TestTiming.test_function_timer_records.<locals>.snoozer")
-        snoozer()
-        after = global_timers.calls("TestTiming.test_function_timer_records.<locals>.snoozer")
-        assert after == before + 1
+        name = "TestTiming.test_function_timer_records.<locals>.snoozer"
+        assert snoozer() == 42  # untraced: a plain call, recorded nowhere
+        with obs.tracing() as tracer:
+            assert snoozer() == 42
+        assert [e.name for e in tracer.events_of(obs.EventType.SPAN)] == [name]
+        assert GlobalTimers.from_tracer(tracer).records[name].calls == 1
 
     def test_dump_and_merge_csv(self, tmp_path):
         t1 = GlobalTimers()

@@ -447,6 +447,46 @@ class TestGroupLanesCache:
             assert_bitwise_equal(d_eager, d)
             assert d["zmap"].tobytes() == d_eager["zmap"].tobytes()
 
+    def test_stacked_launch_receives_the_cached_lanes(self, monkeypatch):
+        """Each stacked launch gets the group's cached ``flat``/``valid``
+        slabs themselves, not copies re-stacked from their rows."""
+        from repro.jaxshim.api import JitFunction
+
+        d_eager = make_data(n_obs=3)
+        Pipeline(processing_ops(), implementation=ImplementationType.JAX).exec(
+            d_eager, use_accel=True, accel=fresh_runtime()
+        )
+        seen = []
+        real_lanes, real_call = stacked.group_lanes, JitFunction.__call__
+
+        def recording_lanes(starts, stops):
+            lanes = real_lanes(starts, stops)
+            seen.append(("lanes", lanes))
+            return lanes
+
+        def recording_call(jf, *args, **kwargs):
+            if jf.name.endswith("_megabatch"):
+                seen.append((jf.name, args))
+            return real_call(jf, *args, **kwargs)
+
+        monkeypatch.setattr(stacked, "group_lanes", recording_lanes)
+        monkeypatch.setattr(JitFunction, "__call__", recording_call)
+        d = make_data(n_obs=3)
+        pipe = Pipeline(processing_ops(), implementation=ImplementationType.JAX, plan="megabatch")
+        pipe.exec(d, use_accel=True, accel=fresh_runtime())
+        assert_bitwise_equal(d_eager, d)  # maps and timestreams
+        # Each launch follows its own group_lanes lookup.
+        launches = {
+            name: (seen[i - 1][1], args)
+            for i, (name, args) in enumerate(seen)
+            if name != "lanes"
+        }
+        assert len(launches) == 6  # one per stacked kernel of the chain
+        for name, ((flat, _, _, _), args) in launches.items():
+            assert any(a is flat for a in args), name
+        (_, valid, _, _), args = launches["_scan_map_megabatch"]
+        assert any(a is valid for a in args)  # scan_map also reads the mask
+
     def test_cached_lanes_are_read_only(self):
         starts = np.array([[0, 5], [2, 0]], dtype=np.int64)
         stops = np.array([[3, 8], [6, 0]], dtype=np.int64)

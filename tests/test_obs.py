@@ -3,15 +3,23 @@
 import csv
 import io
 import json
+import sys
+from collections import Counter
 
 import pytest
 
 from repro import obs
 from repro.accel import SimulatedDevice
-from repro.core import ImplementationType
-from repro.obs import ClockDomain, Event, EventType, NullTracer, Tracer
+from repro.core import ImplementationType, LoopOrder, Pipeline
+from repro.core.timing import GlobalTimers
+from repro.obs import ClockDomain, Event, EventType, Tracer
 from repro.ompshim import OmpTargetRuntime
-from repro.workflows.satellite import SIZES, run_satellite_benchmark
+from repro.workflows.satellite import (
+    SIZES,
+    make_satellite_data,
+    run_satellite_benchmark,
+    satellite_processing_pipeline,
+)
 
 ACCEL_BACKENDS = [ImplementationType.JAX, ImplementationType.OMP_TARGET]
 
@@ -37,7 +45,6 @@ def run_traced(backend, size="tiny", mapmaking=False):
 class TestTracerCore:
     def test_disabled_by_default(self):
         assert obs.active_tracer() is None
-        assert isinstance(obs.current_tracer(), NullTracer)
 
     def test_tracing_installs_and_restores(self):
         outer = Tracer()
@@ -64,16 +71,6 @@ class TestTracerCore:
         assert inner.attrs["tag"] == "x"
         assert inner.dur >= 0
 
-    def test_trace_decorator(self):
-        t = Tracer()
-
-        @t.trace(name="work")
-        def work(x):
-            return x + 1
-
-        assert work(1) == 2
-        assert [e.name for e in t.events_of(EventType.SPAN)] == ["work"]
-
     def test_bounded_buffer_drops_oldest(self):
         t = Tracer(max_events=100)
         for i in range(250):
@@ -85,13 +82,6 @@ class TestTracerCore:
         for i in range(50):
             t2.device_event(EventType.KERNEL_LAUNCH, "k", ts=float(i), dur=1.0)
         assert t2.metrics.kernels["k"].calls == 50
-
-    def test_null_tracer_is_noop(self):
-        nt = NullTracer()
-        with nt.span("anything"):
-            pass
-        assert nt.trace(lambda: 1)() == 1
-        assert nt.events_of(EventType.SPAN) == []
 
     def test_event_validation(self):
         with pytest.raises(ValueError):
@@ -337,12 +327,6 @@ class TestTraceIds:
         t.emit(Event(EventType.ALLOC, "e", ts=0.0))
         assert t.events[0].trace_id is None
 
-    def test_null_tracer_has_the_surface(self):
-        nt = NullTracer()
-        assert nt.current_trace_id is None
-        with nt.trace_context("x"):
-            pass
-
     def test_chrome_trace_carries_trace_id_args(self, tmp_path):
         t = Tracer()
         with t.trace_context("req-9"):
@@ -416,3 +400,79 @@ class TestZeroCostWhenDisabled:
         # attached -- calls go straight through.
         assert fn.fn is kernel_registry.get("scan_map", ImplementationType.NUMPY)
         assert fn._tracer is None
+
+
+class TestFunctionTimerSpans:
+    """``function_timer`` is the one timing decorator: one span per call
+    under a tracer, nothing at all without one."""
+
+    @pytest.mark.parametrize("on_device", [False, True], ids=["host", "device"])
+    def test_untraced_run_writes_no_timing_state(self, monkeypatch, on_device):
+        touched = []
+        monkeypatch.setattr(Tracer, "span", lambda self, name, *a, **k: touched.append(name))
+        monkeypatch.setattr(GlobalTimers, "record", lambda self, name, *a: touched.append(name))
+        size = SIZES["tiny"]
+        impl = ImplementationType.OMP_TARGET if on_device else ImplementationType.NUMPY
+        accel = OmpTargetRuntime(SimulatedDevice()) if on_device else None
+        data = make_satellite_data(size)
+        satellite_processing_pipeline(size.nside, implementation=impl, accel=accel).apply(
+            data, use_accel=on_device, accel=accel
+        )
+        assert data["zmap"].any()
+        assert touched == []
+        tables = [
+            f"{name}.{attr}"
+            for name, mod in list(sys.modules.items())
+            if name.split(".")[0] == "repro" and mod is not None
+            for attr, value in vars(mod).items()
+            if isinstance(value, GlobalTimers)
+        ]
+        assert tables == []  # no process-global timer table
+
+    def test_from_tracer_rows_are_the_span_counters(self):
+        size = SIZES["tiny"]
+        data = make_satellite_data(size)
+        pipe = satellite_processing_pipeline(size.nside, implementation=ImplementationType.NUMPY)
+        with obs.tracing() as tracer:
+            pipe.apply(data)
+        timers = GlobalTimers.from_tracer(tracer)
+        assert set(timers.records) == {e.name for e in tracer.events_of(EventType.SPAN)}
+        assert {"Pipeline.exec", "Pipeline.finalize", "PointingDetector.exec"} <= set(
+            timers.records
+        )
+        for name, row in timers.records.items():
+            counter = tracer.metrics.counters[f"span.{name}_seconds"]
+            assert row.total_seconds == counter.value
+            assert row.calls == counter.samples
+            assert row.max_seconds == counter.max_sample
+
+    @pytest.mark.parametrize(
+        "order, plan, on_device",
+        [
+            (LoopOrder.OPERATOR_MAJOR, "eager", False),
+            (LoopOrder.OBSERVATION_MAJOR, "eager", False),
+            (LoopOrder.OPERATOR_MAJOR, "megabatch", False),
+            (LoopOrder.OBSERVATION_MAJOR, "eager", True),
+        ],
+        ids=["host-operator-major", "host-observation-major", "host-megabatch", "device"],
+    )
+    def test_one_span_per_operator_exec(self, order, plan, on_device):
+        size = SIZES["tiny"]
+        data = make_satellite_data(size)
+        ops = satellite_processing_pipeline(size.nside).operators
+        impl = ImplementationType.OMP_TARGET if on_device else ImplementationType.NUMPY
+        accel = OmpTargetRuntime(SimulatedDevice()) if on_device else None
+        pipe = Pipeline(ops, implementation=impl, order=order, plan=plan)
+        n_units = len(pipe.work_units(data))
+        with obs.tracing() as tracer:
+            pipe.exec(data, use_accel=on_device, accel=accel)
+        spans = tracer.events_of(EventType.SPAN)
+        op_spans = [e for e in spans if e.name.endswith(".exec") and e.name != "Pipeline.exec"]
+        assert Counter(e.name for e in op_spans) == {
+            f"{type(op).__name__}.exec": n_units for op in ops
+        }
+        assert all(e.clock is ClockDomain.HOST for e in spans)
+        assert all(e.attrs["parent"] == "Pipeline.exec" for e in op_spans)
+        stages = tracer.events_of(EventType.PIPELINE_STAGE)
+        assert all(e.clock is ClockDomain.DEVICE for e in stages)
+        assert len(stages) == (len(op_spans) if on_device else 0)

@@ -32,6 +32,7 @@ from repro.ops import (
 from repro.workflows.satellite import (
     SIZES,
     make_satellite_data,
+    same_bits,
     satellite_processing_pipeline,
 )
 
@@ -258,9 +259,24 @@ class TestLoopOrder:
         per_obs = obs_major.work_units(d)
         assert [u.obs for u in per_obs] == [[ob] for ob in d.obs]
         assert all(u.meta is d.meta and u.comm is d.comm for u in per_obs)
-        assert obs_major.work_units(empty) == []
+        assert obs_major.work_units(empty) == [empty]
         assert Pipeline(processing_ops()).work_units(d) == [d]
         assert Pipeline(processing_ops(), plan="megabatch").work_units(empty) == [empty]
+
+    @pytest.mark.parametrize("order", list(LoopOrder), ids=lambda o: o.value)
+    @pytest.mark.parametrize("plan", ["eager", "compiled", "megabatch"])
+    @pytest.mark.parametrize("on_device", [False, True], ids=["host", "device"])
+    def test_no_observations_give_a_zero_map(self, order, plan, on_device):
+        """A Data holding only the sky is one work unit under every plan
+        and order: the operators still build their global outputs."""
+        d = Data()
+        d["sky_map"] = create_fake_sky(NSIDE, seed=1)
+        impl = ImplementationType.OMP_TARGET if on_device else ImplementationType.NUMPY
+        rt = fresh_runtime() if on_device else None
+        pipe = Pipeline(processing_ops(), implementation=impl, order=order, plan=plan)
+        assert pipe.work_units(d) == [d]
+        pipe.apply(d, use_accel=on_device, accel=rt)
+        assert same_bits(d["zmap"], np.zeros((healpix_npix(NSIDE), 3)))
 
     def test_orders_produce_identical_results(self):
         from repro.core import LoopOrder

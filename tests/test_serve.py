@@ -39,7 +39,7 @@ from repro.serve import (
     route_order,
 )
 from repro.workflows.products import get_product, product_names
-from repro.workflows.satellite import SIZES
+from repro.workflows.satellite import SIZES, same_bits
 
 pytestmark = pytest.mark.usefixtures("leak_sentinel")
 
@@ -280,9 +280,9 @@ class TestServeNode:
         try:
             handle = node.produce(KEY)
             assert handle.shape == reference.shape
-            assert np.array_equal(node.fetch(handle.handle_id), reference)
+            assert same_bits(node.fetch(handle.handle_id), reference)
             band = node.fetch(handle.handle_id, SliceSpec.rows(3, 11))
-            assert np.array_equal(band, reference[3:11])
+            assert same_bits(band, reference[3:11])
         finally:
             node.shutdown()
 
@@ -317,7 +317,7 @@ class TestServeNode:
         node = ServeNode("n1", elastic_workers=2)
         try:
             handle = node.produce(KEY)
-            assert np.array_equal(node.fetch(handle.handle_id), reference)
+            assert same_bits(node.fetch(handle.handle_id), reference)
             assert node.stats()["counters"].get("elastic_produces") == 1
         finally:
             node.shutdown()
@@ -363,9 +363,9 @@ class TestPlane:
     def test_roundtrip_matches_serverless(self, reference):
         with local_plane(n_nodes=2) as (broker, nodes, make_client):
             client = make_client("c0")
-            assert np.array_equal(client.request(KEY), reference)
+            assert same_bits(client.request(KEY), reference)
             band = client.request(KEY, SliceSpec.rows(1, 7))
-            assert np.array_equal(band, reference[1:7])
+            assert same_bits(band, reference[1:7])
 
     def test_concurrent_overlapping_patches_coalesce(self, reference):
         """The tentpole determinism gate: N clients, overlapping patches,
@@ -403,7 +403,7 @@ class TestPlane:
                     )[0]
                     client = make_client("c0")
                     got = client.request(KEY)  # crashes primary mid-produce
-        assert np.array_equal(got, reference)
+        assert same_bits(got, reference)
         stats = broker.stats()
         assert stats["nodes"][primary]["breaker"] == "open"
         survivor = next(n for n in stats["nodes"] if n != primary)
@@ -417,7 +417,7 @@ class TestPlane:
                 clients = [make_client(f"c{i}") for i in range(4)]
                 results = _fanout(4, lambda i: clients[i].request(KEY))
         for got in results:
-            assert np.array_equal(got, reference)
+            assert same_bits(got, reference)
 
     def test_quota_rejection_and_event(self):
         """Admission gates resolves (the control plane); a second *resolve*
@@ -443,8 +443,8 @@ class TestPlane:
                 client = make_client("c0")
                 first = client.request(KEY)
                 second = client.request(KEY)  # this one hits the drop
-        assert np.array_equal(first, reference)
-        assert np.array_equal(second, reference)
+        assert same_bits(first, reference)
+        assert same_bits(second, reference)
         assert client.stats()["counters"].get("drops", 0) >= 1
 
     def test_eviction_forces_fresh_resolve_not_blame(self, reference):
@@ -455,10 +455,10 @@ class TestPlane:
             make_client,
         ):
             client = make_client("c0")
-            assert np.array_equal(client.request(KEY), reference)
+            assert same_bits(client.request(KEY), reference)
             client.request(key1)  # evicts KEY's slab on the single node
             again = client.request(KEY)  # stale handle -> fresh resolve
-            assert np.array_equal(again, reference)
+            assert same_bits(again, reference)
             stats = broker.stats()
             assert stats["nodes"][nodes[0].node_id]["breaker"] == "closed"
             assert client.stats()["counters"]["failovers"] == 1

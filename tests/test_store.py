@@ -40,6 +40,7 @@ from repro.workflows.satellite import (
     SIZES,
     SizeSpec,
     run_satellite_benchmark,
+    same_bits,
     satellite_processing_pipeline,
     satellite_sky,
 )
@@ -570,7 +571,7 @@ def test_streamed_eager_bitwise_parity(tmp_path, window_samples):
         meta={"sky_map": satellite_sky(_TINY)},
         config=StreamConfig(window_samples=window_samples),
     )
-    assert np.array_equal(out["zmap"], oracle)
+    assert same_bits(out["zmap"], oracle)
     if window_samples == 128:
         assert out.stream_windows == 16
 
@@ -588,7 +589,7 @@ def test_streamed_budget_bitwise_parity(tmp_path):
         config=StreamConfig(host_budget_bytes=budget),
     )
     assert out.stream_windows >= 8
-    assert np.array_equal(out["zmap"], _stream_oracle(_TINY))
+    assert same_bits(out["zmap"], _stream_oracle(_TINY))
 
 
 def test_streamed_compiled_bitwise_parity(tmp_path):
@@ -601,8 +602,8 @@ def test_streamed_compiled_bitwise_parity(tmp_path):
             implementation=ImplementationType.OMP_TARGET,
             accel=accel,
             policy=MovementPolicy.HYBRID,
+            plan="compiled",
         )
-        p.plan = "compiled"
         return p, accel
 
     data = make_satellite_data_shard(_TINY, [0, 1])
@@ -618,7 +619,7 @@ def test_streamed_compiled_bitwise_parity(tmp_path):
         use_accel=True,
         accel=saccel,
     )
-    assert np.array_equal(out["zmap"], data["zmap"])
+    assert same_bits(out["zmap"], data["zmap"])
 
 
 @pytest.mark.parametrize("n_procs", [1, 4])
@@ -631,7 +632,7 @@ def test_streamed_elastic_bitwise_parity(tmp_path, n_procs):
         store.root, n_procs=n_procs, window_samples=128, scrub=True
     )
     assert out["n_workers"] == n_procs
-    assert np.array_equal(out["zmap"], oracle)
+    assert same_bits(out["zmap"], oracle)
 
 
 def test_streamed_bitrot_recovers_bitwise(tmp_path):
@@ -653,7 +654,7 @@ def test_streamed_bitrot_recovers_bitwise(tmp_path):
     assert counters["faults_injected"] == 1
     assert counters["store.chunks_quarantined"] == 1
     assert counters["store.chunks_regenerated"] == 1
-    assert np.array_equal(out["zmap"], oracle)
+    assert same_bits(out["zmap"], oracle)
 
 
 def test_store_events_and_metrics(tmp_path):
