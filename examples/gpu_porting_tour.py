@@ -135,6 +135,8 @@ def omp_side() -> None:
 
         # One call per launch: the vectors list every (detector, interval,
         # lane) iteration of the collapsed loop, outermost index slowest.
+        # (The ported kernels launch over (n_det, starts, stops) instead,
+        # and the launcher applies this guard for them.)
         def body(idet, iivl, lanes):
             keep = lanes < stops[iivl]  # the in-loop guard
             d[idet[keep], iivl[keep], lanes[keep]] = idet[keep] + 1

@@ -8,11 +8,10 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..ompshim.runtime import collapse3
+from ..math.segments import segments
+from ..ompshim.runtime import LoopNest
 
 __all__ = [
-    "check_intervals",
-    "max_interval_length",
     "pad_intervals",
     "pad_intervals_grouped",
     "flatten_intervals",
@@ -22,28 +21,6 @@ __all__ = [
     "after_launch",
     "recording_launches",
 ]
-
-
-def check_intervals(starts: np.ndarray, stops: np.ndarray, n_samples: int) -> None:
-    """Validate interval arrays against the sample count."""
-    starts = np.asarray(starts)
-    stops = np.asarray(stops)
-    if starts.shape != stops.shape or starts.ndim != 1:
-        raise ValueError("interval starts/stops must be matching 1-D arrays")
-    if len(starts) and (
-        np.any(starts < 0) or np.any(stops < starts) or np.any(stops > n_samples)
-    ):
-        raise ValueError("intervals out of range")
-
-
-def max_interval_length(starts: np.ndarray, stops: np.ndarray) -> int:
-    """The longest interval's sample count: the collapse(3) lane extent.
-
-    Empty and inverted spans count as zero samples, so a list with no
-    samples at all -- no spans, or only degenerate ones -- gives 0 and its
-    kernel launches nothing, like the scalar reference's empty ``range()``.
-    """
-    return int(np.max(np.subtract(stops, starts), initial=0))
 
 
 def pad_intervals(
@@ -60,21 +37,13 @@ def pad_intervals(
     A degenerate (empty or inverted) interval has no sample of its own:
     its lanes go to the list's first valid sample (the megabatch anchor
     rule), so their dummy work rewrites a value a valid lane also writes.
-    An empty interval list pads to a ``(0, 0)`` slab.
+    An empty interval list pads to a ``(0, 0)`` slab.  The arrays are the
+    segment descriptor's (:attr:`~repro.math.segments.Segments.padded`),
+    shared and read-only.
     """
-    starts = np.asarray(starts, dtype=np.int64)
-    stops = np.asarray(stops, dtype=np.int64)
-    if len(starts) == 0:
-        return np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0), dtype=bool), 0
-    # Degenerate intervals contribute no valid lanes, mirroring the scalar
-    # reference's empty range().
-    lengths = np.maximum(stops - starts, 0)
-    max_len = int(lengths.max())
-    lanes = np.arange(max_len, dtype=np.int64)
-    valid = lanes[None, :] < lengths[:, None]
-    clamped = np.minimum(starts[:, None] + lanes[None, :], stops[:, None] - 1)
-    clamped[lengths == 0] = starts[np.argmax(lengths > 0)]
-    return clamped, valid, max_len
+    seg = segments(starts, stops)
+    index, valid = seg.padded
+    return index, valid, seg.max_len
 
 
 def pad_intervals_grouped(
@@ -117,23 +86,13 @@ def flatten_intervals(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     (detector inner) so windowed streaming over the sample axis
     reproduces the full-run accumulation.
 
-    The construction itself is vectorized (no Python loop over intervals);
-    zero-length intervals contribute nothing.
+    Empty (start == stop) and inverted (stop < start) intervals contribute
+    nothing, exactly like the reference's ``range(start, stop)``.  The
+    result is the segment descriptor's ``flat``
+    (:mod:`repro.math.segments`): derived once per interval list and
+    shared by every kernel over it, hence read-only.
     """
-    starts = np.asarray(starts, dtype=np.int64)
-    stops = np.asarray(stops, dtype=np.int64)
-    if len(starts) == 0:
-        return np.zeros(0, dtype=np.int64)
-    # Empty (start == stop) and inverted (stop < start) intervals both
-    # flatten to nothing, exactly like the reference's ``range(start, stop)``.
-    lengths = np.maximum(stops - starts, 0)
-    total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    # Lane j of the flat index lives in interval k at in-interval offset
-    # j - cum[k]; its sample index is starts[k] + (j - cum[k]).
-    cum = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(lengths)[:-1]))
-    return np.repeat(starts - cum, lengths) + np.arange(total, dtype=np.int64)
+    return segments(starts, stops).flat
 
 
 def resolve_view(accel, arr: np.ndarray, use_accel: bool) -> np.ndarray:
@@ -150,7 +109,7 @@ def resolve_view(accel, arr: np.ndarray, use_accel: bool) -> np.ndarray:
 
 def host_parallel_for_collapse3(
     name: str,
-    grid: Tuple[int, int, int],
+    grid,
     body: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
     flops_per_iteration: float = 10.0,
     bytes_per_iteration: float = 24.0,
@@ -158,11 +117,11 @@ def host_parallel_for_collapse3(
     """Host fallback of the collapse(3) launcher (no device, no charge).
 
     The same sweep as the device launcher: one ``body`` call over the
-    :func:`~repro.ompshim.runtime.collapse3` index vectors of ``grid``.
+    iterations of the :class:`~repro.ompshim.runtime.LoopNest` of ``grid``.
     """
-    i, j, k = collapse3(grid)
-    if len(k):
-        body(i, j, k)
+    nest = LoopNest.of(grid)
+    if nest.size:
+        body(*nest.iterations())
 
 
 class LaunchRecord:
@@ -170,17 +129,20 @@ class LaunchRecord:
     per-observation kernel made under :func:`recording_launches`."""
 
     def __init__(self) -> None:
-        self.grid: Optional[Tuple[int, int, int]] = None
+        self.nest: Optional[LoopNest] = None
         self.body: Optional[Callable] = None
         self.costs: dict = {}
         self.commits: List[Callable[[], None]] = []
 
     def launch(self, name, grid, body, **costs) -> None:
+        nest = LoopNest.of(grid)
+        if not nest.launches:
+            return
         if self.body is not None:
             raise RuntimeError(
                 f"{name}: a stacked entry needs one launch per observation"
             )
-        self.grid = tuple(int(g) for g in grid)
+        self.nest = nest
         self.body = body
         self.costs = costs
 

@@ -3,13 +3,15 @@
 Each kernel keeps the compiled-CPU loop structure and adds the offload
 machinery (paper §3.1.2): the triple (detector, interval, sample) loop is
 collapsed and launched over the device through
-``target_teams_distribute_parallel_for``; intervals are iterated at the
-precomputed maximum interval size with an in-loop guard cutting
-out-of-interval work; data is dereferenced through mapped device pointers.
+``target_teams_distribute_parallel_for`` as the nest ``(n_det, starts,
+stops)``; the launch is charged for the maximum interval size, and the
+launcher's in-loop guard cuts the out-of-interval lanes once, from the
+intervals' segment descriptor; data is dereferenced through mapped device
+pointers.
 
 A kernel's loop body runs once per launch, over the collapsed
-``(idet, iivl, lanes)`` index vectors in loop order (detector outermost,
-lane innermost).  The guard is a mask over all three; per-detector
+``(idet, iivl, lanes)`` index vectors of the iterations that pass the
+guard, in loop order (detector outermost, lane innermost).  Per-detector
 values become per-lane gathers.  Per-sample data is addressed by the flat
 offset ``row = idet * n_samp + s``, as in the C port, and moved through
 the ordered row substrate (:mod:`repro.math.rows`): ``take_rows``

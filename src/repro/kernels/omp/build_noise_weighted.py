@@ -1,22 +1,24 @@
 """build_noise_weighted, OpenMP Target Offload implementation.
 
-Each (detector, interval) launcher iteration computes its contributions
-into its own slots of a scratch buffer -- write-disjoint, so iteration
-order is free, as it is on the device.  The scratch is laid out
-sample-major (interval, lane, detector inner), so the map commit is a
-single ordered scatter (:func:`~repro.math.rows.add_rows`) over it in
-that order, standing in for the device kernel's atomic adds with the
-repo-wide canonical accumulation order -- the order that makes windowed
-streaming over the sample axis bitwise identical to a full-observation
-run.  The commit runs through ``after_launch``, so a stacked launch
-commits each observation after the whole group's loop.
+Each (detector, interval, lane) launcher iteration computes its
+contribution into its own slot of a scratch buffer -- write-disjoint, so
+iteration order is free, as it is on the device.  The scratch is laid out
+sample-major (the interval's offset among the in-interval samples plus the
+lane, detector inner), so the map commit is a single ordered scatter
+(:func:`~repro.math.rows.add_rows`) over it in that order, standing in for
+the device kernel's atomic adds with the repo-wide canonical accumulation
+order -- the order that makes windowed streaming over the sample axis
+bitwise identical to a full-observation run.  The commit runs through
+``after_launch``, so a stacked launch commits each observation after the
+whole group's loop.
 """
 
 import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
 from ...math.rows import add_rows, put_rows, take_rows
-from ..common import after_launch, launcher_for, max_interval_length, resolve_view
+from ...math.segments import segments
+from ..common import after_launch, launcher_for, resolve_view
 
 
 @kernel("build_noise_weighted", ImplementationType.OMP_TARGET)
@@ -36,10 +38,7 @@ def build_noise_weighted(
     use_accel=False,
 ):
     n_det, n_samp = pixels.shape
-    n_ivl = len(starts)
-    max_len = max_interval_length(starts, stops)
-    if max_len == 0:
-        return
+    seg = segments(starts, stops)
 
     d_zmap = resolve_view(accel, zmap, use_accel)
     d_pix = resolve_view(accel, pixels, use_accel)
@@ -50,13 +49,10 @@ def build_noise_weighted(
     d_det_flags = resolve_view(accel, det_flags, use_accel) if det_flags is not None else None
 
     nnz = d_zmap.shape[1]
-    # Padded lanes stay (pixel 0, contribution 0.0): a no-op add.
-    pix_buf = np.zeros((n_ivl, max_len, n_det), dtype=np.int64)
-    contrib_buf = np.zeros((n_ivl, max_len, n_det, nnz), dtype=d_zmap.dtype)
+    pix_buf = np.zeros((seg.n_samples, n_det), dtype=np.int64)
+    contrib_buf = np.zeros((seg.n_samples, n_det, nnz), dtype=d_zmap.dtype)
 
     def body(idet, iivl, lanes):
-        keep = lanes < stops[iivl] - starts[iivl]
-        idet, iivl, lanes = idet[keep], iivl[keep], lanes[keep]
         s = starts[iivl] + lanes
         row = idet * n_samp + s
         pix = take_rows(d_pix, row, lead=2)
@@ -67,9 +63,10 @@ def build_noise_weighted(
             good = good & ((take_rows(d_det_flags, row, lead=2) & det_mask) == 0)
         z = d_scale[idet] * take_rows(d_tod, row, lead=2)
         contrib = z[:, None] * take_rows(d_wts, row, lead=2)
-        slot = (iivl * max_len + lanes) * n_det + idet
-        put_rows(pix_buf, slot, np.where(good, pix, 0), lead=3)
-        put_rows(contrib_buf, slot, np.where(good[:, None], contrib, 0.0), lead=3)
+        slot = (seg.offsets[iivl] + lanes) * n_det + idet
+        # Flagged lanes add (pixel 0, contribution 0.0): a no-op add.
+        put_rows(pix_buf, slot, np.where(good, pix, 0), lead=2)
+        put_rows(contrib_buf, slot, np.where(good[:, None], contrib, 0.0), lead=2)
 
     def commit():
         # Ordered commit: intervals are sorted and lanes ascend within each,
@@ -78,7 +75,7 @@ def build_noise_weighted(
 
     launcher_for(accel, use_accel)(
         "build_noise_weighted",
-        (n_det, n_ivl, max_len),
+        (n_det, starts, stops),
         body,
         flops_per_iteration=10.0,
         bytes_per_iteration=96.0,

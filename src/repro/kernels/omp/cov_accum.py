@@ -4,7 +4,7 @@ import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
 from ...math.rows import add_rows, take_rows
-from ..common import launcher_for, max_interval_length, resolve_view
+from ..common import launcher_for, resolve_view
 
 
 @kernel("cov_accum_diag_hits", ImplementationType.OMP_TARGET)
@@ -17,18 +17,12 @@ def cov_accum_diag_hits(
     use_accel=False,
 ):
     n_det, n_samp = pixels.shape
-    n_ivl = len(starts)
-    max_len = max_interval_length(starts, stops)
-    if max_len == 0:
-        return
 
     d_hits = resolve_view(accel, hits, use_accel)
     d_pix = resolve_view(accel, pixels, use_accel)
 
     def body(idet, iivl, lanes):
-        keep = lanes < stops[iivl] - starts[iivl]
-        idet = idet[keep]
-        s = starts[iivl[keep]] + lanes[keep]
+        s = starts[iivl] + lanes
         row = idet * n_samp + s
         pix = take_rows(d_pix, row, lead=2)
         good = pix >= 0
@@ -36,7 +30,7 @@ def cov_accum_diag_hits(
 
     launcher_for(accel, use_accel)(
         "cov_accum_diag_hits",
-        (n_det, n_ivl, max_len),
+        (n_det, starts, stops),
         body,
         flops_per_iteration=2.0,
         bytes_per_iteration=24.0,
@@ -55,10 +49,6 @@ def cov_accum_diag_invnpp(
     use_accel=False,
 ):
     n_det, n_samp = pixels.shape
-    n_ivl = len(starts)
-    max_len = max_interval_length(starts, stops)
-    if max_len == 0:
-        return
     nnz = weights.shape[2]
     tri = [(i, j) for i in range(nnz) for j in range(i, nnz)]
 
@@ -68,9 +58,7 @@ def cov_accum_diag_invnpp(
     d_scale = resolve_view(accel, det_scale, use_accel)
 
     def body(idet, iivl, lanes):
-        keep = lanes < stops[iivl] - starts[iivl]
-        idet = idet[keep]
-        s = starts[iivl[keep]] + lanes[keep]
+        s = starts[iivl] + lanes
         row = idet * n_samp + s
         pix = take_rows(d_pix, row, lead=2)
         good = pix >= 0
@@ -81,7 +69,7 @@ def cov_accum_diag_invnpp(
 
     launcher_for(accel, use_accel)(
         "cov_accum_diag_invnpp",
-        (n_det, n_ivl, max_len),
+        (n_det, starts, stops),
         body,
         flops_per_iteration=18.0,
         bytes_per_iteration=104.0,

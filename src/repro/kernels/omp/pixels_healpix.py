@@ -10,7 +10,7 @@ import numpy as np
 from ...core.dispatch import ImplementationType, kernel
 from ...healpix import ang2pix
 from ...math.rows import put_rows, take_rows
-from ..common import launcher_for, max_interval_length, resolve_view
+from ..common import launcher_for, resolve_view
 
 
 @kernel("pixels_healpix", ImplementationType.OMP_TARGET)
@@ -27,19 +27,13 @@ def pixels_healpix(
     use_accel=False,
 ):
     n_det, n_samp = quats.shape[:2]
-    n_ivl = len(starts)
-    max_len = max_interval_length(starts, stops)
-    if max_len == 0:
-        return
 
     d_quats = resolve_view(accel, quats, use_accel)
     d_out = resolve_view(accel, pixels_out, use_accel)
     d_flags = resolve_view(accel, shared_flags, use_accel) if shared_flags is not None else None
 
     def body(idet, iivl, lanes):
-        keep = lanes < stops[iivl] - starts[iivl]
-        idet = idet[keep]
-        s = starts[iivl[keep]] + lanes[keep]
+        s = starts[iivl] + lanes
         row = idet * n_samp + s
         q = take_rows(d_quats, row, lead=2)
         x, y, z, w = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
@@ -56,7 +50,7 @@ def pixels_healpix(
 
     launcher_for(accel, use_accel)(
         "pixels_healpix",
-        (n_det, n_ivl, max_len),
+        (n_det, starts, stops),
         body,
         flops_per_iteration=80.0,
         bytes_per_iteration=48.0,

@@ -4,7 +4,7 @@ import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
 from ...math.rows import put_rows, take_rows
-from ..common import launcher_for, max_interval_length, resolve_view
+from ..common import launcher_for, resolve_view
 
 
 def _qa_mult_one(p, q):
@@ -33,10 +33,6 @@ def pointing_detector(
 ):
     n_det = fp_quats.shape[0]
     n_samp = boresight.shape[0]
-    n_ivl = len(starts)
-    max_len = max_interval_length(starts, stops)
-    if max_len == 0:
-        return
 
     d_fp = resolve_view(accel, fp_quats, use_accel)
     d_bore = resolve_view(accel, boresight, use_accel)
@@ -44,9 +40,7 @@ def pointing_detector(
     d_flags = resolve_view(accel, shared_flags, use_accel) if shared_flags is not None else None
 
     def body(idet, iivl, lanes):
-        keep = lanes < stops[iivl] - starts[iivl]  # the interval guard
-        idet = idet[keep]
-        s = starts[iivl[keep]] + lanes[keep]
+        s = starts[iivl] + lanes
         row = idet * n_samp + s
         fp = take_rows(d_fp, idet)
         rotated = _qa_mult_one(take_rows(d_bore, s), fp)
@@ -57,7 +51,7 @@ def pointing_detector(
 
     launcher_for(accel, use_accel)(
         "pointing_detector",
-        (n_det, n_ivl, max_len),
+        (n_det, starts, stops),
         body,
         flops_per_iteration=28.0,
         bytes_per_iteration=72.0,

@@ -4,7 +4,7 @@ import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
 from ...math.rows import put_rows, take_rows
-from ..common import launcher_for, max_interval_length, resolve_view
+from ..common import launcher_for, resolve_view
 
 
 @kernel("scan_map", ImplementationType.OMP_TARGET)
@@ -22,10 +22,6 @@ def scan_map(
     use_accel=False,
 ):
     n_det, n_samp = pixels.shape
-    n_ivl = len(starts)
-    max_len = max_interval_length(starts, stops)
-    if max_len == 0:
-        return
 
     d_map = resolve_view(accel, map_data, use_accel)
     d_pix = resolve_view(accel, pixels, use_accel)
@@ -33,9 +29,7 @@ def scan_map(
     d_tod = resolve_view(accel, tod, use_accel)
 
     def body(idet, iivl, lanes):
-        keep = lanes < stops[iivl] - starts[iivl]
-        idet = idet[keep]
-        s = starts[iivl[keep]] + lanes[keep]
+        s = starts[iivl] + lanes
         row = idet * n_samp + s
         pix = take_rows(d_pix, row, lead=2)
         good = pix >= 0
@@ -53,7 +47,7 @@ def scan_map(
 
     launcher_for(accel, use_accel)(
         "scan_map",
-        (n_det, n_ivl, max_len),
+        (n_det, starts, stops),
         body,
         flops_per_iteration=8.0,
         bytes_per_iteration=72.0,

@@ -1,29 +1,59 @@
 """The OpenMP stacked (megabatch) entry, derived from the per-observation kernels.
 
 Every OpenMP kernel writes its loop body once, as a closure over one
-observation's device views, and launches it over the collapse(3) grid
-``(n_det, n_ivl, max_len)``.  The stacked entry reuses that body
+observation's device views, and launches it over its collapse(3) nest
+``(n_det, starts, stops)``.  The stacked entry reuses that body
 unchanged: it runs each group member's per-observation kernel with its
 launch recorded (:func:`~repro.kernels.common.recording_launches`), then
 makes *one* launch named ``<kernel>.megabatch`` whose outer dimension
 becomes ``n_obs * n_det`` -- the OpenMP way of stacking a batch axis
 without changing the loop nest (cf. the paper's collapse clauses).
 
-The outer index is observation-major, so member ``iobs`` owns one
-contiguous slice of the launch's collapsed index vectors.  The stacked
-body calls each member's body once, in observation order, on its slice
-with the detector index rebased and the lanes cut at the member's own
-``max_len`` -- exactly the iterations of the member's own launch.  Its
-``(0, 0)`` padding intervals fail the in-loop guard, and a member with
-no samples at all recorded no launch and is skipped.  In-body scatters
-therefore accumulate in the eager order, and commits a kernel defers
-with :func:`~repro.kernels.common.after_launch` (``build_noise_weighted``'s
-buffered, sample-major one) run after the stacked launch, once per
-member in observation order -- GLOBAL outputs are committed last,
-bitwise identical to running the members one at a time.
+The launch is charged for the padded stacked grid ``(n_obs * n_det,
+n_ivl, max_len)``; its iterations are the members' own, observation-major
+(:class:`StackedNest`).  Member ``iobs`` therefore owns one contiguous run
+of the collapsed index vectors, and the stacked body hands each member its
+run, in observation order, with the detector index rebased -- exactly the
+iterations of the member's own launch.  A member with no samples at all
+recorded no launch and is skipped.  In-body scatters therefore accumulate
+in the eager order, and commits a kernel defers with
+:func:`~repro.kernels.common.after_launch` (``build_noise_weighted``'s
+buffered, sample-major one) run after the stacked launch, once per member
+in observation order -- GLOBAL outputs are committed last, bitwise
+identical to running the members one at a time.
 """
 
+import numpy as np
+
+from ...ompshim.runtime import LoopNest
 from ..common import launcher_for, recording_launches
+
+
+class StackedNest(LoopNest):
+    """One launch over the nests of ``n_obs`` group members.
+
+    ``members`` lists ``(iobs, nest)`` for the members that launched; they
+    share ``(n_det, n_ivl)``.  Member ``iobs`` is outer block ``iobs``.
+    """
+
+    def __init__(self, n_obs, members):
+        self.n_det, n_ivl, _ = members[0][1].extents
+        self.segments = None
+        self.extents = (n_obs * self.n_det, n_ivl, max(n.extents[2] for _, n in members))
+        self.members = members
+
+    @property
+    def n_iterations(self) -> int:
+        return sum(nest.n_iterations for _, nest in self.members)
+
+    def iterations(self):
+        parts = [nest.iterations() for _, nest in self.members]
+        outer = [i + iobs * self.n_det for (iobs, _), (i, _, _) in zip(self.members, parts)]
+        return (
+            np.concatenate(outer),
+            np.concatenate([j for _, j, _ in parts]),
+            np.concatenate([k for _, _, k in parts]),
+        )
 
 
 def stacked_entry(spec, per_observation):
@@ -40,27 +70,20 @@ def stacked_entry(spec, per_observation):
             with recording_launches() as record:
                 per_observation(**args, accel=accel, use_accel=use_accel)
             records.append(record)
-        launched = [r for r in records if r.body is not None]
+        launched = [(iobs, r) for iobs, r in enumerate(records) if r.body is not None]
         if not launched:
             return
-        n_det, n_ivl, _ = launched[0].grid
-        max_len = max(r.grid[2] for r in launched)
-        per_member = n_det * n_ivl * max_len
+        nest = StackedNest(len(records), [(iobs, r.nest) for iobs, r in launched])
 
         def body(i, iivl, lanes):
-            for iobs, member in enumerate(records):
-                if member.body is not None:
-                    own = slice(iobs * per_member, (iobs + 1) * per_member)
-                    keep = lanes[own] < member.grid[2]
-                    member.body(
-                        i[own][keep] - iobs * n_det, iivl[own][keep], lanes[own][keep]
-                    )
+            lo = 0
+            for iobs, member in launched:
+                hi = lo + member.nest.n_iterations
+                member.body(i[lo:hi] - iobs * nest.n_det, iivl[lo:hi], lanes[lo:hi])
+                lo = hi
 
         launcher_for(accel, use_accel)(
-            f"{spec.name}.megabatch",
-            (len(records) * n_det, n_ivl, max_len),
-            body,
-            **launched[0].costs,
+            f"{spec.name}.megabatch", nest, body, **launched[0][1].costs
         )
         for record in records:
             for commit in record.commits:

@@ -2,7 +2,7 @@
 
 from ...core.dispatch import ImplementationType, kernel
 from ...math.rows import put_rows
-from ..common import launcher_for, max_interval_length, resolve_view
+from ..common import launcher_for, resolve_view
 
 
 @kernel("stokes_weights_I", ImplementationType.OMP_TARGET)
@@ -15,23 +15,17 @@ def stokes_weights_I(
     use_accel=False,
 ):
     n_det, n_samp = weights_out.shape
-    n_ivl = len(starts)
-    max_len = max_interval_length(starts, stops)
-    if max_len == 0:
-        return
 
     d_out = resolve_view(accel, weights_out, use_accel)
 
     def body(idet, iivl, lanes):
-        keep = lanes < stops[iivl] - starts[iivl]
-        idet = idet[keep]
-        s = starts[iivl[keep]] + lanes[keep]
+        s = starts[iivl] + lanes
         row = idet * n_samp + s
         put_rows(d_out, row, cal, lead=2)
 
     launcher_for(accel, use_accel)(
         "stokes_weights_I",
-        (n_det, n_ivl, max_len),
+        (n_det, starts, stops),
         body,
         flops_per_iteration=1.0,
         bytes_per_iteration=8.0,

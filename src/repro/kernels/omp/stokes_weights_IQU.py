@@ -4,7 +4,7 @@ import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
 from ...math.rows import put_rows, take_rows
-from ..common import launcher_for, max_interval_length, resolve_view
+from ..common import launcher_for, resolve_view
 
 
 def _position_angle(q):
@@ -35,10 +35,6 @@ def stokes_weights_IQU(
     use_accel=False,
 ):
     n_det, n_samp = quats.shape[:2]
-    n_ivl = len(starts)
-    max_len = max_interval_length(starts, stops)
-    if max_len == 0:
-        return
 
     d_quats = resolve_view(accel, quats, use_accel)
     d_out = resolve_view(accel, weights_out, use_accel)
@@ -46,9 +42,7 @@ def stokes_weights_IQU(
     d_eps = resolve_view(accel, epsilon, use_accel)
 
     def body(idet, iivl, lanes):
-        keep = lanes < stops[iivl] - starts[iivl]
-        idet = idet[keep]
-        s = starts[iivl[keep]] + lanes[keep]
+        s = starts[iivl] + lanes
         row = idet * n_samp + s
         eta = (1.0 - d_eps[idet]) / (1.0 + d_eps[idet])
         angle = _position_angle(take_rows(d_quats, row, lead=2))
@@ -63,7 +57,7 @@ def stokes_weights_IQU(
 
     launcher_for(accel, use_accel)(
         "stokes_weights_IQU",
-        (n_det, n_ivl, max_len),
+        (n_det, starts, stops),
         body,
         flops_per_iteration=60.0,
         bytes_per_iteration=64.0,

@@ -4,15 +4,19 @@ Most ported kernels run a triple loop over (detectors, intervals, samples);
 intervals are half-open spans ``[first, last)`` of sample indices with
 varying lengths.  The varying length is exactly what forced the padding
 workarounds discussed in the paper (static shapes in JAX, collapse-friendly
-loops in OpenMP), so the algebra here is a first-class substrate.
+loops in OpenMP), so the algebra here is a first-class substrate.  Each
+list hands the kernels one read-only ``(starts, stops)`` pair and owns its
+segment descriptor (:mod:`repro.math.segments`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .segments import Segments, adopt
 
 __all__ = ["Interval", "IntervalList", "regular_intervals"]
 
@@ -42,7 +46,9 @@ class IntervalList:
     """An ordered, non-overlapping list of :class:`Interval` spans.
 
     Construction normalizes the input: spans are sorted, merged when they
-    touch or overlap, and empty spans are dropped.
+    touch or overlap, and empty spans are dropped.  A list never changes
+    afterwards, so its kernel arrays and segment descriptor are built once,
+    on first use, and live as long as the list.
     """
 
     def __init__(self, spans: Iterable[Tuple[int, int]] = ()):  # noqa: D401
@@ -57,6 +63,17 @@ class IntervalList:
             else:
                 normalized.append(iv)
         self._spans: List[Interval] = normalized
+        self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._segments: Optional[Segments] = None
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles rebuild their own arrays and descriptor.
+        return {"_spans": self._spans}
+
+    def __setstate__(self, state: dict) -> None:
+        self._spans = state["_spans"]
+        self._arrays = None
+        self._segments = None
 
     # -- container protocol -------------------------------------------------
 
@@ -81,10 +98,23 @@ class IntervalList:
     # -- conversions ---------------------------------------------------------
 
     def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(starts, stops)`` as int64 arrays -- the kernel ABI."""
-        starts = np.array([iv.first for iv in self._spans], dtype=np.int64)
-        stops = np.array([iv.last for iv in self._spans], dtype=np.int64)
-        return starts, stops
+        """``(starts, stops)`` as int64 arrays -- the kernel ABI.
+
+        The same read-only pair on every call; kernels find the list's
+        :attr:`segments` from it (:func:`repro.math.segments.segments`).
+        """
+        if self._arrays is None:
+            starts = np.array([iv.first for iv in self._spans], dtype=np.int64)
+            stops = np.array([iv.last for iv in self._spans], dtype=np.int64)
+            self._arrays = adopt(self, starts, stops)
+        return self._arrays
+
+    @property
+    def segments(self) -> Segments:
+        """The list's segment descriptor, built on first use."""
+        if self._segments is None:
+            self._segments = Segments(*self.as_arrays())
+        return self._segments
 
     @classmethod
     def from_arrays(cls, starts: Sequence[int], stops: Sequence[int]) -> "IntervalList":
@@ -124,7 +154,7 @@ class IntervalList:
     def max_length(self) -> int:
         """Length of the longest interval -- the static padding size used by
         the jax and omp kernel implementations."""
-        return max((len(iv) for iv in self._spans), default=0)
+        return self.segments.max_len
 
     # -- set algebra -----------------------------------------------------------
 

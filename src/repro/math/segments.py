@@ -1,0 +1,122 @@
+"""One segment descriptor per interval list: the kernels' view of ``(starts, stops)``.
+
+Every port walks the same segments -- the flat in-interval samples of the
+numpy kernels, the guarded collapse(3) nest of the OpenMP launcher, the
+padded lanes of the JAX kernels.  :class:`Segments` derives them from one
+``(starts, stops)`` pair.  An :class:`~repro.math.intervals.IntervalList`
+hands out one read-only pair and owns one descriptor, built on first use
+and dropped with the list; :func:`segments` finds it from the arrays alone,
+so no kernel signature changes.  Any other pair (a megabatch slab row, a
+raw test array) gets a fresh descriptor that nothing keeps.
+
+Memory: per in-interval sample, ``flat``, ``ivl`` and ``lane`` hold 8 B
+each (24 B, built on first use); the JAX padded lanes add 9 B per padded
+lane (``n_ivl * max_len``).  Nothing is held per detector: the launcher
+expands a detector sweep per launch (:meth:`Segments.sweep`).
+"""
+
+from __future__ import annotations
+
+import weakref
+from functools import cached_property
+from typing import Tuple
+
+import numpy as np
+
+__all__ = ["Segments", "segments", "adopt"]
+
+#: ``id(starts)`` -> the owner (an ``IntervalList``) that handed out the
+#: read-only ``starts``.  The owner keeps its arrays alive, so an id found
+#: here cannot belong to a different array; the entry dies with its owner.
+_owners: "weakref.WeakValueDictionary[int, object]" = weakref.WeakValueDictionary()
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class Segments:
+    """The segments of one ``(starts, stops)`` pair of half-open spans.
+
+    Empty and inverted spans hold no sample, like the scalar reference's
+    empty ``range()``.  Per interval: ``lengths`` and ``offsets`` (each
+    span's first position among the in-interval samples), plus
+    ``max_len`` and ``n_samples``.  Per in-interval sample, in interval
+    order: ``flat`` (its sample index), ``ivl`` (its interval) and
+    ``lane`` (its offset in the interval).  Every array is read-only.
+    """
+
+    def __init__(self, starts, stops):
+        self.starts = np.asarray(starts, dtype=np.int64)
+        self.stops = np.asarray(stops, dtype=np.int64)
+        lengths = np.maximum(self.stops - self.starts, 0)
+        self.lengths = _frozen(lengths)
+        self.offsets = _frozen(np.cumsum(lengths) - lengths)
+        self.max_len = int(lengths.max(initial=0))
+        self.n_samples = int(lengths.sum())
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    @cached_property
+    def flat(self) -> np.ndarray:
+        positions = np.arange(self.n_samples, dtype=np.int64)
+        return _frozen(np.repeat(self.starts - self.offsets, self.lengths) + positions)
+
+    @cached_property
+    def ivl(self) -> np.ndarray:
+        return _frozen(np.repeat(np.arange(len(self), dtype=np.int64), self.lengths))
+
+    @cached_property
+    def lane(self) -> np.ndarray:
+        positions = np.arange(self.n_samples, dtype=np.int64)
+        return _frozen(positions - np.repeat(self.offsets, self.lengths))
+
+    @cached_property
+    def padded(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(sample_index, valid)``, each ``(n_ivl, max_len)``: the lanes
+        padded to the longest interval (paper §3.1.3).
+
+        A padding lane is clamped to its interval's last sample, so it
+        redoes that sample's work; a degenerate interval's lanes go to the
+        list's first valid sample.  Accumulating kernels zero padding
+        contributions with ``valid``.
+        """
+        lanes = np.arange(self.max_len, dtype=np.int64)
+        valid = lanes[None, :] < self.lengths[:, None]
+        index = np.minimum(self.starts[:, None] + lanes, self.stops[:, None] - 1)
+        if len(self):
+            index[self.lengths == 0] = self.starts[np.argmax(self.lengths > 0)]
+        return _frozen(index), _frozen(valid)
+
+    def sweep(self, n_outer: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The iterations ``(i, j, k)`` of ``for i in range(n_outer): for j
+        in range(n_ivl): for k in range(max_len):`` that pass the guard
+        ``k < lengths[j]``, in loop order: ``n_outer`` copies of ``(ivl,
+        lane)``, built per call."""
+        return (
+            np.repeat(np.arange(n_outer, dtype=np.int64), self.n_samples),
+            np.tile(self.ivl, n_outer),
+            np.tile(self.lane, n_outer),
+        )
+
+
+def adopt(owner, starts: np.ndarray, stops: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Make ``(starts, stops)`` read-only and let :func:`segments` find
+    ``owner.segments`` from them.  Returns the pair."""
+    _frozen(starts)
+    _frozen(stops)
+    _owners[id(starts)] = owner
+    return starts, stops
+
+
+def segments(starts, stops) -> Segments:
+    """The descriptor of ``(starts, stops)``: its owner's, when both
+    arrays are the pair an owner handed out, else a fresh one."""
+    owner = _owners.get(id(starts))
+    if owner is not None:
+        own_starts, own_stops = owner.as_arrays()
+        if own_starts is starts and own_stops is stops:
+            return owner.segments
+    return Segments(starts, stops)

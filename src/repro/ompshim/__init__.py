@@ -13,10 +13,11 @@ simulated device:
 * ``OmpTargetRuntime.target_teams_distribute_parallel_for`` -- the
   collapsed triple-loop launcher: team blocks over (detector, interval),
   SIMD lanes over samples.  Like a GPU running the whole region at once,
-  it calls the loop body once, with the collapsed index vectors of
-  :func:`~repro.ompshim.runtime.collapse3` in loop order; the body
-  applies the in-loop guard the paper uses for variable-length intervals
-  as a mask over them.
+  it calls the loop body once, with the collapsed index vectors of a
+  :class:`~repro.ompshim.runtime.LoopNest` in loop order.  Over an
+  interval list the nest applies the in-loop guard the paper uses for
+  variable-length intervals: the body sees only the in-interval
+  iterations, while the device is charged for the padded grid.
 
 Kernels written against this API mutate device views in place (the OpenMP
 style), in contrast to jaxshim's pure-functional model -- the exact
@@ -24,7 +25,7 @@ contrast the paper studies.
 """
 
 from .errors import OmpError, NotPresentError, MappingError
-from .runtime import OmpTargetRuntime, collapse3
+from .runtime import LoopNest, OmpTargetRuntime
 from .datamap import MapClause
 
 __all__ = [
@@ -32,6 +33,6 @@ __all__ = [
     "NotPresentError",
     "MappingError",
     "OmpTargetRuntime",
-    "collapse3",
+    "LoopNest",
     "MapClause",
 ]

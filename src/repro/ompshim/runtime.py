@@ -4,7 +4,7 @@ One :class:`OmpTargetRuntime` wraps one simulated device and exposes the
 OpenMP device API (``omp_target_alloc``/``free``/``memcpy``), the data
 environment (``target_data``, ``target_enter_data``/``exit_data``,
 ``target_update_*``), and the collapsed-loop kernel launcher.
-:func:`collapse3` is that launcher's iteration space, shared with the
+:class:`LoopNest` is that launcher's iteration space, shared with the
 host fallback launcher.
 """
 
@@ -16,30 +16,71 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from ..accel import DeviceBuffer, SimulatedDevice
+from ..math.segments import segments
 from ..obs import state as obs_state
 from ..obs.events import EventType
 from ..resilience import state as res_state
 from .datamap import MapClause, PresentTable
 from .errors import MappingError, TargetRegionError
 
-__all__ = ["OmpTargetRuntime", "collapse3"]
+__all__ = ["OmpTargetRuntime", "LoopNest"]
 
 
-def collapse3(grid: Tuple[int, int, int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The iterations of a collapse(3) loop nest over ``grid``, in loop order.
+class LoopNest:
+    """The iteration space of one collapse(3) launch.
 
-    Returns the index vectors ``(i, j, k)``: entry ``n`` is the ``n``-th
-    iteration of ``for i: for j: for k:`` -- ``i`` outermost, ``k``
-    innermost -- exactly ``np.indices(grid).reshape(3, -1)``.  A loop body
-    receives all three at once; in-body scatters (``np.add.at``) then add
-    in the order the nested loop would.  Raises ``ValueError`` on a
-    negative extent.
+    ``grid`` is either three extents ``(n_outer, n_middle, n_inner)``,
+    every iteration of ``for i: for j: for k:``, or the TOAST nest
+    ``(n_det, starts, stops)``: detectors, then the intervals, then the
+    samples up to the longest interval, with the paper's in-loop guard
+    (§3.1.2) -- lane ``k`` of interval ``j`` runs only if ``k < stops[j]
+    - starts[j]`` -- applied here, once, from the intervals' segment
+    descriptor (:mod:`repro.math.segments`).  ``extents`` is the padded
+    grid either way: what the device is charged for.
+    :meth:`iterations` gives the index vectors ``(i, j, k)`` of the
+    iterations that run, in loop order (``i`` outermost, ``k``
+    innermost); in-body scatters then add in the order the nested loop
+    would.  Raises ``ValueError`` on a negative extent.
     """
-    n_outer, n_middle, n_inner = (int(g) for g in grid)
-    if min(n_outer, n_middle, n_inner) < 0:
-        raise ValueError(f"negative grid {grid}")
-    i, j, k = np.indices((n_outer, n_middle, n_inner)).reshape(3, -1)
-    return i, j, k
+
+    def __init__(self, grid) -> None:
+        n_outer, middle, inner = grid
+        self.segments = None
+        if np.ndim(middle):
+            self.segments = segments(middle, inner)
+            middle, inner = len(self.segments), self.segments.max_len
+        self.extents = (int(n_outer), int(middle), int(inner))
+        if min(self.extents) < 0:
+            raise ValueError(f"negative grid {grid}")
+
+    @classmethod
+    def of(cls, grid) -> "LoopNest":
+        return grid if isinstance(grid, LoopNest) else cls(grid)
+
+    @property
+    def size(self) -> int:
+        """Iterations of the padded grid."""
+        n_outer, n_middle, n_inner = self.extents
+        return n_outer * n_middle * n_inner
+
+    @property
+    def n_iterations(self) -> int:
+        """Iterations that run: :attr:`size` less the guarded lanes."""
+        if self.segments is None:
+            return self.size
+        return self.extents[0] * self.segments.n_samples
+
+    @property
+    def launches(self) -> bool:
+        """False for intervals holding no sample at all: like the scalar
+        loop over empty ranges, such a nest launches nothing."""
+        return self.segments is None or self.segments.max_len > 0
+
+    def iterations(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self.segments is not None:
+            return self.segments.sweep(self.extents[0])
+        i, j, k = np.indices(self.extents).reshape(3, -1)
+        return i, j, k
 
 
 class OmpTargetRuntime:
@@ -218,7 +259,7 @@ class OmpTargetRuntime:
     def target_teams_distribute_parallel_for(
         self,
         name: str,
-        grid: Tuple[int, int, int],
+        grid,
         body: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
         flops_per_iteration: float = 10.0,
         bytes_per_iteration: float = 24.0,
@@ -226,26 +267,27 @@ class OmpTargetRuntime:
     ) -> None:
         """``#pragma omp target teams distribute parallel for collapse(3)``.
 
-        The collapsed iteration space is ``grid = (n_outer, n_middle,
-        n_inner)`` -- for TOAST kernels (detectors, intervals, padded
-        samples).  Teams map onto the two outer axes and the inner axis is
-        the thread/SIMD dimension; a GPU runs every iteration of the region
-        concurrently, and so does this shim: ``body(i, j, k)`` is called
-        once per launch with the index vectors of :func:`collapse3`, one
-        entry per iteration, in loop order.  A grid with no iterations
-        never calls ``body``.
+        ``grid`` is a :class:`LoopNest` or what one is built from: the
+        extents ``(n_outer, n_middle, n_inner)``, or ``(n_det, starts,
+        stops)`` for the TOAST kernels' (detectors, intervals, samples)
+        nest, guarded against lanes past each interval's end.  Teams map
+        onto the two outer axes and the inner axis is the thread/SIMD
+        dimension; a GPU runs every iteration of the region concurrently,
+        and so does this shim: ``body(i, j, k)`` is called once per launch
+        with the index vectors of :meth:`LoopNest.iterations`, one entry
+        per iteration that runs, in loop order.  A grid with no iterations
+        never calls ``body``; intervals with no sample launch nothing.
 
-        The guard against out-of-interval lanes (the paper's "test to cut
-        work", §3.1.2) belongs inside ``body``: a boolean mask computed
-        from all three vectors and applied to each of them.
-
-        The launch charges the device roofline cost for the whole grid.
-        With ``nowait=True`` the submission returns immediately (the
-        ``nowait`` clause): device time accrues on the device timeline and
-        the host must :meth:`taskwait` (or touch mapped data, which syncs)
-        before consuming results.
+        The launch charges the device roofline cost for the whole padded
+        grid, as the device runs (and the guard cuts) every lane.  With
+        ``nowait=True`` the submission returns immediately (the ``nowait``
+        clause): device time accrues on the device timeline and the host
+        must :meth:`taskwait` (or touch mapped data, which syncs) before
+        consuming results.
         """
-        i, j, k = collapse3(grid)
+        nest = LoopNest.of(grid)
+        if not nest.launches:
+            return
         ctrl = res_state.active
         if ctrl is not None:
             spec_fault = ctrl.check(
@@ -255,7 +297,7 @@ class OmpTargetRuntime:
                 # TARGET_FAIL: the offload itself failed before any work or
                 # data motion; transient, so dispatch-level retry re-enters.
                 raise TargetRegionError(name)
-        total = len(k)
+        total = nest.size
         spec = self.device.spec
         seconds = max(
             total * flops_per_iteration / spec.peak_fp64_flops,
@@ -264,7 +306,7 @@ class OmpTargetRuntime:
         if obs_state.active is not None:
             self._region_event(
                 "target_teams." + name,
-                grid=[int(g) for g in grid],
+                grid=list(nest.extents),
                 teams=self.default_teams,
                 threads=self.default_threads,
                 nowait=nowait,
@@ -274,7 +316,7 @@ class OmpTargetRuntime:
         else:
             self.device.launch(name, seconds, n_launches=1)
         if total:
-            body(i, j, k)
+            body(*nest.iterations())
 
     def taskwait(self) -> None:
         """``#pragma omp taskwait``: block until async target work finishes."""

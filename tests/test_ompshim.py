@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.accel import SimulatedDevice
-from repro.kernels.common import host_parallel_for_collapse3, launcher_for
+from repro.kernels.common import host_parallel_for_collapse3, launcher_for, recording_launches
 from repro.kernels.omp.stacked import stacked_entry
 from repro.kernels.spec import ArgRole, ArgSpec, Intent, KernelSpec
-from repro.ompshim import MapClause, MappingError, NotPresentError, OmpTargetRuntime
+from repro.math import IntervalList
+from repro.obs.events import EventType
+from repro.ompshim import LoopNest, MapClause, MappingError, NotPresentError, OmpTargetRuntime
+from repro.workflows.microbench import make_intervals
 
 
 @pytest.fixture
@@ -291,6 +295,162 @@ class TestKernelLaunch:
         assert not rt.is_present(x)
         assert rt.device.allocated_bytes == 0
         assert rt.device.clock.now == 0.0
+
+
+def guarded(n_det, starts, stops):
+    """The iterations a collapse(3) body saw before the launchers took
+    spans: the padded grid's, cut by the in-loop guard."""
+    lengths = np.maximum(stops - starts, 0)
+    grid = (n_det, len(starts), int(lengths.max(initial=0)))
+    i, j, k = np.indices(grid).reshape(3, -1)
+    keep = k < stops[j] - starts[j]
+    return grid, np.stack((i[keep], j[keep], k[keep]))
+
+
+def span_lists():
+    """Every ``make_intervals`` kind, an all-degenerate list, a list's own
+    read-only pair, and random lists (overlap-free, some spans degenerate)."""
+    n_samp = 64
+    cases = {kind: make_intervals(n_samp, kind) for kind in ("irregular", "full", "empty", "degenerate")}
+    cases["all-degenerate"] = (np.array([3, 9, 20]), np.array([3, 5, 20]))
+    cases["owned"] = IntervalList([(2, 9), (12, 40), (41, 44)]).as_arrays()
+    rng = np.random.default_rng(26)
+    for n in range(6):
+        edges = np.sort(rng.choice(n_samp + 1, 2 * (n + 1), replace=False)).astype(np.int64)
+        starts, stops = edges[0::2], edges[1::2].copy()
+        degenerate = rng.random(n + 1) < 0.3  # made empty or inverted
+        stops[degenerate] = starts[degenerate] - rng.integers(0, 2, int(degenerate.sum()))
+        cases[f"random{n}"] = (starts, stops)
+    return cases
+
+
+SPAN_LISTS = span_lists()
+
+
+class TestSpanLaunch:
+    """The launchers over ``(n_det, starts, stops)``: the guard applied once,
+    in the launcher, from the intervals' segment descriptor."""
+
+    @pytest.mark.parametrize("case", sorted(SPAN_LISTS))
+    @pytest.mark.parametrize("n_det", [1, 3])
+    def test_body_sees_the_guarded_iterations(self, rt, case, n_det):
+        starts, stops = SPAN_LISTS[case]
+        grid, want = guarded(n_det, starts, stops)
+        launchers = {
+            "device": rt.target_teams_distribute_parallel_for,
+            "host": host_parallel_for_collapse3,
+        }
+        for where, launch in launchers.items():
+            calls = []
+            launch("k", (n_det, starts, stops), lambda i, j, k: calls.append(np.stack((i, j, k))))
+            if want.size:
+                assert len(calls) == 1, where
+                np.testing.assert_array_equal(calls[0], want)
+            else:
+                assert calls == [], where
+        # The recorder keeps the nest for a stacked launch, or nothing.
+        with recording_launches() as record:
+            launcher_for(rt, True)("k", (n_det, starts, stops), lambda i, j, k: None)
+        if grid[2]:
+            assert record.nest.extents == grid
+            np.testing.assert_array_equal(np.stack(record.nest.iterations()), want)
+        else:
+            assert record.body is None
+
+    @pytest.mark.parametrize("case", ["irregular", "degenerate", "random3"])
+    def test_charge_event_and_count_follow_padded_grid(self, case):
+        starts, stops = SPAN_LISTS[case]
+        grid, _ = guarded(4, starts, stops)
+        spans, plain = OmpTargetRuntime(SimulatedDevice()), OmpTargetRuntime(SimulatedDevice())
+        with obs.tracing() as tracer:
+            spans.target_teams_distribute_parallel_for(
+                "k", (4, starts, stops), lambda i, j, k: None, flops_per_iteration=7.0
+            )
+        plain.target_teams_distribute_parallel_for(
+            "k", grid, lambda i, j, k: None, flops_per_iteration=7.0
+        )
+        assert spans.device.kernels_launched == plain.device.kernels_launched == 1
+        assert spans.device.clock.region_time("k") == plain.device.clock.region_time("k") > 0
+        (event,) = [e for e in tracer.events_of(EventType.TARGET_REGION) if e.name == "target_teams.k"]
+        assert event.attrs["grid"] == list(grid)
+
+    @pytest.mark.parametrize("case", ["empty", "all-degenerate"])
+    def test_no_samples_launch_nothing(self, rt, case):
+        starts, stops = SPAN_LISTS[case]
+
+        def body(i, j, k):
+            raise AssertionError("body called without samples")
+
+        rt.target_teams_distribute_parallel_for("k", (4, starts, stops), body)
+        host_parallel_for_collapse3("k", (4, starts, stops), body)
+        assert rt.device.kernels_launched == 0
+        assert rt.device.clock.now == 0.0
+        # No detectors is still a launch over a (0, n_ivl, max_len) grid.
+        starts, stops = SPAN_LISTS["irregular"]
+        rt.target_teams_distribute_parallel_for("k", (0, starts, stops), body)
+        assert rt.device.kernels_launched == 1
+
+    def test_nest_of_a_list_reads_its_descriptor(self):
+        il = IntervalList([(0, 5), (8, 20)])
+        nest = LoopNest((2, *il.as_arrays()))
+        assert nest.segments is il.segments
+        assert nest.extents == (2, 2, 12) and nest.size == 48 and nest.n_iterations == 34
+        assert LoopNest.of(nest) is nest
+        with pytest.raises(ValueError):
+            LoopNest((-1, *il.as_arrays()))
+
+    def test_stacked_members_get_their_own_iterations(self, rt):
+        """A stacked launch over span nests: charged for the padded stacked
+        grid, one body call, and each member body sees exactly its own
+        guarded iterations -- a member without samples is skipped."""
+        member_calls = []
+
+        def probe(tod, starts, stops, accel=None, use_accel=False):
+            def body(i, j, k):
+                member_calls.append(np.stack((i, j, k)))
+
+            launcher_for(accel, use_accel)("probe", (tod.shape[0], starts, stops), body)
+
+        spec = KernelSpec(
+            "probe",
+            args=(
+                ArgSpec("tod", Intent.INOUT, ArgRole.DETDATA, np.float64, ("n_det", "n_samp")),
+                ArgSpec("starts", Intent.IN, ArgRole.INTERVALS, np.int64, ("n_ivl",)),
+                ArgSpec("stops", Intent.IN, ArgRole.INTERVALS, np.int64, ("n_ivl",)),
+            ),
+            megabatch=True,
+        )
+        starts = np.array([[0, 4, 9], [6, 0, 0], [2, 2, 0], [1, 5, 0]])
+        stops = np.array([[3, 9, 9], [8, 0, 0], [2, 1, 0], [4, 11, 0]])
+        stacked_calls = []
+        launch = rt.target_teams_distribute_parallel_for
+
+        def spying(name, grid, body, **kwargs):
+            def spy(i, j, k):
+                stacked_calls.append(np.stack((i, j, k)))
+                body(i, j, k)
+
+            launch(name, grid, spy, **kwargs)
+
+        rt.target_teams_distribute_parallel_for = spying
+        stacked_entry(spec, probe)(
+            tod=np.zeros((4, 3, 12)), starts=starts, stops=stops, accel=rt, use_accel=True
+        )
+        assert rt.device.kernels_launched == 1
+        # Charged for the padded (n_obs * n_det, n_ivl, max_len) grid.
+        reference = OmpTargetRuntime(SimulatedDevice())
+        reference.target_teams_distribute_parallel_for("probe.megabatch", (12, 3, 6), lambda *ijk: None)
+        assert rt.device.clock.now == reference.device.clock.now
+        members = [0, 1, 3]  # member 2 holds no sample
+        wants = [guarded(3, starts[m], stops[m])[1] for m in members]
+        assert len(member_calls) == len(members)
+        for got, want in zip(member_calls, wants):
+            np.testing.assert_array_equal(got, want)
+        (stacked,) = stacked_calls
+        offset = np.array([[3], [0], [0]])
+        np.testing.assert_array_equal(
+            stacked, np.concatenate([w + offset * m for m, w in zip(members, wants)], axis=1)
+        )
 
 
 class TestMapClauseEnum:
