@@ -17,6 +17,16 @@ _HALFPI = 0.5 * np.pi
 _INV_HALFPI = 2.0 / np.pi
 
 
+def _mod4(x: np.ndarray) -> np.ndarray:
+    """``np.mod(x, 4.0)``, bit for bit, at a fraction of its cost.
+
+    NumPy's own rule (``npy_divmod``): the ``fmod`` remainder, plus 4.0
+    where it is negative; ``+ 0.0`` turns ``fmod``'s -0.0 into +0.0.
+    """
+    r = np.fmod(x, 4.0)
+    return np.where(r < 0.0, r + 4.0, r) + 0.0
+
+
 def _zphi(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalize angles: return ``(z, tt)`` with ``tt = phi/(pi/2) in [0,4)``."""
     theta = np.asarray(theta, dtype=np.float64)
@@ -24,8 +34,8 @@ def _zphi(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(theta < 0.0) or np.any(theta > np.pi):
         raise ValueError("theta must lie in [0, pi]")
     z = np.cos(theta)
-    tt = np.mod(phi * _INV_HALFPI, 4.0)
-    # np.mod of a tiny negative value can round up to exactly 4.0; the
+    tt = _mod4(phi * _INV_HALFPI)
+    # The mod of a tiny negative value can round up to exactly 4.0; the
     # algorithms below require tt strictly inside [0, 4).
     tt = np.where(tt >= 4.0, 0.0, tt)
     return z, tt

@@ -116,8 +116,9 @@ def host_parallel_for_collapse3(
 ) -> None:
     """Host fallback of the collapse(3) launcher (no device, no charge).
 
-    The same sweep as the device launcher: one ``body`` call over the
-    iterations of the :class:`~repro.ompshim.runtime.LoopNest` of ``grid``.
+    The same sweep as the device launcher: one ``body`` call with the
+    index arrays of the :class:`~repro.ompshim.runtime.LoopNest` of
+    ``grid`` (:meth:`~repro.ompshim.runtime.LoopNest.iterations`).
     """
     nest = LoopNest.of(grid)
     if nest.size:

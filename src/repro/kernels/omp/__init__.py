@@ -9,15 +9,19 @@ launcher's in-loop guard cuts the out-of-interval lanes once, from the
 intervals' segment descriptor; data is dereferenced through mapped device
 pointers.
 
-A kernel's loop body runs once per launch, over the collapsed
-``(idet, iivl, lanes)`` index vectors of the iterations that pass the
-guard, in loop order (detector outermost, lane innermost).  Per-detector
-values become per-lane gathers.  Per-sample data is addressed by the flat
-offset ``row = idet * n_samp + s``, as in the C port, and moved through
-the ordered row substrate (:mod:`repro.math.rows`): ``take_rows``
-gathers, ``put_rows`` writes, and in-body ``add_rows`` (or a 1-D
-``np.add.at``) scatters add in the nested loop's order, so they match the
-scalar reference bit for bit.
+A kernel's loop body runs once per launch, over index arrays ``(idet,
+iivl, lanes)`` that broadcast to the iterations that pass the guard; the
+C-order ravel of the broadcast is loop order (detector outermost, lane
+innermost).  The launcher passes an open grid -- ``idet`` a column,
+``(iivl, lanes)`` one row of in-interval samples -- so ``s =
+starts[iivl] + lanes`` is computed once per sample and a per-detector
+value (``d_w[idet]``) once per detector, and bodies index trailing axes
+with ``...``.  Per-sample data is addressed by the flat offset ``row =
+idet * n_samp + s``, as in the C port, and moved through the ordered row
+substrate (:mod:`repro.math.rows`): ``take_rows`` gathers, ``put_rows``
+writes, and in-body ``add_rows`` (or a 1-D ``np.add.at``) scatters add
+in the nested loop's order, so they match the scalar reference bit for
+bit.
 
 Without a runtime (``use_accel=False``) the kernels run on the host --
 OpenMP's fallback behaviour when no device is available.

@@ -62,11 +62,11 @@ def build_noise_weighted(
         if d_det_flags is not None and det_mask:
             good = good & ((take_rows(d_det_flags, row, lead=2) & det_mask) == 0)
         z = d_scale[idet] * take_rows(d_tod, row, lead=2)
-        contrib = z[:, None] * take_rows(d_wts, row, lead=2)
+        contrib = z[..., None] * take_rows(d_wts, row, lead=2)
         slot = (seg.offsets[iivl] + lanes) * n_det + idet
         # Flagged lanes add (pixel 0, contribution 0.0): a no-op add.
         put_rows(pix_buf, slot, np.where(good, pix, 0), lead=2)
-        put_rows(contrib_buf, slot, np.where(good[:, None], contrib, 0.0), lead=2)
+        put_rows(contrib_buf, slot, np.where(good[..., None], contrib, 0.0), lead=2)
 
     def commit():
         # Ordered commit: intervals are sorted and lanes ascend within each,

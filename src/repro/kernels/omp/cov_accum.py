@@ -63,8 +63,8 @@ def cov_accum_diag_invnpp(
         pix = take_rows(d_pix, row, lead=2)
         good = pix >= 0
         w = take_rows(d_wts, row[good], lead=2)
-        g = d_scale[idet][good]
-        outer = np.stack([g * w[:, i] * w[:, j] for i, j in tri], axis=1)
+        g = np.broadcast_to(d_scale[idet], good.shape)[good]
+        outer = np.stack([g * w[..., i] * w[..., j] for i, j in tri], axis=-1)
         add_rows(d_inv, pix[good], outer)
 
     launcher_for(accel, use_accel)(

@@ -36,7 +36,7 @@ def pixels_healpix(
         s = starts[iivl] + lanes
         row = idet * n_samp + s
         q = take_rows(d_quats, row, lead=2)
-        x, y, z, w = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+        x, y, z, w = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
         dir_x = 2.0 * (x * z + w * y)
         dir_y = 2.0 * (y * z - w * x)
         dir_z = 1.0 - 2.0 * (x * x + y * y)

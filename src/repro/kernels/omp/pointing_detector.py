@@ -8,10 +8,10 @@ from ..common import launcher_for, resolve_view
 
 
 def _qa_mult_one(p, q):
-    """Scalar-style quaternion product, vectorized over the sample lanes."""
+    """Scalar-style quaternion product, broadcast over the loop indices."""
     px, py, pz, pw = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
     qx, qy, qz, qw = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    out = np.empty(p.shape[:-1] + (4,), dtype=np.float64)
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape), dtype=np.float64)
     out[..., 0] = pw * qx + px * qw + py * qz - pz * qy
     out[..., 1] = pw * qy - px * qz + py * qw + pz * qx
     out[..., 2] = pw * qz + px * qy - py * qx + pz * qw
@@ -46,7 +46,7 @@ def pointing_detector(
         rotated = _qa_mult_one(take_rows(d_bore, s), fp)
         if d_flags is not None and mask:
             flagged = (d_flags[s] & mask) != 0
-            rotated = np.where(flagged[:, None], fp, rotated)
+            rotated = np.where(flagged[..., None], fp, rotated)
         put_rows(d_out, row, rotated, lead=2)
 
     launcher_for(accel, use_accel)(

@@ -34,13 +34,13 @@ def scan_map(
         pix = take_rows(d_pix, row, lead=2)
         good = pix >= 0
         value = np.einsum(
-            "sk,sk->s",
+            "...k,...k->...",
             take_rows(d_map, np.where(good, pix, 0)),
             take_rows(d_wts, row, lead=2),
         )
         value = np.where(good, value, 0.0) * data_scale
         if should_zero:
-            tod = np.zeros(len(row), dtype=d_tod.dtype)
+            tod = np.zeros(row.shape, dtype=d_tod.dtype)
         else:
             tod = take_rows(d_tod, row, lead=2)
         put_rows(d_tod, row, tod - value if should_subtract else tod + value, lead=2)

@@ -11,12 +11,13 @@ without changing the loop nest (cf. the paper's collapse clauses).
 
 The launch is charged for the padded stacked grid ``(n_obs * n_det,
 n_ivl, max_len)``; its iterations are the members' own, observation-major
-(:class:`StackedNest`).  Member ``iobs`` therefore owns one contiguous run
-of the collapsed index vectors, and the stacked body hands each member its
-run, in observation order, with the detector index rebased -- exactly the
-iterations of the member's own launch.  A member with no samples at all
-recorded no launch and is skipped.  In-body scatters therefore accumulate
-in the eager order, and commits a kernel defers with
+(:class:`StackedNest`), as flat index vectors.  Member ``iobs`` therefore
+owns one contiguous run of them, and the stacked body hands each member
+its run, in observation order, with the detector index rebased -- exactly
+the iterations of the member's own launch (a loop body takes any index
+arrays that broadcast to its iterations).  A member with no samples at
+all recorded no launch and is skipped.  In-body scatters therefore
+accumulate in the eager order, and commits a kernel defers with
 :func:`~repro.kernels.common.after_launch` (``build_noise_weighted``'s
 buffered, sample-major one) run after the stacked launch, once per member
 in observation order -- GLOBAL outputs are committed last, bitwise
@@ -34,6 +35,8 @@ class StackedNest(LoopNest):
 
     ``members`` lists ``(iobs, nest)`` for the members that launched; they
     share ``(n_det, n_ivl)``.  Member ``iobs`` is outer block ``iobs``.
+    :meth:`iterations` materializes each member's open grid and
+    concatenates them.
     """
 
     def __init__(self, n_obs, members):
@@ -47,13 +50,11 @@ class StackedNest(LoopNest):
         return sum(nest.n_iterations for _, nest in self.members)
 
     def iterations(self):
-        parts = [nest.iterations() for _, nest in self.members]
-        outer = [i + iobs * self.n_det for (iobs, _), (i, _, _) in zip(self.members, parts)]
-        return (
-            np.concatenate(outer),
-            np.concatenate([j for _, j, _ in parts]),
-            np.concatenate([k for _, _, k in parts]),
-        )
+        parts = []
+        for iobs, nest in self.members:
+            i, j, k = (a.ravel() for a in np.broadcast_arrays(*nest.iterations()))
+            parts.append((i + iobs * self.n_det, j, k))
+        return tuple(np.concatenate(vectors) for vectors in zip(*parts))
 
 
 def stacked_entry(spec, per_observation):

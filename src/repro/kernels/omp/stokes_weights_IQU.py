@@ -8,7 +8,8 @@ from ..common import launcher_for, resolve_view
 
 
 def _position_angle(q):
-    """Position angle from pointing quaternions, lane-vectorized."""
+    """Position angle from pointing quaternions, lane-vectorized; the polar
+    fallback runs on the polar lanes only."""
     x, y, z, w = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     dx = 2.0 * (x * z + w * y)
     dy = 2.0 * (y * z - w * x)
@@ -16,10 +17,14 @@ def _position_angle(q):
     ox = 1.0 - 2.0 * (y * y + z * z)
     oy = 2.0 * (x * y + w * z)
     oz = 2.0 * (x * z - w * y)
+    sin2 = dx * dx + dy * dy
     pa_y = oy * dx - ox * dy
-    pa_x = oz * (dx * dx + dy * dy) - dz * (ox * dx + oy * dy)
-    polar = (dx * dx + dy * dy) < 1.0e-24
-    return np.where(polar, np.arctan2(oy, ox), np.arctan2(pa_y, -pa_x))
+    pa_x = oz * sin2 - dz * (ox * dx + oy * dy)
+    pa = np.arctan2(pa_y, -pa_x)
+    polar = sin2 < 1.0e-24
+    if polar.any():
+        pa[polar] = np.arctan2(oy[polar], ox[polar])
+    return pa
 
 
 @kernel("stokes_weights_IQU", ImplementationType.OMP_TARGET)

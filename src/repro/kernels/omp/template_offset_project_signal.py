@@ -32,7 +32,7 @@ def template_offset_project_signal(
         s = starts[iivl] + lanes
         row = idet * n_samp + s
         amp_idx = d_off[idet] + s // step_length
-        np.add.at(d_amp, amp_idx, take_rows(d_tod, row, lead=2))
+        np.add.at(d_amp, amp_idx.ravel(), take_rows(d_tod, row, lead=2).ravel())
 
     launcher_for(accel, use_accel)(
         "template_offset_project_signal",

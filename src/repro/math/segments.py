@@ -11,8 +11,10 @@ raw test array) gets a fresh descriptor that nothing keeps.
 
 Memory: per in-interval sample, ``flat``, ``ivl`` and ``lane`` hold 8 B
 each (24 B, built on first use); the JAX padded lanes add 9 B per padded
-lane (``n_ivl * max_len``).  Nothing is held per detector: the launcher
-expands a detector sweep per launch (:meth:`Segments.sweep`).
+lane (``n_ivl * max_len``).  Nothing is held or built per detector: the
+OpenMP launcher hands its loop body ``ivl`` and ``lane`` as they are, next
+to a column of detector indices, and the body broadcasts over the two
+(:meth:`repro.ompshim.LoopNest.iterations`).
 """
 
 from __future__ import annotations
@@ -89,17 +91,6 @@ class Segments:
         if len(self):
             index[self.lengths == 0] = self.starts[np.argmax(self.lengths > 0)]
         return _frozen(index), _frozen(valid)
-
-    def sweep(self, n_outer: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The iterations ``(i, j, k)`` of ``for i in range(n_outer): for j
-        in range(n_ivl): for k in range(max_len):`` that pass the guard
-        ``k < lengths[j]``, in loop order: ``n_outer`` copies of ``(ivl,
-        lane)``, built per call."""
-        return (
-            np.repeat(np.arange(n_outer, dtype=np.int64), self.n_samples),
-            np.tile(self.ivl, n_outer),
-            np.tile(self.lane, n_outer),
-        )
 
 
 def adopt(owner, starts: np.ndarray, stops: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -13,11 +13,12 @@ simulated device:
 * ``OmpTargetRuntime.target_teams_distribute_parallel_for`` -- the
   collapsed triple-loop launcher: team blocks over (detector, interval),
   SIMD lanes over samples.  Like a GPU running the whole region at once,
-  it calls the loop body once, with the collapsed index vectors of a
-  :class:`~repro.ompshim.runtime.LoopNest` in loop order.  Over an
-  interval list the nest applies the in-loop guard the paper uses for
-  variable-length intervals: the body sees only the in-interval
-  iterations, while the device is charged for the padded grid.
+  it calls the loop body once, with index arrays of a
+  :class:`~repro.ompshim.runtime.LoopNest` that broadcast to its
+  iterations in loop order.  Over an interval list the nest applies the
+  in-loop guard the paper uses for variable-length intervals: the body
+  sees only the in-interval iterations, as an open grid of detectors by
+  samples, while the device is charged for the padded grid.
 
 Kernels written against this API mutate device views in place (the OpenMP
 style), in contrast to jaxshim's pure-functional model -- the exact

@@ -37,10 +37,8 @@ class LoopNest:
     - starts[j]`` -- applied here, once, from the intervals' segment
     descriptor (:mod:`repro.math.segments`).  ``extents`` is the padded
     grid either way: what the device is charged for.
-    :meth:`iterations` gives the index vectors ``(i, j, k)`` of the
-    iterations that run, in loop order (``i`` outermost, ``k``
-    innermost); in-body scatters then add in the order the nested loop
-    would.  Raises ``ValueError`` on a negative extent.
+    :meth:`iterations` gives the index arrays ``(i, j, k)`` of the
+    iterations that run.  Raises ``ValueError`` on a negative extent.
     """
 
     def __init__(self, grid) -> None:
@@ -77,10 +75,22 @@ class LoopNest:
         return self.segments is None or self.segments.max_len > 0
 
     def iterations(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.segments is not None:
-            return self.segments.sweep(self.extents[0])
-        i, j, k = np.indices(self.extents).reshape(3, -1)
-        return i, j, k
+        """Index arrays ``(i, j, k)`` that broadcast to exactly the
+        iterations that run; raveled in C order, the broadcast lists them
+        in loop order (``i`` outermost, ``k`` innermost), so in-body
+        scatters add in the order the nested loop would.
+
+        A span nest gives an open grid: ``i`` is an ``(n_outer, 1)``
+        column and ``(j, k)`` are ``(1, n_samples)`` read-only views of
+        the descriptor's ``ivl`` and ``lane`` -- nothing is allocated per
+        (outer, sample) pair, and a body computes a per-outer or
+        per-sample value once.  Plain extents give full vectors.
+        """
+        if self.segments is None:
+            i, j, k = np.indices(self.extents).reshape(3, -1)
+            return i, j, k
+        outer = np.arange(self.extents[0], dtype=np.int64)[:, None]
+        return outer, self.segments.ivl[None, :], self.segments.lane[None, :]
 
 
 class OmpTargetRuntime:
@@ -274,9 +284,10 @@ class OmpTargetRuntime:
         onto the two outer axes and the inner axis is the thread/SIMD
         dimension; a GPU runs every iteration of the region concurrently,
         and so does this shim: ``body(i, j, k)`` is called once per launch
-        with the index vectors of :meth:`LoopNest.iterations`, one entry
-        per iteration that runs, in loop order.  A grid with no iterations
-        never calls ``body``; intervals with no sample launch nothing.
+        with the index arrays of :meth:`LoopNest.iterations`, which
+        broadcast to the iterations that run, in loop order.  A grid with
+        no iterations never calls ``body``; intervals with no sample
+        launch nothing.
 
         The launch charges the device roofline cost for the whole padded
         grid, as the device runs (and the guard cuts) every lane.  With

@@ -125,7 +125,7 @@ def fig2_loc_total() -> Tuple[str, Dict[str, Tuple[int, int]]]:
         "paper: JAX ~1.2x shorter than the C++ CPU baseline, OMP ~1.8x longer.\n"
         "Here the OMP port is longer too, ~1.6x: its pragma/mapping overhead\n"
         "is intrinsic, while the in-loop interval guard is written once, in\n"
-        "the segment descriptor the launcher expands, and counts as a\n"
+        "the segment descriptor the launcher reads, and counts as a\n"
         "dependency.  The JAX ratio inverts: the paper's baseline is\n"
         "verbose C++, while this reproduction's 'compiled CPU' stand-in is\n"
         "already NumPy -- the very high-level style that made the paper's\n"

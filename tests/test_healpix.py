@@ -126,6 +126,21 @@ class TestRingScheme:
         with pytest.raises(ValueError):
             hp.ang2pix_ring(4, np.array([-0.1]), np.array([0.0]))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        x=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=40),
+        tiny=st.lists(st.floats(min_value=-1e-15, max_value=1e-15), max_size=8),
+    )
+    def test_mod4_is_np_mod_bit_for_bit(self, x, tiny):
+        """NaN payloads, signed zeros, infinities, subnormals, multiples
+        of 4 and tiny negatives that round up to 4.0 included."""
+        from repro.healpix.ring import _mod4
+
+        edges = [0.0, -0.0, -8.0, 4.0, -1e-17, 5e-324, -5e-324, 1e300, -1e300, np.inf, -np.inf, np.nan, -np.nan]
+        x = np.array(x + tiny + edges, dtype=np.float64)
+        with np.errstate(invalid="ignore"):
+            assert _mod4(x).tobytes() == np.mod(x, 4.0).tobytes()
+
 
 class TestNestScheme:
     @pytest.mark.parametrize("nside", NSIDES)

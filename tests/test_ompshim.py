@@ -1,17 +1,21 @@
 """Tests for the OpenMP Target Offload shim."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.accel import SimulatedDevice
+from repro.core.dispatch import ImplementationType, kernel_registry
 from repro.kernels.common import host_parallel_for_collapse3, launcher_for, recording_launches
 from repro.kernels.omp.stacked import stacked_entry
 from repro.kernels.spec import ArgRole, ArgSpec, Intent, KernelSpec
 from repro.math import IntervalList
 from repro.obs.events import EventType
 from repro.ompshim import LoopNest, MapClause, MappingError, NotPresentError, OmpTargetRuntime
-from repro.workflows.microbench import make_intervals
+from repro.workflows.microbench import kernel_cases, make_intervals
+from repro.workflows.satellite import same_bits
 
 
 @pytest.fixture
@@ -307,6 +311,11 @@ def guarded(n_det, starts, stops):
     return grid, np.stack((i[keep], j[keep], k[keep]))
 
 
+def raveled(i, j, k):
+    """The iterations that a body's index arrays broadcast to, in C order."""
+    return np.stack([a.ravel() for a in np.broadcast_arrays(i, j, k)])
+
+
 def span_lists():
     """Every ``make_intervals`` kind, an all-degenerate list, a list's own
     read-only pair, and random lists (overlap-free, some spans degenerate)."""
@@ -342,7 +351,7 @@ class TestSpanLaunch:
         }
         for where, launch in launchers.items():
             calls = []
-            launch("k", (n_det, starts, stops), lambda i, j, k: calls.append(np.stack((i, j, k))))
+            launch("k", (n_det, starts, stops), lambda i, j, k: calls.append(raveled(i, j, k)))
             if want.size:
                 assert len(calls) == 1, where
                 np.testing.assert_array_equal(calls[0], want)
@@ -353,7 +362,7 @@ class TestSpanLaunch:
             launcher_for(rt, True)("k", (n_det, starts, stops), lambda i, j, k: None)
         if grid[2]:
             assert record.nest.extents == grid
-            np.testing.assert_array_equal(np.stack(record.nest.iterations()), want)
+            np.testing.assert_array_equal(raveled(*record.nest.iterations()), want)
         else:
             assert record.body is None
 
@@ -451,6 +460,77 @@ class TestSpanLaunch:
         np.testing.assert_array_equal(
             stacked, np.concatenate([w + offset * m for m, w in zip(members, wants)], axis=1)
         )
+
+
+OMP = ImplementationType.OMP_TARGET
+
+
+def run_omp(name, args, use_accel):
+    """Run OpenMP kernel ``name`` on ``args``, on a fresh device or the host."""
+    fn = kernel_registry.get(name, OMP, allow_fallback=False)
+    if not use_accel:
+        fn(**args)
+        return
+    accel = OmpTargetRuntime(SimulatedDevice(memory_bytes=1 << 26))
+    mapped = [a for a in args.values() if isinstance(a, np.ndarray)]
+    accel.target_enter_data(to=mapped)
+    fn(**args, accel=accel, use_accel=True)
+    for arr in mapped:
+        accel.target_update_from(arr)
+    accel.target_exit_data(release=mapped)
+
+
+class TestOpenGrid:
+    """A span launch hands its body an open grid, not per-iteration vectors."""
+
+    def test_open_grid_views_the_descriptor(self):
+        il = IntervalList([(2, 9), (12, 40), (41, 44)])
+        i, j, k = LoopNest((3, *il.as_arrays())).iterations()
+        assert i.shape == (3, 1) and j.shape == k.shape == (1, il.n_samples)
+        for view, field in ((j, il.segments.ivl), (k, il.segments.lane)):
+            assert np.shares_memory(view, field)
+            assert not view.flags.writeable
+
+    def test_launch_allocates_nothing_per_detector_sample(self, rt):
+        n_det, n_samp = 32, 1 << 14
+        il = IntervalList([(0, n_samp // 3), (n_samp // 3 + 8, n_samp)])
+        il.segments.ivl, il.segments.lane  # noqa: B018  (built before tracing starts)
+        bound = n_det * il.n_samples  # one byte per iteration
+        for launch in (rt.target_teams_distribute_parallel_for, host_parallel_for_collapse3):
+            tracemalloc.start()
+            try:
+                launch("k", (n_det, *il.as_arrays()), lambda i, j, k: None)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (launch, peak)
+
+    @pytest.mark.parametrize("use_accel", [False, True], ids=["host", "device"])
+    def test_kernels_give_the_same_bits_on_flat_vectors(self, monkeypatch, use_accel):
+        """Every registered OpenMP kernel gives the same bits whether its body
+        gets the open grid or the fully materialized flat index vectors."""
+        open_grid = LoopNest.iterations
+
+        def flat(nest):
+            return tuple(a.ravel() for a in np.broadcast_arrays(*open_grid(nest)))
+
+        n_det, n_samp = 3, 120
+        cases = kernel_cases(n_det=n_det, n_samp=n_samp, intervals="degenerate")
+        names = [n for n in cases if OMP in kernel_registry.implementations(n)]
+        assert len(names) >= 11
+        for name in names:
+            outputs = []
+            for iterations in (open_grid, flat):
+                monkeypatch.setattr(LoopNest, "iterations", iterations)
+                args, outs = cases[name]()
+                if kernel_registry.spec(name).has_arg("det_flags"):
+                    rng = np.random.default_rng(27)
+                    args["det_flags"] = rng.integers(0, 4, (n_det, n_samp), dtype=np.uint8)
+                    args["det_mask"] = 2
+                run_omp(name, args, use_accel)
+                outputs.append([args[k] for k in outs])
+            for got, want in zip(*outputs):
+                assert same_bits(got, want), name
 
 
 class TestMapClauseEnum:

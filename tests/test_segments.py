@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.kernels.common import flatten_intervals, pad_intervals
 from repro.math import IntervalList
 from repro.math.segments import Segments, segments
+from repro.ompshim import LoopNest
 from repro.workflows.microbench import make_intervals
 
 spans_strategy = st.lists(
@@ -113,8 +114,11 @@ class TestDescriptor:
         assert pad_intervals(e, e)[0].shape == (0, 0)
 
     def test_sweep_repeats_per_outer_index(self):
-        seg = Segments(np.array([0, 6]), np.array([2, 9]))
-        i, j, k = seg.sweep(2)
+        """The launcher's sweep over a descriptor: an open grid whose
+        broadcast, raveled in C order, repeats ``(ivl, lane)`` once per
+        outer index."""
+        nest = LoopNest((2, np.array([0, 6]), np.array([2, 9])))
+        i, j, k = (a.ravel() for a in np.broadcast_arrays(*nest.iterations()))
         np.testing.assert_array_equal(i, [0] * 5 + [1] * 5)
         np.testing.assert_array_equal(j, [0, 0, 1, 1, 1] * 2)
         np.testing.assert_array_equal(k, [0, 1, 0, 1, 2] * 2)
