@@ -37,19 +37,6 @@ class VirtualClock:
         if self._stack:
             self._regions[self._stack[-1]] += seconds
 
-    def advance_to(self, timestamp: float, region: str) -> float:
-        """Advance to an absolute timestamp, charging ``region``.
-
-        No-op (returns 0) if the clock is already past ``timestamp``; used
-        by stream waits, where the host only pays for the exposed tail of
-        asynchronously submitted work.  Returns the seconds charged.
-        """
-        wait = timestamp - self._now
-        if wait <= 0:
-            return 0.0
-        self.charge(region, wait)
-        return wait
-
     def charge(self, region: str, seconds: float) -> None:
         """Advance the clock attributing the time directly to ``region``."""
         if seconds < 0:

@@ -137,11 +137,11 @@ class SimulatedDevice:
     def alloc(self, nbytes: int, label: Optional[str] = None) -> DeviceBuffer:
         """Allocate a device buffer (``omp_target_alloc`` analogue).
 
-        ``label`` names the owning kernel/field so pool diagnostics and
-        eviction events can identify the buffer by what it holds.
+        ``label`` names the owning kernel/field so the alloc trace event
+        identifies the buffer by what it holds.
         """
         self._check_lost()
-        offset = self.pool.allocate(nbytes, label=label)
+        offset = self.pool.allocate(nbytes)
         buf = DeviceBuffer(
             offset, self.pool.size_of(offset), device_id=self.device_id, label=label
         )

@@ -9,7 +9,7 @@ This is that pool.  Offsets play the role of device pointers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..obs import state as obs_state
 from ..resilience import state as res_state
@@ -74,7 +74,6 @@ class MemoryPool:
         self.policy = policy
         self._free: List[_FreeBlock] = [_FreeBlock(0, self.capacity)]
         self._live: Dict[int, int] = {}  # offset -> size
-        self._labels: Dict[int, str] = {}  # offset -> owning kernel/field name
         self._allocated = 0
         self._high_water = 0
         self._n_allocs = 0
@@ -100,13 +99,8 @@ class MemoryPool:
                     break  # exact fit cannot be beaten
         return best
 
-    def allocate(self, nbytes: int, label: Optional[str] = None) -> int:
-        """Allocate ``nbytes`` (rounded up to the alignment); returns offset.
-
-        ``label`` names the owning kernel/field (e.g. ``"ob0.detdata.pixels"``)
-        so eviction and trace events can say *what* lived at an offset, not
-        just the pointer.
-        """
+    def allocate(self, nbytes: int) -> int:
+        """Allocate ``nbytes`` (rounded up to the alignment); returns offset."""
         if nbytes <= 0:
             raise ValueError("allocation size must be positive")
         ctrl = res_state.active
@@ -125,8 +119,6 @@ class MemoryPool:
                 block.offset += size
                 block.size -= size
             self._live[offset] = size
-            if label is not None:
-                self._labels[offset] = str(label)
             self._allocated += size
             self._high_water = max(self._high_water, self._allocated)
             self._n_allocs += 1
@@ -182,7 +174,6 @@ class MemoryPool:
         if offset not in self._live:
             raise InvalidFreeError(self._invalid_free_message(offset))
         size = self._live.pop(offset)
-        self._labels.pop(offset, None)
         self._allocated -= size
         self._n_frees += 1
         tr = obs_state.active
@@ -217,13 +208,6 @@ class MemoryPool:
             return self._live[offset]
         except KeyError:
             raise InvalidFreeError(self._invalid_free_message(offset)) from None
-
-    def is_live(self, offset: int) -> bool:
-        return offset in self._live
-
-    def label_of(self, offset: int) -> Optional[str]:
-        """The owning kernel/field name recorded at allocation, if any."""
-        return self._labels.get(offset)
 
     @property
     def allocated_bytes(self) -> int:

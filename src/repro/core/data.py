@@ -46,8 +46,5 @@ class Data:
         """Total timestream bytes held by this process group."""
         return sum(ob.memory_bytes() for ob in self.obs)
 
-    def clear_meta(self) -> None:
-        self.meta.clear()
-
     def __repr__(self) -> str:
         return f"Data({len(self.obs)} observations, meta={sorted(self.meta)})"

@@ -62,9 +62,6 @@ class Observation:
     def n_detectors(self) -> int:
         return self.focalplane.n_detectors
 
-    def detector_index(self, name: str) -> int:
-        return self.detectors.index(name)
-
     # -- shared data ------------------------------------------------------------
 
     def create_shared(self, key: str, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:

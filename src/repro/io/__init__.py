@@ -1,26 +1,13 @@
-"""Data import/export.
+"""Data export.
 
 The paper's reported runtimes include "everything from the time needed to
-load the data to the time needed to export the outputs"; this package
-provides that I/O surface: observations and maps round-trip through
-compressed ``.npz`` volumes (the dependency-free stand-in for TOAST's
-HDF5 format).
+load the data to the time needed to export the outputs".  Loading goes
+through :mod:`repro.store` (observations spilled into, and streamed back
+from, an :class:`~repro.store.ObservationStore`); this package exports
+the output maps as compressed ``.npz`` volumes (the dependency-free
+stand-in for TOAST's HDF5 format).
 """
 
-from .volumes import (
-    load_data,
-    load_map,
-    load_observation,
-    save_data,
-    save_map,
-    save_observation,
-)
+from .volumes import load_map, save_map
 
-__all__ = [
-    "save_observation",
-    "load_observation",
-    "save_data",
-    "load_data",
-    "save_map",
-    "load_map",
-]
+__all__ = ["save_map", "load_map"]

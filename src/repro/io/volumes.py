@@ -1,196 +1,18 @@
-"""Observation and map serialization to ``.npz`` volumes.
+"""Map export to ``.npz`` volumes.
 
-Layout: one file per observation holding the shared arrays, detector data,
-interval lists, and enough focalplane metadata to rebuild the instrument;
-one directory-level index for a :class:`~repro.core.data.Data` container.
-
-Integrity: format 2 headers record a CRC32 per stored array, verified on
-load -- a bit-flipped or truncated volume fails with the corrupt key named
-instead of flowing silently into the pipeline.  Format 1 volumes (no
-checksums) still load; versions this build does not know are rejected with
-an error naming both the written and the supported versions.
+A map volume holds the pixelized map with its HEALPix metadata (nside and
+pixel ordering).  Observations are stored and loaded through
+:class:`~repro.store.ObservationStore`.
 """
 
 from __future__ import annotations
 
-import json
-import zlib
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from ..core.data import Data
-from ..core.focalplane import Focalplane
-from ..core.observation import Observation
-from ..math.intervals import IntervalList
-
-__all__ = [
-    "save_observation",
-    "load_observation",
-    "save_data",
-    "load_data",
-    "save_map",
-    "load_map",
-]
-
-_FORMAT_VERSION = 2
-
-#: Formats this build can read.  Version 1 predates per-array checksums.
-_SUPPORTED_VERSIONS = (1, 2)
-
-
-def _array_crc(arr: np.ndarray) -> int:
-    return zlib.crc32(np.ascontiguousarray(arr).tobytes()) & 0xFFFFFFFF
-
-
-def _check_version(written: object, source: str) -> int:
-    if written not in _SUPPORTED_VERSIONS:
-        supported = ", ".join(str(v) for v in _SUPPORTED_VERSIONS)
-        raise ValueError(
-            f"{source} was written with format version {written!r}; this "
-            f"build reads versions {{{supported}}}"
-        )
-    return int(written)  # type: ignore[arg-type]
-
-
-def _check_crc(arr: np.ndarray, want: int, key: str, source: str) -> None:
-    got = _array_crc(arr)
-    if got != want:
-        raise ValueError(
-            f"{source} is corrupt: array {key!r} CRC mismatch "
-            f"(stored {want:#010x}, computed {got:#010x})"
-        )
-
-
-def _focalplane_meta(fp: Focalplane) -> dict:
-    return {
-        "sample_rate": fp.sample_rate,
-        "detectors": fp.detectors,
-        "psi_pol": fp.psi_pol,
-        "pol_leakage": fp.pol_leakage,
-        "net": fp.net,
-        "fknee": fp.fknee,
-        "fmin": fp.fmin,
-        "alpha": fp.alpha,
-    }
-
-
-def _focalplane_from_meta(meta: dict, quats: np.ndarray) -> Focalplane:
-    detectors = list(meta["detectors"])
-    return Focalplane(
-        sample_rate=float(meta["sample_rate"]),
-        detectors=detectors,
-        detector_quats={d: quats[i] for i, d in enumerate(detectors)},
-        psi_pol={k: float(v) for k, v in meta["psi_pol"].items()},
-        pol_leakage={k: float(v) for k, v in meta["pol_leakage"].items()},
-        net={k: float(v) for k, v in meta["net"].items()},
-        fknee={k: float(v) for k, v in meta["fknee"].items()},
-        fmin={k: float(v) for k, v in meta["fmin"].items()},
-        alpha={k: float(v) for k, v in meta["alpha"].items()},
-    )
-
-
-def save_observation(ob: Observation, path: Union[str, Path]) -> Path:
-    """Write one observation to a compressed ``.npz`` volume."""
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(".npz")
-    arrays: dict[str, np.ndarray] = {
-        "_fp_quats": ob.focalplane.quat_array(),
-    }
-    for key, arr in ob.shared.items():
-        arrays[f"shared/{key}"] = arr
-    for key, arr in ob.detdata.items():
-        arrays[f"detdata/{key}"] = arr
-    for key, ivl in ob.intervals.items():
-        starts, stops = ivl.as_arrays()
-        arrays[f"intervals/{key}"] = np.stack([starts, stops])
-    header = {
-        "format": _FORMAT_VERSION,
-        "name": ob.name,
-        "uid": ob.uid,
-        "n_samples": ob.n_samples,
-        "focalplane": _focalplane_meta(ob.focalplane),
-        "shared": sorted(ob.shared),
-        "detdata": sorted(ob.detdata),
-        "intervals": sorted(ob.intervals),
-        "checksums": {key: _array_crc(arr) for key, arr in arrays.items()},
-    }
-    arrays["_header"] = np.frombuffer(
-        json.dumps(header).encode("utf-8"), dtype=np.uint8
-    )
-    np.savez_compressed(path, **arrays)
-    return path
-
-
-def load_observation(path: Union[str, Path]) -> Observation:
-    """Read an observation volume written by :func:`save_observation`."""
-    path = Path(path)
-    with np.load(path) as volume:
-        header = json.loads(bytes(volume["_header"].tobytes()).decode("utf-8"))
-        _check_version(header.get("format"), f"observation volume {path.name!r}")
-        checksums = header.get("checksums", {})
-
-        def _load(key: str) -> np.ndarray:
-            arr = np.array(volume[key])
-            if key in checksums:
-                _check_crc(
-                    arr, checksums[key], key, f"observation volume {path.name!r}"
-                )
-            return arr
-
-        fp = _focalplane_from_meta(header["focalplane"], _load("_fp_quats"))
-        ob = Observation(fp, int(header["n_samples"]), name=header["name"], uid=header["uid"])
-        for key in header["shared"]:
-            ob.set_shared(key, _load(f"shared/{key}"))
-        for key in header["detdata"]:
-            ob.detdata[key] = _load(f"detdata/{key}")
-        for key in header["intervals"]:
-            pair = _load(f"intervals/{key}")
-            ob.set_intervals(key, IntervalList.from_arrays(pair[0], pair[1]))
-    return ob
-
-
-def save_data(data: Data, directory: Union[str, Path]) -> Path:
-    """Write every observation plus array-valued meta to a directory."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    index = {"format": _FORMAT_VERSION, "observations": [], "meta": []}
-    for ob in data.obs:
-        fname = f"obs_{ob.name}.npz"
-        save_observation(ob, directory / fname)
-        index["observations"].append(fname)
-    for key, value in data.meta.items():
-        if isinstance(value, np.ndarray):
-            fname = f"meta_{key}.npy"
-            np.save(directory / fname, value)
-            index["meta"].append(
-                {"key": key, "file": fname, "crc32": _array_crc(value)}
-            )
-    (directory / "index.json").write_text(json.dumps(index, indent=2))
-    return directory
-
-
-def load_data(directory: Union[str, Path]) -> Data:
-    """Read a directory written by :func:`save_data`."""
-    directory = Path(directory)
-    index = json.loads((directory / "index.json").read_text())
-    _check_version(index.get("format"), f"data volume index in {directory.name!r}")
-    data = Data()
-    for fname in index["observations"]:
-        data.obs.append(load_observation(directory / fname))
-    for entry in index["meta"]:
-        value = np.load(directory / entry["file"])
-        if "crc32" in entry:
-            _check_crc(
-                value,
-                entry["crc32"],
-                entry["key"],
-                f"data volume meta file {entry['file']!r}",
-            )
-        data[entry["key"]] = value
-    return data
+__all__ = ["save_map", "load_map"]
 
 
 def save_map(map_data: np.ndarray, path: Union[str, Path], nside: int, nest: bool = True) -> Path:

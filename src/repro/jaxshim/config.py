@@ -85,8 +85,5 @@ class _Config:
     def default_float(self) -> np.dtype:
         return np.dtype(np.float64) if self.enable_x64 else np.dtype(np.float32)
 
-    def default_int(self) -> np.dtype:
-        return np.dtype(np.int64) if self.enable_x64 else np.dtype(np.int32)
-
 
 config = _Config()

@@ -331,21 +331,6 @@ class KernelSpec:
         """Whether this kernel may join a fused launch group."""
         return self.fusion_kind in _FUSIBLE_KINDS
 
-    def pure_outputs(self) -> List[str]:
-        """Arguments written without being read (``OUT`` only).
-
-        These are the residency planner's memset-elision candidates: the
-        device never reads the staged bytes, so when the host copy is
-        known-zero an on-device reset replaces the H2D transfer.
-        """
-        return [a.name for a in self.args if a.intent is Intent.OUT]
-
-    def reads_arg(self, name: str) -> bool:
-        return self.has_arg(name) and self.arg(name).intent.reads
-
-    def writes_arg(self, name: str) -> bool:
-        return self.has_arg(name) and self.arg(name).intent.writes
-
     # -- implementation validation ------------------------------------------
 
     def validate_impl(self, fn: Any, impl: str = "?") -> None:

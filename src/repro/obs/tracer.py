@@ -267,11 +267,6 @@ class Tracer:
         wanted = set(types)
         return [e for e in self.events if e.type in wanted]
 
-    def device_timeline(self) -> List[Event]:
-        """Device-domain events in timestamp order."""
-        devs = [e for e in self.events if e.clock is ClockDomain.DEVICE]
-        return sorted(devs, key=lambda e: (e.ts, e.end))
-
     def clear(self) -> None:
         self.events.clear()
         self.dropped = 0

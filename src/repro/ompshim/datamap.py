@@ -67,7 +67,7 @@ class PresentTable:
         """Map an array in (the entry half of a data region).
 
         ``label`` names the owning kernel/field; it is threaded down to the
-        pool allocation so eviction and trace events identify the buffer.
+        device allocation so its trace event identifies the buffer.
         """
         if clause in (MapClause.FROM, MapClause.DELETE):
             # from-only still allocates on entry (OpenMP alloc-on-entry).

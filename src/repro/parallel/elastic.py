@@ -52,6 +52,14 @@ from ..obs import state as obs_state
 from ..obs.events import ClockDomain, Event, EventType
 from ..resilience import state as res_state
 from ..resilience.faults import FaultKind
+from ..store.format import (
+    PENDING_SHADOWS,
+    SHADOW_PREFIX,
+    StoreIntegrityError,
+    commit_chunk,
+    read_payload,
+    verify_chunk,
+)
 from .shm import SharedSlab
 
 __all__ = [
@@ -804,17 +812,18 @@ class TaskCheckpoint:
     """Per-task result checkpoints: what a killed run resumes from.
 
     Holds one committed array per task id, in memory and -- when ``root``
-    is given -- as ``task_<id>.npy`` files, so a *different process* can
+    is given -- as ``task_<id>.chunk`` files, so a *different process* can
     resume the ensemble after a kill.  The store is the durable owner of
     completed work: the elastic runner skips every checkpointed task and
     seeds its slab slot from here instead of recomputing.
 
-    Files commit atomically (same-directory tmp file, fsync, rename): a
-    writer killed mid-``save`` can never leave a half-written ``.npy`` in
-    place of a good one.  Load validates every file and discards (and
-    unlinks) any that does not parse -- the task just reruns.  A
-    ``task_*.npy`` whose id is not an integer is not a checkpoint: it is
-    left in place and ignored.
+    Each file is an RSC1 chunk (the observation store's format, CRC32 on
+    header and payload) with header key ``task/<id>``, committed through
+    :func:`~repro.store.format.commit_chunk`, so the ``store.write`` fault
+    site covers it.  Load discards (and unlinks) any in-flight
+    ``.shadow-task_*`` file and any checkpoint that fails framing, CRC or
+    key -- its task just reruns.  A ``task_*.chunk`` whose id is not an
+    integer is not a checkpoint: it is left in place and ignored.
     """
 
     def __init__(self, root: Optional[os.PathLike] = None):
@@ -823,33 +832,33 @@ class TaskCheckpoint:
         self.discarded: List[str] = []
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
-            for stale in sorted(self.root.glob(".tmp-task_*.npy")):
+            for stale in sorted(self.root.glob(f"{SHADOW_PREFIX}task_*")):
                 # An in-flight commit that never renamed; the committed
                 # file (if any) is still the previous good generation.
                 stale.unlink()
+                PENDING_SHADOWS.discard(stale)
                 self.discarded.append(stale.name)
-            for path in sorted(self.root.glob("task_*.npy")):
+            for path in sorted(self.root.glob("task_*.chunk")):
                 try:
                     tid = int(path.stem.split("_", 1)[1])
                 except ValueError:
                     continue
                 try:
-                    self._arrays[tid] = np.load(path)
-                except (ValueError, OSError, EOFError):
+                    intact = verify_chunk(path).get("key") == f"task/{tid}"
+                except StoreIntegrityError:
+                    intact = False
+                if intact:
+                    self._arrays[tid] = read_payload(path)[0]
+                else:
                     path.unlink()
                     self.discarded.append(path.name)
 
     def save(self, task_id: int, array: np.ndarray) -> None:
+        tid = int(task_id)
         arr = np.array(array, copy=True)
-        self._arrays[int(task_id)] = arr
         if self.root is not None:
-            name = f"task_{int(task_id):06d}.npy"
-            tmp = self.root / f".tmp-{name}"
-            with open(tmp, "wb") as f:
-                np.save(f, arr)
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, self.root / name)
+            commit_chunk(self.root / f"task_{tid:06d}.chunk", {"key": f"task/{tid}"}, arr)
+        self._arrays[tid] = arr
 
     def load(self, task_id: int) -> np.ndarray:
         return self._arrays[int(task_id)]

@@ -8,12 +8,13 @@ The header carries the array key, window bounds, generation number, dtype,
 shape, and the payload's CRC32 -- enough to detect truncation, torn
 writes, and bit flips without any other file.
 
-Commits are atomic: the chunk is written to a same-directory shadow file,
-flushed and fsynced, then renamed over the destination (never overwriting
-a live chunk's bytes in place), and the directory is fsynced so the rename
-itself is durable.  A crash at any point leaves either the old generation
-or the new one -- plus possibly a shadow file, which the open-time scrub
-removes.
+Every file the store and the task checkpoints write -- chunks, manifests,
+the store index -- commits through :func:`durable_replace`: the bytes go
+to a same-directory shadow file, flushed and fsynced, which is then
+renamed over the destination (never overwriting a live file's bytes in
+place), and the directory is fsynced so the rename itself is durable.  A
+crash at any point leaves either the old generation or the new one --
+plus possibly a shadow file, which the open-time scrub removes.
 
 The ``store.write`` fault site lives here: a TORN_WRITE spec makes the
 commit write only a prefix of the shadow and raise
@@ -39,6 +40,7 @@ __all__ = [
     "StoreTornWrite",
     "StoreIntegrityError",
     "encode_chunk",
+    "durable_replace",
     "commit_chunk",
     "read_chunk_header",
     "verify_chunk",
@@ -99,19 +101,49 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
+def durable_replace(
+    path: Path,
+    blob: bytes,
+    torn_at: Optional[int] = None,
+    prev: Optional[Path] = None,
+) -> None:
+    """Replace ``path`` with ``blob``: shadow write + fsync + rename + dir fsync.
+
+    The shadow (``.shadow-<name>`` beside ``path``) is tracked in
+    :data:`PENDING_SHADOWS` until its rename.  ``prev`` retains the live
+    file under that name just before the rename.  ``torn_at`` models a
+    writer killed mid-write: only that prefix of the shadow lands, and
+    :class:`StoreTornWrite` is raised with the shadow left on disk for
+    the scrub to find, exactly as a real kill would leave it.
+    """
+    shadow = path.parent / f"{SHADOW_PREFIX}{path.name}"
+    PENDING_SHADOWS.add(shadow)
+    with open(shadow, "wb") as f:
+        f.write(blob if torn_at is None else blob[:torn_at])
+        f.flush()
+        os.fsync(f.fileno())
+    if torn_at is not None:
+        raise StoreTornWrite(
+            f"writer killed {torn_at} bytes into the shadow for "
+            f"{path.name!r}; live file untouched"
+        )
+    if prev is not None and path.exists():
+        os.replace(path, prev)
+    os.replace(shadow, path)
+    PENDING_SHADOWS.discard(shadow)
+    _fsync_dir(path.parent)
+
+
 def commit_chunk(path: Path, header: Dict[str, object], payload: np.ndarray) -> None:
-    """Atomically commit one chunk: shadow write + fsync + rename.
+    """Atomically commit one chunk through :func:`durable_replace`.
 
     The live chunk at ``path`` (if any) is never opened for writing; a
     kill at any byte of this function leaves it bitwise intact.  Raises
     :class:`StoreTornWrite` when a TORN_WRITE fault fires at
-    ``store.write`` -- the torn shadow stays on disk for the scrub to
-    find, exactly as a real kill would leave it.
+    ``store.write``.
     """
     path = Path(path)
     blob = encode_chunk(header, payload)
-    shadow = path.parent / f"{SHADOW_PREFIX}{path.name}"
-
     torn_at = None
     ctrl = res_state.active
     if ctrl is not None:
@@ -121,23 +153,7 @@ def commit_chunk(path: Path, header: Dict[str, object], payload: np.ndarray) -> 
             if torn_at is None:
                 torn_at = ctrl.rng.randrange(1, max(2, len(blob)))
             torn_at = min(int(torn_at), len(blob))
-
-    PENDING_SHADOWS.add(shadow)
-    with open(shadow, "wb") as f:
-        if torn_at is not None:
-            f.write(blob[:torn_at])
-            f.flush()
-            os.fsync(f.fileno())
-            raise StoreTornWrite(
-                f"writer killed {torn_at} bytes into the shadow for "
-                f"{path.name!r}; live chunk untouched"
-            )
-        f.write(blob)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(shadow, path)
-    PENDING_SHADOWS.discard(shadow)
-    _fsync_dir(path.parent)
+    durable_replace(path, blob, torn_at=torn_at)
 
 
 def read_chunk_header(path: Path) -> Tuple[Dict[str, object], int]:

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from ..resilience import state as res_state
-from .format import StoreIntegrityError, StoreTornWrite, _fsync_dir
+from .format import StoreIntegrityError, StoreTornWrite, durable_replace
 
 __all__ = [
     "MANIFEST_VERSION",
@@ -70,10 +70,10 @@ def _validate(raw: bytes, source: str) -> Dict[str, object]:
 def commit_manifest(obs_dir: Path, doc: Dict[str, object]) -> Dict[str, object]:
     """Atomically replace the observation manifest, retaining the old one.
 
-    Protocol: seal (version + CRC), write a same-directory shadow with
-    fsync, move the live manifest to ``manifest.json.prev``, rename the
-    shadow into place, fsync the directory.  A crash between the two
-    renames leaves no ``manifest.json`` but an intact ``.prev`` -- which
+    Protocol: seal (version + CRC), then :func:`durable_replace` with the
+    live manifest moved to ``manifest.json.prev`` between the shadow's
+    fsync and its rename.  A crash between the two renames leaves no
+    ``manifest.json`` but an intact ``.prev`` -- which
     :func:`load_manifest` falls back to.
     """
     obs_dir = Path(obs_dir)
@@ -82,34 +82,24 @@ def commit_manifest(obs_dir: Path, doc: Dict[str, object]) -> Dict[str, object]:
     sealed = _sealed(doc)
     blob = json.dumps(sealed, sort_keys=True, indent=1).encode("utf-8")
 
-    spec = None
     ctrl = res_state.active
-    if ctrl is not None:
-        spec = ctrl.check("store.manifest", obs=obs_dir.name)
-
-    shadow = obs_dir / f".shadow-{MANIFEST_NAME}"
-    with open(shadow, "wb") as f:
-        f.write(blob)
-        f.flush()
-        os.fsync(f.fileno())
+    spec = None if ctrl is None else ctrl.check("store.manifest", obs=obs_dir.name)
+    if spec is None:
+        durable_replace(path, blob, prev=prev)
+        return sealed
+    # Model a kill mid-overwrite: a truncated manifest lands while the
+    # retained .prev still holds the previous generation.
+    torn_at = spec.offset
+    if torn_at is None:
+        torn_at = ctrl.rng.randrange(1, max(2, len(blob)))
+    torn_at = min(int(torn_at), len(blob))
     if path.exists():
         os.replace(path, prev)
-    if spec is not None:
-        # Model a kill mid-overwrite: a truncated manifest lands while the
-        # retained .prev still holds the previous generation.
-        torn_at = spec.offset
-        if torn_at is None:
-            torn_at = ctrl.rng.randrange(1, max(2, len(blob)))
-        torn_at = min(int(torn_at), len(blob))
-        path.write_bytes(blob[:torn_at])
-        shadow.unlink()
-        raise StoreTornWrite(
-            f"writer killed {torn_at} bytes into manifest for {obs_dir.name!r}; "
-            f"previous manifest retained as {prev.name!r}"
-        )
-    os.replace(shadow, path)
-    _fsync_dir(obs_dir)
-    return sealed
+    path.write_bytes(blob[:torn_at])
+    raise StoreTornWrite(
+        f"writer killed {torn_at} bytes into manifest for {obs_dir.name!r}; "
+        f"previous manifest retained as {prev.name!r}"
+    )
 
 
 def load_manifest(obs_dir: Path) -> Tuple[Dict[str, object], Optional[str]]:

@@ -32,7 +32,6 @@ import numpy as np
 
 from ..core.focalplane import Focalplane
 from ..core.observation import Observation
-from ..io.volumes import _focalplane_from_meta, _focalplane_meta
 from ..math.intervals import IntervalList
 from ..obs import state as obs_state
 from ..obs.events import ClockDomain, Event, EventType
@@ -45,6 +44,7 @@ from .format import (
     StoreTornWrite,
     HeaderFrame,
     commit_chunk,
+    durable_replace,
     read_chunk_header,
     read_payload,
     verify_chunk,
@@ -124,6 +124,48 @@ def _note(etype: EventType, name: str, metric: str, amount: float = 1.0, **attrs
         ctrl.count(metric, int(amount))
 
 
+def _commit_with_retry(name: str, metric: str, commit: Callable[[], Any], **attrs: Any) -> None:
+    """Run ``commit`` until it lands; each torn write is noted and retried."""
+    for attempt in range(_COMMIT_ATTEMPTS):
+        try:
+            commit()
+        except StoreTornWrite:
+            if attempt == _COMMIT_ATTEMPTS - 1:
+                raise
+            _note(EventType.STORE_COMMIT, name, "store.commit_retries", retry=attempt + 1)
+        else:
+            _note(EventType.STORE_COMMIT, name, metric, **attrs)
+            return
+
+
+def _focalplane_meta(fp: Focalplane) -> dict:
+    return {
+        "sample_rate": fp.sample_rate,
+        "detectors": fp.detectors,
+        "psi_pol": fp.psi_pol,
+        "pol_leakage": fp.pol_leakage,
+        "net": fp.net,
+        "fknee": fp.fknee,
+        "fmin": fp.fmin,
+        "alpha": fp.alpha,
+    }
+
+
+def _focalplane_from_meta(meta: dict, quats: np.ndarray) -> Focalplane:
+    detectors = list(meta["detectors"])
+    return Focalplane(
+        sample_rate=float(meta["sample_rate"]),
+        detectors=detectors,
+        detector_quats={d: quats[i] for i, d in enumerate(detectors)},
+        psi_pol={k: float(v) for k, v in meta["psi_pol"].items()},
+        pol_leakage={k: float(v) for k, v in meta["pol_leakage"].items()},
+        net={k: float(v) for k, v in meta["net"].items()},
+        fknee={k: float(v) for k, v in meta["fknee"].items()},
+        fmin={k: float(v) for k, v in meta["fmin"].items()},
+        alpha={k: float(v) for k, v in meta["alpha"].items()},
+    )
+
+
 def _payload_crc(payload: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(payload).tobytes()) & 0xFFFFFFFF
 
@@ -193,17 +235,9 @@ class ObservationStore:
         return store
 
     def _write_index(self) -> None:
-        sealed = _sealed(self._index)
-        self._index = sealed
-        path = self.root / STORE_INDEX
-        shadow = self.root / f"{SHADOW_PREFIX}{STORE_INDEX}"
-        PENDING_SHADOWS.add(shadow)
-        with open(shadow, "wb") as f:
-            f.write(json.dumps(sealed, sort_keys=True, indent=1).encode("utf-8"))
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(shadow, path)
-        PENDING_SHADOWS.discard(shadow)
+        self._index = _sealed(self._index)
+        blob = json.dumps(self._index, sort_keys=True, indent=1).encode("utf-8")
+        durable_replace(self.root / STORE_INDEX, blob)
 
     # -- properties ------------------------------------------------------------
 
@@ -214,9 +248,6 @@ class ObservationStore:
     @property
     def n_observations(self) -> int:
         return len(self._index["observations"])
-
-    def observation_names(self) -> List[str]:
-        return [doc["name"] for doc in self._manifests]
 
     def manifest(self, iobs: int) -> Dict[str, Any]:
         return self._manifests[iobs]
@@ -273,7 +304,7 @@ class ObservationStore:
                         "stop": stop,
                         "generation": 1,
                     }
-                    self._commit_with_retry(chunks_dir / fname, header, payload)
+                    self._commit_chunk(chunks_dir / fname, header, payload)
                     entries.append(
                         {
                             "file": fname,
@@ -305,56 +336,29 @@ class ObservationStore:
             "arrays": arrays,
             "producer": producer,
         }
-        self._commit_manifest_with_retry(obs_dir, doc)
+        _commit_with_retry(
+            MANIFEST_NAME, "store.manifests_written", lambda: commit_manifest(obs_dir, doc)
+        )
         self._manifests.append(doc)
         self._index["observations"].append(obs_name)
         self._write_index()
         return iobs
 
-    def _commit_with_retry(self, path: Path, header: Dict[str, Any], payload) -> None:
+    def _commit_chunk(self, path: Path, header: Dict[str, Any], payload) -> None:
         self._headers.pop(path, None)
-        for attempt in range(_COMMIT_ATTEMPTS):
-            try:
-                commit_chunk(path, header, payload)
-                _note(
-                    EventType.STORE_COMMIT,
-                    path.name,
-                    "store.chunks_written",
-                    nbytes=int(np.asarray(payload).nbytes),
-                )
-                return
-            except StoreTornWrite:
-                if attempt == _COMMIT_ATTEMPTS - 1:
-                    raise
-                _note(
-                    EventType.STORE_COMMIT,
-                    path.name,
-                    "store.commit_retries",
-                    retry=attempt + 1,
-                )
-
-    def _commit_manifest_with_retry(self, obs_dir: Path, doc: Dict[str, Any]) -> None:
-        for attempt in range(_COMMIT_ATTEMPTS):
-            try:
-                commit_manifest(obs_dir, doc)
-                _note(EventType.STORE_COMMIT, MANIFEST_NAME, "store.manifests_written")
-                return
-            except StoreTornWrite:
-                if attempt == _COMMIT_ATTEMPTS - 1:
-                    raise
-                _note(
-                    EventType.STORE_COMMIT,
-                    MANIFEST_NAME,
-                    "store.commit_retries",
-                    retry=attempt + 1,
-                )
+        _commit_with_retry(
+            path.name,
+            "store.chunks_written",
+            lambda: commit_chunk(path, header, payload),
+            nbytes=int(np.asarray(payload).nbytes),
+        )
 
     # -- store-level meta arrays -----------------------------------------------
 
     def save_meta(self, key: str, array: np.ndarray) -> None:
         fname = f"meta__{key}.chunk"
         header = {"key": f"meta/{key}", "window": 0, "start": 0, "stop": 0, "generation": 1}
-        self._commit_with_retry(self.root / fname, header, np.asarray(array))
+        self._commit_chunk(self.root / fname, header, np.asarray(array))
         self._index["meta"][key] = fname
         self._write_index()
 
@@ -503,7 +507,7 @@ class ObservationStore:
                 "stop": stop,
                 "generation": int(chunk["generation"]),
             }
-            self._commit_with_retry(obs_dir / "chunks" / chunk["file"], header, payload)
+            self._commit_chunk(obs_dir / "chunks" / chunk["file"], header, payload)
             _note(EventType.STORE_REGENERATE, chunk["file"], "store.chunks_regenerated")
 
     # -- windowed reads --------------------------------------------------------

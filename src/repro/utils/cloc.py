@@ -13,7 +13,7 @@ import io
 import tokenize
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Union
+from typing import Dict, Union
 
 
 @dataclass(frozen=True)
@@ -106,14 +106,6 @@ def count_source(text: str) -> LineCount:
 def count_file(path: Union[str, Path]) -> LineCount:
     """Count one file on disk."""
     return count_source(Path(path).read_text())
-
-
-def count_files(paths: Iterable[Union[str, Path]]) -> LineCount:
-    """Aggregate counts over several files."""
-    total = LineCount()
-    for p in paths:
-        total = total + count_file(p)
-    return total
 
 
 def count_tree(root: Union[str, Path], pattern: str = "*.py") -> Dict[str, LineCount]:

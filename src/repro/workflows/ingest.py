@@ -81,16 +81,19 @@ def ingest_satellite_store(
 ) -> ObservationStore:
     """Simulate the benchmark dataset and spill it into a fresh store.
 
-    Every observation is spilled with the ``satellite-sim`` producer
-    registered in its manifest, and the input sky map is saved as
-    store-level meta so streamed runs (and worker processes) read back
-    the exact bytes the simulation used.
+    Observations are simulated and spilled one at a time, so ingest holds
+    one observation (plus the sky) in memory, never the dataset.  Every
+    observation is spilled with the ``satellite-sim`` producer registered
+    in its manifest, and the input sky map is saved as store-level meta so
+    streamed runs (and worker processes) read back the exact bytes the
+    simulation used.
     """
     if chunk_samples is None:
         chunk_samples = max(64, size.n_samples // 8)
     store = ObservationStore.create(root, chunk_samples=chunk_samples)
-    data = make_satellite_data(size, realization=realization)
-    for iobs, ob in enumerate(data.obs):
+    sky = satellite_sky(size, realization)
+    for iobs in range(size.n_observations):
+        ob = make_satellite_data(size, [iobs], realization=realization, sky=sky).obs[0]
         store.spill_observation(
             ob,
             producer={
@@ -102,7 +105,8 @@ def ingest_satellite_store(
                 },
             },
         )
-    store.save_meta("sky_map", data["sky_map"])
+        del ob  # freed before the next observation is simulated
+    store.save_meta("sky_map", sky)
     return store
 
 

@@ -146,7 +146,7 @@ class TestTaskCheckpoint:
         store = TaskCheckpoint(root)
         store.save(1, np.arange(4.0))
         # No tmp file survives a completed save.
-        assert sorted(p.name for p in root.iterdir()) == ["task_000001.npy"]
+        assert sorted(p.name for p in root.iterdir()) == ["task_000001.chunk"]
 
     def test_kill_mid_write_discards_only_the_torn_file(self, tmp_path):
         """A writer killed mid-save must not poison the resume.
@@ -154,42 +154,43 @@ class TestTaskCheckpoint:
         Simulates the on-disk state such a kill leaves: one good
         checkpoint, one checkpoint whose bytes are a truncated prefix
         (killed mid-overwrite on a non-atomic filesystem), and one
-        in-flight ``.tmp-`` file that never renamed.  Resume keeps the
+        in-flight ``.shadow-`` file that never renamed.  Resume keeps the
         good file, discards and unlinks the rest.
         """
         root = tmp_path / "ckpt"
         store = TaskCheckpoint(root)
         store.save(1, np.arange(5.0))
         store.save(2, np.arange(7.0))
-        good = (root / "task_000001.npy").read_bytes()
-        (root / "task_000002.npy").write_bytes(good[:9])
-        (root / ".tmp-task_000003.npy").write_bytes(b"\x93NUMPY-partial")
+        good = (root / "task_000001.chunk").read_bytes()
+        (root / "task_000002.chunk").write_bytes(good[:9])
+        (root / ".shadow-task_000003.chunk").write_bytes(b"\x93NUMPY-partial")
 
         reborn = TaskCheckpoint(root)
         assert reborn.task_ids() == [1]
         assert np.array_equal(reborn.load(1), np.arange(5.0))
         assert sorted(reborn.discarded) == [
-            ".tmp-task_000003.npy",
-            "task_000002.npy",
+            ".shadow-task_000003.chunk",
+            "task_000002.chunk",
         ]
         # The corrupt artifacts are gone: the tasks simply rerun.
-        assert sorted(p.name for p in root.iterdir()) == ["task_000001.npy"]
+        assert sorted(p.name for p in root.iterdir()) == ["task_000001.chunk"]
         # And a fresh save of the discarded task works normally.
         reborn.save(2, np.arange(7.0))
         assert TaskCheckpoint(root).task_ids() == [1, 2]
 
     def test_non_integer_task_name_is_left_alone(self, tmp_path):
-        """A ``task_*.npy`` this store did not write is not a checkpoint."""
+        """A ``task_*.chunk`` this store did not write is not a checkpoint."""
         root = tmp_path / "ckpt"
         store = TaskCheckpoint(root)
         store.save(3, np.arange(4.0))
-        np.save(root / "task_notes.npy", np.zeros(2))
+        with open(root / "task_notes.chunk", "wb") as f:
+            np.save(f, np.zeros(2))
 
         reborn = TaskCheckpoint(root)
         assert reborn.task_ids() == [3]
         assert np.array_equal(reborn.load(3), np.arange(4.0))
         assert reborn.discarded == []
         assert sorted(p.name for p in root.iterdir()) == [
-            "task_000003.npy",
-            "task_notes.npy",
+            "task_000003.chunk",
+            "task_notes.chunk",
         ]

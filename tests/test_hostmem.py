@@ -1,4 +1,4 @@
-"""Freed host memory stays mapped: a warm unit faults in no fresh pages.
+"""Host memory: freed pages stay mapped, and out-of-core runs stay flat.
 
 Importing :mod:`repro` pins glibc's mmap and trim thresholds
 (:mod:`repro.utils.hostmem`).  Without that, every NumPy temporary of
@@ -6,9 +6,14 @@ Importing :mod:`repro` pins glibc's mmap and trim thresholds
 unit faults thousands of pages in again even when the inputs are the same
 size as the last unit's.
 
-The faults are counted in a fresh interpreter: glibc adapts its default
-thresholds to the largest mapping freed so far, so a process that has
-already run other tests says little about what a new one does.
+Ingest spills one observation at a time and a streamed run holds one
+window at a time, so their peak resident set must not grow with the
+number of observations.
+
+Both are measured in a fresh interpreter: glibc adapts its default
+thresholds to the largest mapping freed so far, and the peak resident set
+is a high-water mark, so a process that has already run other tests says
+little about what a new one does.
 """
 
 import json
@@ -84,10 +89,54 @@ print(json.dumps(faults))
 """
 
 
-def _unit_faults(path: str) -> list:
+# Ingests SizeSpec(n, 4, 16384, 32) into a fresh store in 4096-sample
+# chunks and streams it once in 4096-sample windows, for each n given in
+# turn; after each, prints the process's peak resident set so far and one
+# window's stored bytes.  The last line is the JSON list of those records.
+_INGEST_PEAK = r"""
+import json, sys, tempfile
+
+from repro.store import StreamConfig, stream_pipeline
+from repro.workflows.ingest import ingest_satellite_store
+from repro.workflows.satellite import SizeSpec, satellite_processing_pipeline
+
+WINDOW = 4096
+
+
+def peak_bytes():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) * 1024
+
+
+records = []
+for n_obs in map(int, sys.argv[1].split(",")):
+    size = SizeSpec("ingest-rss", n_obs, 4, 16384, 32)
+    with tempfile.TemporaryDirectory() as tmp:
+        store = ingest_satellite_store(tmp, size, realization=0, chunk_samples=WINDOW)
+        stream_pipeline(
+            store,
+            satellite_processing_pipeline(size.nside),
+            meta={"sky_map": store.load_meta("sky_map")},
+            config=StreamConfig(window_samples=WINDOW),
+        )
+        window_bytes = store.bytes_per_sample(0) * WINDOW
+    records.append({"peak_bytes": peak_bytes(), "window_bytes": window_bytes})
+print(json.dumps(records))
+"""
+
+#: How far the 8x run may lift the peak set by the 1x run, in windows of
+#: stored bytes.  One observation is four windows, so holding the dataset
+#: overshoots by four windows per extra observation (56 at 8x).  What does
+#: grow with the observation count -- manifests and cached chunk headers --
+#: measured under two windows at 8x.
+MAX_GROWTH_WINDOWS = 8
+
+
+def _fresh(script: str, arg: str):
+    """Run ``script`` in a fresh interpreter; its last line of output, as JSON."""
     src = str(Path(repro.__file__).resolve().parent.parent)
     result = subprocess.run(
-        [sys.executable, "-c", _UNIT_FAULTS, path],
+        [sys.executable, "-c", script, arg],
         capture_output=True,
         text=True,
         timeout=300,
@@ -104,8 +153,21 @@ def test_retain_freed_memory_is_active_and_repeatable():
 
 @pytest.mark.parametrize("path", ["host", "device"])
 def test_warm_unit_faults_in_no_fresh_pages(path):
-    faults = _unit_faults(path)
+    faults = _fresh(_UNIT_FAULTS, path)
     assert faults[2] < MAX_WARM_FAULTS, (
         f"third {path} unit made {faults[2]} minor page faults "
         f"(all units: {faults}); freed temporaries are not being reused"
+    )
+
+
+def test_ingest_and_stream_peak_does_not_grow_with_the_dataset():
+    # 1x, then 8x the observations in the same fresh interpreter: the 8x
+    # run starts from the heap the 1x run left, so only growth shows.
+    one, eight = _fresh(_INGEST_PEAK, "2,16")
+    growth = eight["peak_bytes"] - one["peak_bytes"]
+    bound = MAX_GROWTH_WINDOWS * one["window_bytes"]
+    assert growth < bound, (
+        f"ingest + stream of 16 observations peaked {growth / 2**20:.1f} MiB above "
+        f"2 observations (bound {bound / 2**20:.1f} MiB, {MAX_GROWTH_WINDOWS} windows "
+        f"of {one['window_bytes']} stored bytes): memory grows with the dataset"
     )

@@ -1,18 +1,20 @@
-"""Tests for observation/map serialization."""
+"""Tests for the on-disk round trips: observations and meta arrays through
+:class:`repro.store.ObservationStore` (the one observation format), and
+output maps through ``save_map``/``load_map``."""
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.core import Data, fake_hexagon_focalplane
-from repro.io import (
-    load_data,
-    load_map,
-    load_observation,
-    save_data,
-    save_map,
-    save_observation,
-)
+from repro.io import load_map, save_map
 from repro.ops import DefaultNoiseModel, SimNoise, SimSatellite, create_fake_sky
+from repro.store import ObservationStore, StoreIntegrityError
+from repro.store.manifest import MANIFEST_NAME
+from repro.workflows.satellite import same_bits
+
+pytestmark = pytest.mark.usefixtures("leak_sentinel")
 
 
 @pytest.fixture
@@ -23,141 +25,141 @@ def data():
     DefaultNoiseModel().apply(d)
     SimNoise().apply(d)
     d["sky_map"] = create_fake_sky(8, seed=1)
-    d["not_an_array"] = {"config": True}
     return d
+
+
+def _save(data, root):
+    """Spill every observation and the sky map; 500 samples make four
+    128-sample chunks per array, the last one partial."""
+    store = ObservationStore.create(root, chunk_samples=128)
+    for ob in data.obs:
+        store.spill_observation(ob)
+    store.save_meta("sky_map", data["sky_map"])
+    return store.root
+
+
+def _load(root):
+    store = ObservationStore.open(root)
+    back = Data()
+    for iobs in range(store.n_observations):
+        back.obs.append(store.load_observation(iobs))
+    for key in store.meta_keys():
+        back[key] = store.load_meta(key)
+    return back
+
+
+def _flip_payload_byte(path, at=-2):
+    blob = bytearray(path.read_bytes())
+    blob[at] ^= 0x10  # payload only: the header frame stays sound
+    path.write_bytes(bytes(blob))
 
 
 class TestObservationRoundtrip:
     def test_roundtrip_arrays(self, data, tmp_path):
         ob = data.obs[0]
-        path = save_observation(ob, tmp_path / "obs0")
-        assert path.suffix == ".npz"
-        back = load_observation(path)
-        assert back.name == ob.name
-        assert back.uid == ob.uid
-        assert back.n_samples == ob.n_samples
-        for key in ob.shared:
-            np.testing.assert_array_equal(back.shared[key], ob.shared[key])
-        for key in ob.detdata:
-            np.testing.assert_array_equal(back.detdata[key], ob.detdata[key])
+        back = _load(_save(data, tmp_path / "vol")).obs[0]
+        assert (back.name, back.uid, back.n_samples) == (ob.name, ob.uid, ob.n_samples)
+        for kind in ("shared", "detdata"):
+            got, want = getattr(back, kind), getattr(ob, kind)
+            assert sorted(got) == sorted(want)
+            for key in want:
+                assert same_bits(got[key], want[key]), f"{kind}/{key}"
 
     def test_roundtrip_intervals(self, data, tmp_path):
         ob = data.obs[0]
-        back = load_observation(save_observation(ob, tmp_path / "obs0"))
+        back = _load(_save(data, tmp_path / "vol")).obs[0]
         assert back.intervals["scan"] == ob.intervals["scan"]
+        for got, want in zip(
+            back.intervals["scan"].as_arrays(), ob.intervals["scan"].as_arrays()
+        ):
+            assert same_bits(got, want)
 
     def test_roundtrip_focalplane(self, data, tmp_path):
         ob = data.obs[0]
-        back = load_observation(save_observation(ob, tmp_path / "obs0"))
+        back = _load(_save(data, tmp_path / "vol")).obs[0]
         assert back.detectors == ob.detectors
-        np.testing.assert_allclose(
-            back.focalplane.quat_array(), ob.focalplane.quat_array()
-        )
-        np.testing.assert_allclose(
+        assert same_bits(back.focalplane.quat_array(), ob.focalplane.quat_array())
+        np.testing.assert_array_equal(
             back.focalplane.detector_weights(), ob.focalplane.detector_weights()
         )
 
-    def test_bad_format_rejected(self, tmp_path):
-        import json
+    def test_bad_format_rejected(self, data, tmp_path):
+        """A manifest from another format version is refused, and so is
+        its retained previous generation: no fallback reads either."""
+        obs_dir = _save(data, tmp_path / "vol") / "obs_0000"
+        raw = json.loads((obs_dir / MANIFEST_NAME).read_text())
+        raw["format"] = 99
+        for name in (MANIFEST_NAME, f"{MANIFEST_NAME}.prev"):
+            (obs_dir / name).write_text(json.dumps(raw))
+        with pytest.raises(StoreIntegrityError, match="format version 99"):
+            ObservationStore.open(obs_dir.parent)
 
-        header = np.frombuffer(json.dumps({"format": 99}).encode(), dtype=np.uint8)
-        np.savez(tmp_path / "bad.npz", _header=header, _fp_quats=np.zeros((1, 4)))
-        with pytest.raises(ValueError, match="format version 99"):
-            load_observation(tmp_path / "bad.npz")
-
-    def test_version_error_names_supported_versions(self, tmp_path):
-        import json
-
-        header = np.frombuffer(json.dumps({"format": 99}).encode(), dtype=np.uint8)
-        np.savez(tmp_path / "bad.npz", _header=header, _fp_quats=np.zeros((1, 4)))
-        with pytest.raises(ValueError, match=r"reads versions \{1, 2\}"):
-            load_observation(tmp_path / "bad.npz")
+    def test_version_error_names_supported_versions(self, data, tmp_path):
+        obs_dir = _save(data, tmp_path / "vol") / "obs_0001"
+        raw = json.loads((obs_dir / MANIFEST_NAME).read_text())
+        raw["format"] = 99
+        (obs_dir / MANIFEST_NAME).write_text(json.dumps(raw))
+        with pytest.raises(
+            StoreIntegrityError,
+            match=r"'obs_0001' has format version 99; this build reads version 1",
+        ):
+            ObservationStore.open(obs_dir.parent)
 
     def test_corrupt_array_fails_naming_the_key(self, data, tmp_path):
-        """A flipped bit in one stored array is caught by its checksum."""
-        path = save_observation(data.obs[0], tmp_path / "obs0")
-        with np.load(path) as volume:
-            arrays = {k: np.array(volume[k]) for k in volume.files}
-        arrays["detdata/signal"][0, 3] += 1.0e-9  # rot, header untouched
-        np.savez_compressed(path, **arrays)
-        with pytest.raises(ValueError, match=r"'detdata/signal' CRC mismatch"):
-            load_observation(path)
-
-    def test_format1_volume_without_checksums_loads(self, data, tmp_path):
-        """Pre-checksum volumes (format 1) stay readable."""
-        import json
-
-        ob = data.obs[0]
-        path = save_observation(ob, tmp_path / "obs0")
-        with np.load(path) as volume:
-            arrays = {k: np.array(volume[k]) for k in volume.files}
-        header = json.loads(bytes(arrays.pop("_header").tobytes()).decode())
-        header["format"] = 1
-        del header["checksums"]
-        arrays["_header"] = np.frombuffer(
-            json.dumps(header).encode(), dtype=np.uint8
-        )
-        np.savez_compressed(path, **arrays)
-        back = load_observation(path)
-        np.testing.assert_array_equal(
-            back.detdata["signal"], ob.detdata["signal"]
-        )
+        """A flipped bit in one stored array is caught by its chunk's CRC."""
+        root = _save(data, tmp_path / "vol")
+        _flip_payload_byte(root / "obs_0000" / "chunks" / "detdata__signal__w0001.chunk")
+        with pytest.raises(
+            StoreIntegrityError,
+            match=r"chunk 'detdata__signal__w0001\.chunk' payload CRC mismatch",
+        ):
+            ObservationStore.open(root)
 
 
 class TestDataRoundtrip:
     def test_roundtrip(self, data, tmp_path):
-        save_data(data, tmp_path / "vol")
-        back = load_data(tmp_path / "vol")
+        back = _load(_save(data, tmp_path / "vol"))
         assert len(back.obs) == len(data.obs)
-        np.testing.assert_array_equal(back["sky_map"], data["sky_map"])
-        np.testing.assert_array_equal(
-            back.obs[1].detdata["signal"], data.obs[1].detdata["signal"]
-        )
-
-    def test_non_array_meta_skipped(self, data, tmp_path):
-        save_data(data, tmp_path / "vol")
-        back = load_data(tmp_path / "vol")
-        assert "not_an_array" not in back
+        assert same_bits(back["sky_map"], data["sky_map"])
+        assert same_bits(back.obs[1].detdata["signal"], data.obs[1].detdata["signal"])
 
     def test_index_written(self, data, tmp_path):
-        save_data(data, tmp_path / "vol")
-        assert (tmp_path / "vol" / "index.json").exists()
+        root = _save(data, tmp_path / "vol")
+        index = json.loads((root / "store.json").read_text())
+        assert index["observations"] == ["obs_0000", "obs_0001"]
+        assert index["meta"] == {"sky_map": "meta__sky_map.chunk"}
 
     def test_index_version_error_names_versions(self, data, tmp_path):
-        import json
-
-        save_data(data, tmp_path / "vol")
-        index_path = tmp_path / "vol" / "index.json"
-        index = json.loads(index_path.read_text())
+        root = _save(data, tmp_path / "vol")
+        index = json.loads((root / "store.json").read_text())
         index["format"] = 7
-        index_path.write_text(json.dumps(index))
+        (root / "store.json").write_text(json.dumps(index))
         with pytest.raises(
-            ValueError, match=r"version 7; this build reads versions \{1, 2\}"
+            StoreIntegrityError,
+            match=r"format version 7; this build reads version 1",
         ):
-            load_data(tmp_path / "vol")
+            ObservationStore.open(root)
 
     def test_corrupt_meta_file_fails_naming_the_key(self, data, tmp_path):
-        save_data(data, tmp_path / "vol")
-        target = tmp_path / "vol" / "meta_sky_map.npy"
-        blob = bytearray(target.read_bytes())
-        blob[-2] ^= 0x10
-        target.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match=r"'sky_map' CRC mismatch"):
-            load_data(tmp_path / "vol")
+        root = _save(data, tmp_path / "vol")
+        store = ObservationStore.open(root)
+        _flip_payload_byte(root / "meta__sky_map.chunk")
+        with pytest.raises(
+            StoreIntegrityError,
+            match=r"chunk 'meta__sky_map\.chunk' payload CRC mismatch",
+        ):
+            store.load_meta("sky_map")
 
     def test_processing_continues_after_reload(self, data, tmp_path):
         """Loaded data flows through the pipeline identically."""
-        from repro.healpix import npix as healpix_npix
         from repro.ops import PixelsHealpix, PointingDetector
 
-        save_data(data, tmp_path / "vol")
-        back = load_data(tmp_path / "vol")
+        back = _load(_save(data, tmp_path / "vol"))
         for d in (data, back):
             PointingDetector().apply(d)
             PixelsHealpix(nside=8, nest=True).apply(d)
-        np.testing.assert_array_equal(
-            back.obs[0].detdata["pixels"], data.obs[0].detdata["pixels"]
-        )
+        for ob, ob_back in zip(data.obs, back.obs):
+            assert same_bits(ob_back.detdata["pixels"], ob.detdata["pixels"])
 
 
 class TestMapRoundtrip:

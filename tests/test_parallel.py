@@ -23,7 +23,9 @@ from repro.parallel import (
     slab_until_registered,
 )
 from repro.resilience import named_plan
-from repro.workflows.satellite import SizeSpec
+from repro.resilience.faults import FaultKind, FaultPlan, FaultSpec
+from repro.store import StoreTornWrite, commit_chunk, read_chunk_header
+from repro.workflows.satellite import SizeSpec, same_bits
 
 pytestmark = pytest.mark.usefixtures("leak_sentinel")
 
@@ -245,7 +247,7 @@ class TestCheckpointResume:
         assert not report.complete
         assert len(store) >= 3  # every commit checkpointed before the kill
 
-        # Resume in a "new process": a fresh store re-reads the .npy files.
+        # Resume in a "new process": a fresh store re-reads the .chunk files.
         resumed_store = TaskCheckpoint(root)
         assert resumed_store.task_ids() == store.task_ids()
         out = _run(2, checkpoint=resumed_store)
@@ -261,6 +263,54 @@ class TestCheckpointResume:
         assert again["n_workers"] == 0
         assert sorted(again["resumed_tasks"]) == store.task_ids()
         assert first["zmap"].tobytes() == again["zmap"].tobytes()
+
+    def test_rotted_or_misnamed_checkpoint_reruns_its_task(self, tmp_path):
+        """One flipped payload byte, or a chunk keyed to another task, is
+        discarded at load; the task reruns and the map stays clean."""
+        root = tmp_path / "ckpt"
+        store = TaskCheckpoint(root)
+        clean = _run(2, checkpoint=store)
+        rotted = root / "task_000003.chunk"
+        _, offset = read_chunk_header(rotted)
+        blob = bytearray(rotted.read_bytes())
+        blob[offset + 5] ^= 0x40
+        rotted.write_bytes(bytes(blob))
+        commit_chunk(root / "task_000001.chunk", {"key": "task/2"}, store.load(1))
+
+        resumed = TaskCheckpoint(root)
+        assert resumed.discarded == ["task_000001.chunk", "task_000003.chunk"]
+        assert resumed.task_ids() == [0, 2]
+        out = _run(2, checkpoint=resumed)
+        assert sorted(out["resumed_tasks"]) == [0, 2]
+        assert out["elastic"]["committed"] == 2
+        assert same_bits(out["zmap"], clean["zmap"])
+
+    def test_torn_checkpoint_commit_raises_then_resumes(self, tmp_path):
+        """A writer killed mid-checkpoint fails the run without leaking
+        workers or segments; the next run discards the torn shadow."""
+        clean = _run(2)
+        root = tmp_path / "ckpt"
+        torn = FaultPlan(
+            name="torn-checkpoint",
+            specs=(
+                FaultSpec(
+                    site="store.write", kind=FaultKind.TORN_WRITE, nth=(2,), max_fires=1
+                ),
+            ),
+            seed=0,
+        )
+        with resilience.resilient(torn):
+            with pytest.raises(StoreTornWrite):
+                _run(2, checkpoint=TaskCheckpoint(root))
+
+        resumed = TaskCheckpoint(root)
+        landed = resumed.task_ids()
+        assert len(landed) == 1  # the first commit landed
+        [shadow] = resumed.discarded
+        assert shadow.startswith(".shadow-task_") and shadow.endswith(".chunk")
+        out = _run(2, checkpoint=resumed)
+        assert out["resumed_tasks"] == landed
+        assert same_bits(out["zmap"], clean["zmap"])
 
 
 class TestObservability:

@@ -8,6 +8,7 @@ eager, compiled, and elastic with 1 and 4 workers -- bitwise identical
 to their all-in-memory oracles for any window size.
 """
 
+import os
 import tempfile
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from repro import obs
 from repro.core import Data, ImplementationType
 from repro.core.pipeline import MovementPolicy
 from repro.ompshim import OmpTargetRuntime
+from repro.parallel import TaskCheckpoint
 from repro.parallel.satellite import make_satellite_data_shard
 from repro.resilience import named_plan, resilient
 from repro.resilience.faults import FaultKind, FaultPlan, FaultSpec
@@ -29,6 +31,7 @@ from repro.store import (
     StoreTornWrite,
     StreamConfig,
     commit_chunk,
+    commit_manifest,
     read_chunk_header,
     stream_pipeline,
     verify_chunk,
@@ -220,6 +223,64 @@ def test_commit_atomicity_property(offset):
         assert int(header["generation"]) == 1
 
 
+def _commit_trace(monkeypatch):
+    """Record every ``os.fsync`` (by inode) and ``os.replace`` in order."""
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", _inode(fd)))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", _inode(src), Path(src), Path(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    return events
+
+
+def _inode(file):
+    st = os.fstat(file) if isinstance(file, int) else os.stat(file)
+    return st.st_dev, st.st_ino
+
+
+def _commit_manifest_twice(root):
+    commit_manifest(root, {"name": "first"})
+    commit_manifest(root, {"name": "second"})  # this one retains a .prev
+    return root / MANIFEST_NAME
+
+
+def _save_checkpoint(root):
+    TaskCheckpoint(root).save(3, np.arange(6.0))
+    return root / "task_000003.chunk"
+
+
+_WRITERS = {
+    "chunk": lambda root: _write_chunk(root)[0],
+    "manifest": _commit_manifest_twice,
+    "index": lambda root: ObservationStore.create(root).root / "store.json",
+    "checkpoint": _save_checkpoint,
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_writer_fsyncs_shadow_then_renames_then_fsyncs_directory(tmp_path, monkeypatch, writer):
+    """Every durable file lands by one protocol: shadow fsync, rename, dir fsync."""
+    events = _commit_trace(monkeypatch)
+    target = _WRITERS[writer](tmp_path)
+    renames = [i for i, e in enumerate(events) if e[0] == "replace" and e[3] == target]
+    assert renames, f"{target.name} was never renamed into place"
+    at = renames[-1]
+    _, shadow_inode, shadow, _ = events[at]
+    assert shadow == target.parent / f".shadow-{target.name}"
+    assert ("fsync", shadow_inode) in events[:at], "shadow renamed before it was fsynced"
+    assert ("fsync", _inode(target.parent)) in events[at + 1 :], (
+        "rename not made durable: no directory fsync after it"
+    )
+
+
 def test_spill_retries_torn_writes(tmp_path):
     with resilient(
         _plan("store.write", FaultKind.TORN_WRITE, nth=(3,), max_fires=1)
@@ -369,16 +430,29 @@ def test_load_observation_roundtrip(tmp_path):
     for iobs in range(2):
         got = store.load_observation(iobs)
         want = ref.obs[iobs]
-        assert got.name == want.name and got.n_samples == want.n_samples
-        for key in want.shared:
-            assert np.array_equal(got.shared[key], want.shared[key])
-        for key in want.detdata:
-            assert np.array_equal(got.detdata[key], want.detdata[key])
-        for key in want.intervals:
-            assert (
-                got.intervals[key].as_arrays()[0].tolist()
-                == want.intervals[key].as_arrays()[0].tolist()
-            )
+        assert (got.name, got.uid, got.n_samples) == (want.name, want.uid, want.n_samples)
+        for kind in ("shared", "detdata"):
+            arrays, wanted = getattr(got, kind), getattr(want, kind)
+            assert sorted(arrays) == sorted(wanted)
+            for key in wanted:
+                assert same_bits(arrays[key], wanted[key]), f"{kind}/{key}"
+        assert sorted(got.intervals) == sorted(want.intervals)
+        for key, ivl in want.intervals.items():
+            starts, stops = got.intervals[key].as_arrays()
+            want_starts, want_stops = ivl.as_arrays()
+            assert same_bits(starts, want_starts) and same_bits(stops, want_stops), key
+        fp, want_fp = got.focalplane, want.focalplane
+        assert fp.detectors == want_fp.detectors
+        assert fp.sample_rate == want_fp.sample_rate
+        assert same_bits(fp.quat_array(), want_fp.quat_array())
+        for attr in ("psi_pol", "pol_leakage", "net", "fknee", "fmin", "alpha"):
+            assert getattr(fp, attr) == getattr(want_fp, attr), attr
+
+
+def test_ingest_saves_the_sky(tmp_path):
+    store = ObservationStore.open(_ingest(tmp_path).root)
+    assert store.meta_keys() == ["sky_map"]
+    assert same_bits(store.load_meta("sky_map"), satellite_sky(_TINY, 0))
 
 
 def test_windows_are_chunk_aligned(tmp_path):
