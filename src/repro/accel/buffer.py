@@ -19,15 +19,12 @@ class DeviceBuffer:
     :class:`~repro.accel.pool.MemoryPool`.
     """
 
-    def __init__(self, offset: int, nbytes: int, device_id: int = 0, label=None):
+    def __init__(self, offset: int, nbytes: int, device_id: int = 0):
         if nbytes <= 0:
             raise ValueError("buffer size must be positive")
         self.offset = int(offset)
         self.nbytes = int(nbytes)
         self.device_id = int(device_id)
-        #: Owning kernel/field name (e.g. ``"ob0.detdata.pixels"``) for
-        #: eviction/trace events; ``None`` for anonymous allocations.
-        self.label = label
         self._storage = np.zeros(self.nbytes, dtype=np.uint8)
         self._freed = False
 

@@ -142,9 +142,7 @@ class SimulatedDevice:
         """
         self._check_lost()
         offset = self.pool.allocate(nbytes)
-        buf = DeviceBuffer(
-            offset, self.pool.size_of(offset), device_id=self.device_id, label=label
-        )
+        buf = DeviceBuffer(offset, self.pool.size_of(offset), device_id=self.device_id)
         self._buffers[offset] = buf
         tr = obs_state.active
         if tr is not None:

@@ -14,7 +14,6 @@ from ..ompshim.runtime import LoopNest
 __all__ = [
     "pad_intervals",
     "pad_intervals_grouped",
-    "flatten_intervals",
     "resolve_view",
     "host_parallel_for_collapse3",
     "launcher_for",
@@ -68,31 +67,6 @@ def pad_intervals_grouped(
         valid.reshape(n_obs, n_ivl, max_len),
         max_len,
     )
-
-
-def flatten_intervals(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """Concatenated sample indices of every interval, in interval order.
-
-    The batched CPU kernels use this to collapse the per-detector and
-    per-interval Python loops into a single NumPy pass: gathering a
-    ``(n_det, n_samples)`` array with ``np.take(a, flatten_intervals(...),
-    axis=1)`` yields the ``(n_det, n_flat)`` working set covering exactly
-    the in-interval samples, with lanes ascending in sample order, and
-    :func:`~repro.math.rows.put_lanes` writes it back.  Each scatter
-    kernel then enumerates this working set in the same order as its
-    scalar reference, so ordered scatter-accumulations (``add_rows``,
-    ``np.add.at``) stay bitwise identical to it -- most references are
-    detector-major, while ``build_noise_weighted`` is sample-major
-    (detector inner) so windowed streaming over the sample axis
-    reproduces the full-run accumulation.
-
-    Empty (start == stop) and inverted (stop < start) intervals contribute
-    nothing, exactly like the reference's ``range(start, stop)``.  The
-    result is the segment descriptor's ``flat``
-    (:mod:`repro.math.segments`): derived once per interval list and
-    shared by every kernel over it, hence read-only.
-    """
-    return segments(starts, stops).flat
 
 
 def resolve_view(accel, arr: np.ndarray, use_accel: bool) -> np.ndarray:

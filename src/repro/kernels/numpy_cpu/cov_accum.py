@@ -11,7 +11,7 @@ import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
 from ...math.rows import add_rows, take_rows
-from ..common import flatten_intervals
+from ...math.segments import segments
 
 
 @kernel("cov_accum_diag_hits", ImplementationType.NUMPY)
@@ -23,10 +23,10 @@ def cov_accum_diag_hits(
     accel=None,
     use_accel=False,
 ):
-    flat = flatten_intervals(starts, stops)
-    if flat.size == 0:
+    seg = segments(starts, stops)
+    if not seg.n_samples:
         return
-    pix = np.take(pixels, flat, axis=1)
+    pix = seg.take(pixels)
     good = pix >= 0
     if not good.any():
         return
@@ -44,19 +44,19 @@ def cov_accum_diag_invnpp(
     accel=None,
     use_accel=False,
 ):
-    flat = flatten_intervals(starts, stops)
-    if flat.size == 0:
+    seg = segments(starts, stops)
+    if not seg.n_samples:
         return
     nnz = weights.shape[2]
     tri = [(i, j) for i in range(nnz) for j in range(i, nnz)]
-    pix = np.take(pixels, flat, axis=1)
+    pix = seg.take(pixels)
     good = pix >= 0
     if not good.any():
         return
-    # Build the outer-product triangle only for surviving lanes; nonzero's
+    # Build the outer-product triangle only for surviving lanes; the mask's
     # row-major order keeps the reference's detector-major scatter order.
-    det_idx, lane_idx = np.nonzero(good)
-    w = take_rows(weights, det_idx * pixels.shape[1] + flat[lane_idx], lead=2)
-    g = det_scale[det_idx]
+    keep = np.flatnonzero(good)
+    w = take_rows(seg.take(weights), keep, lead=2)
+    g = np.broadcast_to(det_scale[:, None], good.shape)[good]
     outer = np.stack([g * w[:, i] * w[:, j] for i, j in tri], axis=-1)
     add_rows(invnpp, pix[good], outer)

@@ -1,10 +1,7 @@
 """noise_weight, batched CPU implementation."""
 
-import numpy as np
-
 from ...core.dispatch import ImplementationType, kernel
-from ...math.rows import put_lanes
-from ..common import flatten_intervals
+from ...math.segments import segments
 
 
 @kernel("noise_weight", ImplementationType.NUMPY)
@@ -16,7 +13,5 @@ def noise_weight(
     accel=None,
     use_accel=False,
 ):
-    flat = flatten_intervals(starts, stops)
-    if flat.size == 0:
-        return
-    put_lanes(tod, flat, np.take(tod, flat, axis=1) * det_weights[:, None])
+    seg = segments(starts, stops)
+    seg.put(tod, seg.take(tod) * det_weights[:, None])

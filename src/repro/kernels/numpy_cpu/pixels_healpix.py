@@ -1,7 +1,7 @@
 """pixels_healpix, batched CPU implementation.
 
 The branch-heavy kernel the paper singles out (§4.2): here the flag branch
-becomes one write to the flagged lanes of the ``(n_det, n_flat)`` working set.
+becomes one write to the flagged lanes of the ``(n_det, n_samples)`` working set.
 """
 
 import numpy as np
@@ -10,7 +10,7 @@ from ...core.dispatch import ImplementationType, kernel
 from ...healpix import ang2pix
 from ...math import qa
 from ...math.rows import put_lanes
-from ..common import flatten_intervals
+from ...math.segments import segments
 
 
 @kernel("pixels_healpix", ImplementationType.NUMPY)
@@ -26,11 +26,11 @@ def pixels_healpix(
     accel=None,
     use_accel=False,
 ):
-    flat = flatten_intervals(starts, stops)
-    if flat.size == 0:
+    seg = segments(starts, stops)
+    if not seg.n_samples:
         return
-    theta, phi = qa.to_position(np.take(quats, flat, axis=1))
+    theta, phi = qa.to_position(seg.take(quats))
     pix = ang2pix(nside, theta, phi, nest=nest)
     if shared_flags is not None and mask:
-        put_lanes(pix, np.flatnonzero(shared_flags[flat] & mask), -1)
-    put_lanes(pixels_out, flat, pix)
+        put_lanes(pix, np.flatnonzero(seg.take(shared_flags, axis=0) & mask), -1)
+    seg.put(pixels_out, pix)

@@ -1,6 +1,7 @@
 """pointing_detector, batched CPU implementation.
 
-One quaternion multiply over the full ``(n_det, n_flat)`` working set; the
+One quaternion multiply over the full ``(n_det, n_samples)`` working set,
+reading the boresight gathered component-major (four contiguous rows); the
 quaternion algebra is elementwise, so batching keeps results bitwise
 identical to the per-sample reference.
 """
@@ -9,8 +10,8 @@ import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
 from ...math import qa
-from ...math.rows import put_lanes, take_rows
-from ..common import flatten_intervals
+from ...math.rows import put_lanes
+from ...math.segments import segments
 
 
 @kernel("pointing_detector", ImplementationType.NUMPY)
@@ -25,10 +26,11 @@ def pointing_detector(
     accel=None,
     use_accel=False,
 ):
-    flat = flatten_intervals(starts, stops)
-    if flat.size == 0:
+    seg = segments(starts, stops)
+    if not seg.n_samples:
         return
-    rotated = qa.mult(take_rows(boresight, flat)[None, :, :], fp_quats[:, None, :])
+    rotated = qa.mult_components(seg.take(boresight.T), fp_quats.T[:, :, None])
     if shared_flags is not None and mask:
-        put_lanes(rotated, np.flatnonzero(shared_flags[flat] & mask), fp_quats[:, None, :])
-    put_lanes(quats_out, flat, rotated)
+        lanes = np.flatnonzero(seg.take(shared_flags, axis=0) & mask)
+        put_lanes(rotated, lanes, fp_quats[:, None, :])
+    seg.put(quats_out, rotated)

@@ -9,8 +9,8 @@ keep their exact bits.
 import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
-from ...math.rows import put_lanes, take_rows
-from ..common import flatten_intervals
+from ...math.rows import take_rows
+from ...math.segments import segments
 
 
 @kernel("scan_map", ImplementationType.NUMPY)
@@ -27,31 +27,31 @@ def scan_map(
     accel=None,
     use_accel=False,
 ):
-    flat = flatten_intervals(starts, stops)
-    if flat.size == 0:
+    seg = segments(starts, stops)
+    if not seg.n_samples:
         return
     nnz = map_data.shape[1]
-    pix = np.take(pixels, flat, axis=1)
+    pix = seg.take(pixels)
     good = pix >= 0
     if not good.any():
         # Every in-interval sample is invalid: no map gather to do.  The
         # zeroing side effect still applies to in-interval lanes.
         if should_zero:
-            put_lanes(tod, flat, 0.0)
+            seg.put(tod, 0.0)
         return
     safe = np.where(good, pix, 0)
     gathered = take_rows(map_data, safe)
-    w = np.take(weights, flat, axis=1)
+    w = seg.take(weights)
     sampled = np.zeros(pix.shape, dtype=np.float64)
     for k in range(nnz):
         sampled += gathered[..., k] * w[..., k]
     value = sampled * data_scale
 
-    out = np.take(tod, flat, axis=1)
+    out = seg.take(tod)
     if should_zero:
         out[...] = 0.0
     if should_subtract:
         np.subtract(out, value, out=out, where=good)
     else:
         np.add(out, value, out=out, where=good)
-    put_lanes(tod, flat, out)
+    seg.put(tod, out)

@@ -1,8 +1,7 @@
 """stokes_weights_I, batched CPU implementation."""
 
 from ...core.dispatch import ImplementationType, kernel
-from ...math.rows import put_lanes
-from ..common import flatten_intervals
+from ...math.segments import segments
 
 
 @kernel("stokes_weights_I", ImplementationType.NUMPY)
@@ -14,7 +13,4 @@ def stokes_weights_I(
     accel=None,
     use_accel=False,
 ):
-    flat = flatten_intervals(starts, stops)
-    if flat.size == 0:
-        return
-    put_lanes(weights_out, flat, cal)
+    segments(starts, stops).put(weights_out, cal)

@@ -1,10 +1,7 @@
 """template_offset_add_to_signal, batched CPU implementation."""
 
-import numpy as np
-
 from ...core.dispatch import ImplementationType, kernel
-from ...math.rows import put_lanes
-from ..common import flatten_intervals
+from ...math.segments import segments
 
 
 @kernel("template_offset_add_to_signal", ImplementationType.NUMPY)
@@ -18,8 +15,8 @@ def template_offset_add_to_signal(
     accel=None,
     use_accel=False,
 ):
-    flat = flatten_intervals(starts, stops)
-    if flat.size == 0:
+    seg = segments(starts, stops)
+    if not seg.n_samples:
         return
-    amp = amp_offsets[:, None] + flat[None, :] // step_length
-    put_lanes(tod, flat, np.take(tod, flat, axis=1) + amplitudes[amp])
+    amp = amp_offsets[:, None] + seg.flat[None, :] // step_length
+    seg.put(tod, seg.take(tod) + amplitudes[amp])

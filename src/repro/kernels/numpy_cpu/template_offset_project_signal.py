@@ -8,7 +8,7 @@ the blocked dot products agree bitwise.
 import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
-from ..common import flatten_intervals
+from ...math.segments import segments
 
 
 @kernel("template_offset_project_signal", ImplementationType.NUMPY)
@@ -22,8 +22,8 @@ def template_offset_project_signal(
     accel=None,
     use_accel=False,
 ):
-    flat = flatten_intervals(starts, stops)
-    if flat.size == 0:
+    seg = segments(starts, stops)
+    if not seg.n_samples:
         return
-    amp = amp_offsets[:, None] + flat[None, :] // step_length
-    np.add.at(amplitudes, amp, np.take(tod, flat, axis=1))
+    amp = amp_offsets[:, None] + seg.flat[None, :] // step_length
+    np.add.at(amplitudes, amp, seg.take(tod))

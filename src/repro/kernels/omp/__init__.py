@@ -3,25 +3,27 @@
 Each kernel keeps the compiled-CPU loop structure and adds the offload
 machinery (paper §3.1.2): the triple (detector, interval, sample) loop is
 collapsed and launched over the device through
-``target_teams_distribute_parallel_for`` as the nest ``(n_det, starts,
-stops)``; the launch is charged for the maximum interval size, and the
-launcher's in-loop guard cuts the out-of-interval lanes once, from the
-intervals' segment descriptor; data is dereferenced through mapped device
-pointers.
+``target_teams_distribute_parallel_for`` as the nest ``LoopNest((n_det,
+starts, stops))``; the launch is charged for the maximum interval size,
+and the launcher's in-loop guard cuts the out-of-interval lanes once, from
+the intervals' segment descriptor; data is dereferenced through mapped
+device pointers.
 
 A kernel's loop body runs once per launch, over index arrays ``(idet,
 iivl, lanes)`` that broadcast to the iterations that pass the guard; the
 C-order ravel of the broadcast is loop order (detector outermost, lane
 innermost).  The launcher passes an open grid -- ``idet`` a column,
-``(iivl, lanes)`` one row of in-interval samples -- so ``s =
-starts[iivl] + lanes`` is computed once per sample and a per-detector
-value (``d_w[idet]``) once per detector, and bodies index trailing axes
-with ``...``.  Per-sample data is addressed by the flat offset ``row =
-idet * n_samp + s``, as in the C port, and moved through the ordered row
-substrate (:mod:`repro.math.rows`): ``take_rows`` gathers, ``put_rows``
-writes, and in-body ``add_rows`` (or a 1-D ``np.add.at``) scatters add
-in the nested loop's order, so they match the scalar reference bit for
-bit.
+``(iivl, lanes)`` the descriptor's row of in-interval samples -- so a
+per-detector value (``d_w[idet]``) is read once per detector.  The body
+moves per-sample data as GPU teams read it, in contiguous sample runs:
+it reaches its launch's own descriptor (``seg = grid.segments``, the one
+the launcher swept) and gathers and writes whole (detector x interval)
+runs with ``seg.take`` and ``seg.put`` (:mod:`repro.math.segments`), in
+interval order, building no per-iteration row index.  The samples they
+move are exactly those of the grid's ``(iivl, lanes)`` row, so in-body
+scatters (``add_rows``, a 1-D ``np.add.at``) add in the nested loop's
+order and match the scalar reference bit for bit.  Flag branches write
+only the flagged lanes.
 
 Without a runtime (``use_accel=False``) the kernels run on the host --
 OpenMP's fallback behaviour when no device is available.

@@ -3,8 +3,9 @@
 Each (detector, interval, lane) launcher iteration computes its
 contribution into its own slot of a scratch buffer -- write-disjoint, so
 iteration order is free, as it is on the device.  The scratch is laid out
-sample-major (the interval's offset among the in-interval samples plus the
-lane, detector inner), so the map commit is a single ordered scatter
+sample-major (the sample's position among the in-interval samples, detector
+inner), and the body multiplies straight into it through a detector-major
+view, so the map commit is a single ordered scatter
 (:func:`~repro.math.rows.add_rows`) over it in that order, standing in for
 the device kernel's atomic adds with the repo-wide canonical accumulation
 order -- the order that makes windowed streaming over the sample axis
@@ -16,8 +17,8 @@ whole group's loop.
 import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
-from ...math.rows import add_rows, put_rows, take_rows
-from ...math.segments import segments
+from ...math.rows import add_rows
+from ...ompshim import LoopNest
 from ..common import after_launch, launcher_for, resolve_view
 
 
@@ -37,8 +38,9 @@ def build_noise_weighted(
     accel=None,
     use_accel=False,
 ):
-    n_det, n_samp = pixels.shape
-    seg = segments(starts, stops)
+    n_det = pixels.shape[0]
+    grid = LoopNest((n_det, starts, stops))
+    seg = grid.segments
 
     d_zmap = resolve_view(accel, zmap, use_accel)
     d_pix = resolve_view(accel, pixels, use_accel)
@@ -49,24 +51,24 @@ def build_noise_weighted(
     d_det_flags = resolve_view(accel, det_flags, use_accel) if det_flags is not None else None
 
     nnz = d_zmap.shape[1]
-    pix_buf = np.zeros((seg.n_samples, n_det), dtype=np.int64)
-    contrib_buf = np.zeros((seg.n_samples, n_det, nnz), dtype=d_zmap.dtype)
+    pix_buf = np.empty((seg.n_samples, n_det), dtype=np.int64)
+    contrib_buf = np.empty((seg.n_samples, n_det, nnz), dtype=d_zmap.dtype)
 
-    def body(idet, iivl, lanes):
-        s = starts[iivl] + lanes
-        row = idet * n_samp + s
-        pix = take_rows(d_pix, row, lead=2)
+    def body(idet, _iivl, _lanes):
+        # Detector-major views of the sample-major scratch.
+        pix, contrib = pix_buf.T, contrib_buf.transpose(1, 0, 2)
+        pix[...] = seg.take(d_pix)
         good = pix >= 0
         if d_flags is not None and mask:
-            good = good & ((d_flags[s] & mask) == 0)
+            good &= (seg.take(d_flags, axis=0) & mask) == 0
         if d_det_flags is not None and det_mask:
-            good = good & ((take_rows(d_det_flags, row, lead=2) & det_mask) == 0)
-        z = d_scale[idet] * take_rows(d_tod, row, lead=2)
-        contrib = z[..., None] * take_rows(d_wts, row, lead=2)
-        slot = (seg.offsets[iivl] + lanes) * n_det + idet
+            good &= (seg.take(d_det_flags) & det_mask) == 0
+        z = d_scale[idet] * seg.take(d_tod)
+        np.multiply(z[..., None], seg.take(d_wts), out=contrib)
         # Flagged lanes add (pixel 0, contribution 0.0): a no-op add.
-        put_rows(pix_buf, slot, np.where(good, pix, 0), lead=2)
-        put_rows(contrib_buf, slot, np.where(good[..., None], contrib, 0.0), lead=2)
+        flagged = ~good
+        pix[flagged] = 0
+        contrib[flagged] = 0.0
 
     def commit():
         # Ordered commit: intervals are sorted and lanes ascend within each,
@@ -75,7 +77,7 @@ def build_noise_weighted(
 
     launcher_for(accel, use_accel)(
         "build_noise_weighted",
-        (n_det, starts, stops),
+        grid,
         body,
         flops_per_iteration=10.0,
         bytes_per_iteration=96.0,

@@ -1,7 +1,7 @@
 """noise_weight, OpenMP Target Offload implementation."""
 
 from ...core.dispatch import ImplementationType, kernel
-from ...math.rows import put_rows, take_rows
+from ...ompshim import LoopNest
 from ..common import launcher_for, resolve_view
 
 
@@ -14,19 +14,18 @@ def noise_weight(
     accel=None,
     use_accel=False,
 ):
-    n_det, n_samp = tod.shape
+    grid = LoopNest((tod.shape[0], starts, stops))
+    seg = grid.segments
 
     d_tod = resolve_view(accel, tod, use_accel)
     d_w = resolve_view(accel, det_weights, use_accel)
 
-    def body(idet, iivl, lanes):
-        s = starts[iivl] + lanes
-        row = idet * n_samp + s
-        put_rows(d_tod, row, take_rows(d_tod, row, lead=2) * d_w[idet], lead=2)
+    def body(idet, _iivl, _lanes):
+        seg.put(d_tod, seg.take(d_tod) * d_w[idet])
 
     launcher_for(accel, use_accel)(
         "noise_weight",
-        (n_det, starts, stops),
+        grid,
         body,
         flops_per_iteration=1.0,
         bytes_per_iteration=16.0,

@@ -9,7 +9,8 @@ import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
 from ...healpix import ang2pix
-from ...math.rows import put_rows, take_rows
+from ...math.rows import put_lanes
+from ...ompshim import LoopNest
 from ..common import launcher_for, resolve_view
 
 
@@ -26,16 +27,15 @@ def pixels_healpix(
     accel=None,
     use_accel=False,
 ):
-    n_det, n_samp = quats.shape[:2]
+    grid = LoopNest((quats.shape[0], starts, stops))
+    seg = grid.segments
 
     d_quats = resolve_view(accel, quats, use_accel)
     d_out = resolve_view(accel, pixels_out, use_accel)
     d_flags = resolve_view(accel, shared_flags, use_accel) if shared_flags is not None else None
 
-    def body(idet, iivl, lanes):
-        s = starts[iivl] + lanes
-        row = idet * n_samp + s
-        q = take_rows(d_quats, row, lead=2)
+    def body(_idet, _iivl, _lanes):
+        q = seg.take(d_quats)
         x, y, z, w = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
         dir_x = 2.0 * (x * z + w * y)
         dir_y = 2.0 * (y * z - w * x)
@@ -44,13 +44,12 @@ def pixels_healpix(
         phi = np.arctan2(dir_y, dir_x)
         pix = ang2pix(nside, theta, phi, nest=nest)
         if d_flags is not None and mask:
-            flagged = (d_flags[s] & mask) != 0
-            pix = np.where(flagged, np.int64(-1), pix)
-        put_rows(d_out, row, pix, lead=2)
+            put_lanes(pix, np.flatnonzero(seg.take(d_flags, axis=0) & mask), -1)
+        seg.put(d_out, pix)
 
     launcher_for(accel, use_accel)(
         "pixels_healpix",
-        (n_det, starts, stops),
+        grid,
         body,
         flops_per_iteration=80.0,
         bytes_per_iteration=48.0,

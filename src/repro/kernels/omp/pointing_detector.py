@@ -3,15 +3,17 @@
 import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
-from ...math.rows import put_rows, take_rows
+from ...math.rows import put_lanes
+from ...ompshim import LoopNest
 from ..common import launcher_for, resolve_view
 
 
 def _qa_mult_one(p, q):
-    """Scalar-style quaternion product, broadcast over the loop indices."""
-    px, py, pz, pw = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    qx, qy, qz, qw = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    out = np.empty(np.broadcast_shapes(p.shape, q.shape), dtype=np.float64)
+    """Scalar-style quaternion product of the ``(x, y, z, w)`` components
+    ``p`` and ``q``, broadcast over the loop indices."""
+    px, py, pz, pw = p
+    qx, qy, qz, qw = q
+    out = np.empty(np.broadcast_shapes(px.shape, qx.shape) + (4,), dtype=np.float64)
     out[..., 0] = pw * qx + px * qw + py * qz - pz * qy
     out[..., 1] = pw * qy - px * qz + py * qw + pz * qx
     out[..., 2] = pw * qz + px * qy - py * qx + pz * qw
@@ -31,27 +33,25 @@ def pointing_detector(
     accel=None,
     use_accel=False,
 ):
-    n_det = fp_quats.shape[0]
-    n_samp = boresight.shape[0]
+    grid = LoopNest((fp_quats.shape[0], starts, stops))
+    seg = grid.segments
 
     d_fp = resolve_view(accel, fp_quats, use_accel)
     d_bore = resolve_view(accel, boresight, use_accel)
     d_out = resolve_view(accel, quats_out, use_accel)
     d_flags = resolve_view(accel, shared_flags, use_accel) if shared_flags is not None else None
 
-    def body(idet, iivl, lanes):
-        s = starts[iivl] + lanes
-        row = idet * n_samp + s
-        fp = take_rows(d_fp, idet)
-        rotated = _qa_mult_one(take_rows(d_bore, s), fp)
+    def body(idet, _iivl, _lanes):
+        fp = d_fp[idet]
+        # The boresight gathered component-major: four contiguous rows.
+        rotated = _qa_mult_one(seg.take(d_bore.T), np.moveaxis(fp, -1, 0))
         if d_flags is not None and mask:
-            flagged = (d_flags[s] & mask) != 0
-            rotated = np.where(flagged[..., None], fp, rotated)
-        put_rows(d_out, row, rotated, lead=2)
+            put_lanes(rotated, np.flatnonzero(seg.take(d_flags, axis=0) & mask), fp)
+        seg.put(d_out, rotated)
 
     launcher_for(accel, use_accel)(
         "pointing_detector",
-        (n_det, starts, stops),
+        grid,
         body,
         flops_per_iteration=28.0,
         bytes_per_iteration=72.0,

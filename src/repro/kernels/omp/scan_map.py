@@ -3,7 +3,8 @@
 import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
-from ...math.rows import put_rows, take_rows
+from ...math.rows import take_rows
+from ...ompshim import LoopNest
 from ..common import launcher_for, resolve_view
 
 
@@ -21,33 +22,32 @@ def scan_map(
     accel=None,
     use_accel=False,
 ):
-    n_det, n_samp = pixels.shape
+    grid = LoopNest((pixels.shape[0], starts, stops))
+    seg = grid.segments
 
     d_map = resolve_view(accel, map_data, use_accel)
     d_pix = resolve_view(accel, pixels, use_accel)
     d_wts = resolve_view(accel, weights, use_accel)
     d_tod = resolve_view(accel, tod, use_accel)
 
-    def body(idet, iivl, lanes):
-        s = starts[iivl] + lanes
-        row = idet * n_samp + s
-        pix = take_rows(d_pix, row, lead=2)
+    def body(_idet, _iivl, _lanes):
+        pix = seg.take(d_pix)
         good = pix >= 0
         value = np.einsum(
             "...k,...k->...",
             take_rows(d_map, np.where(good, pix, 0)),
-            take_rows(d_wts, row, lead=2),
+            seg.take(d_wts),
         )
         value = np.where(good, value, 0.0) * data_scale
         if should_zero:
-            tod = np.zeros(row.shape, dtype=d_tod.dtype)
+            tod = np.zeros(pix.shape, dtype=d_tod.dtype)
         else:
-            tod = take_rows(d_tod, row, lead=2)
-        put_rows(d_tod, row, tod - value if should_subtract else tod + value, lead=2)
+            tod = seg.take(d_tod)
+        seg.put(d_tod, tod - value if should_subtract else tod + value)
 
     launcher_for(accel, use_accel)(
         "scan_map",
-        (n_det, starts, stops),
+        grid,
         body,
         flops_per_iteration=8.0,
         bytes_per_iteration=72.0,

@@ -11,20 +11,17 @@ without changing the loop nest (cf. the paper's collapse clauses).
 
 The launch is charged for the padded stacked grid ``(n_obs * n_det,
 n_ivl, max_len)``; its iterations are the members' own, observation-major
-(:class:`StackedNest`), as flat index vectors.  Member ``iobs`` therefore
-owns one contiguous run of them, and the stacked body hands each member
-its run, in observation order, with the detector index rebased -- exactly
-the iterations of the member's own launch (a loop body takes any index
-arrays that broadcast to its iterations).  A member with no samples at
-all recorded no launch and is skipped.  In-body scatters therefore
-accumulate in the eager order, and commits a kernel defers with
+(:class:`StackedNest`): each member's own open grid, read from the member
+launch's own segment descriptor.  The stacked body hands each member its
+grid, in observation order -- exactly the iterations of the member's own
+launch, and the descriptor its body moves data over.  A member with no
+samples at all recorded no launch and is skipped.  In-body scatters
+therefore accumulate in the eager order, and commits a kernel defers with
 :func:`~repro.kernels.common.after_launch` (``build_noise_weighted``'s
 buffered, sample-major one) run after the stacked launch, once per member
 in observation order -- GLOBAL outputs are committed last, bitwise
 identical to running the members one at a time.
 """
-
-import numpy as np
 
 from ...ompshim.runtime import LoopNest
 from ..common import launcher_for, recording_launches
@@ -33,28 +30,27 @@ from ..common import launcher_for, recording_launches
 class StackedNest(LoopNest):
     """One launch over the nests of ``n_obs`` group members.
 
-    ``members`` lists ``(iobs, nest)`` for the members that launched; they
-    share ``(n_det, n_ivl)``.  Member ``iobs`` is outer block ``iobs``.
-    :meth:`iterations` materializes each member's open grid and
-    concatenates them.
+    ``members`` lists the nests of the members that launched, in
+    observation order; they share ``(n_det, n_ivl)``.  Observation
+    ``iobs`` is outer block ``iobs`` of the charged grid.
+    :meth:`iterations` gives each member's own grid, nothing concatenated.
     """
 
     def __init__(self, n_obs, members):
-        self.n_det, n_ivl, _ = members[0][1].extents
+        n_det, n_ivl, _ = members[0].extents
         self.segments = None
-        self.extents = (n_obs * self.n_det, n_ivl, max(n.extents[2] for _, n in members))
+        self.extents = (n_obs * n_det, n_ivl, max(nest.extents[2] for nest in members))
         self.members = members
 
     @property
     def n_iterations(self) -> int:
-        return sum(nest.n_iterations for _, nest in self.members)
+        return sum(nest.n_iterations for nest in self.members)
 
     def iterations(self):
-        parts = []
-        for iobs, nest in self.members:
-            i, j, k = (a.ravel() for a in np.broadcast_arrays(*nest.iterations()))
-            parts.append((i + iobs * self.n_det, j, k))
-        return tuple(np.concatenate(vectors) for vectors in zip(*parts))
+        """``(i, j, k)``, each a tuple with one entry per member, in member
+        order: entry ``m`` of the three is member ``m``'s own grid
+        (:meth:`LoopNest.iterations`, outer index local to the member)."""
+        return tuple(zip(*(nest.iterations() for nest in self.members)))
 
 
 def stacked_entry(spec, per_observation):
@@ -71,20 +67,17 @@ def stacked_entry(spec, per_observation):
             with recording_launches() as record:
                 per_observation(**args, accel=accel, use_accel=use_accel)
             records.append(record)
-        launched = [(iobs, r) for iobs, r in enumerate(records) if r.body is not None]
+        launched = [r for r in records if r.body is not None]
         if not launched:
             return
-        nest = StackedNest(len(records), [(iobs, r.nest) for iobs, r in launched])
+        nest = StackedNest(len(records), [r.nest for r in launched])
 
         def body(i, iivl, lanes):
-            lo = 0
-            for iobs, member in launched:
-                hi = lo + member.nest.n_iterations
-                member.body(i[lo:hi] - iobs * nest.n_det, iivl[lo:hi], lanes[lo:hi])
-                lo = hi
+            for member, *grid in zip(launched, i, iivl, lanes):
+                member.body(*grid)
 
         launcher_for(accel, use_accel)(
-            f"{spec.name}.megabatch", nest, body, **launched[0][1].costs
+            f"{spec.name}.megabatch", nest, body, **launched[0].costs
         )
         for record in records:
             for commit in record.commits:

@@ -1,7 +1,7 @@
 """stokes_weights_I, OpenMP Target Offload implementation."""
 
 from ...core.dispatch import ImplementationType, kernel
-from ...math.rows import put_rows
+from ...ompshim import LoopNest
 from ..common import launcher_for, resolve_view
 
 
@@ -14,18 +14,17 @@ def stokes_weights_I(
     accel=None,
     use_accel=False,
 ):
-    n_det, n_samp = weights_out.shape
+    grid = LoopNest((weights_out.shape[0], starts, stops))
+    seg = grid.segments
 
     d_out = resolve_view(accel, weights_out, use_accel)
 
-    def body(idet, iivl, lanes):
-        s = starts[iivl] + lanes
-        row = idet * n_samp + s
-        put_rows(d_out, row, cal, lead=2)
+    def body(_idet, _iivl, _lanes):
+        seg.put(d_out, cal)
 
     launcher_for(accel, use_accel)(
         "stokes_weights_I",
-        (n_det, starts, stops),
+        grid,
         body,
         flops_per_iteration=1.0,
         bytes_per_iteration=8.0,

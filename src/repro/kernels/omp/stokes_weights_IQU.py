@@ -3,7 +3,7 @@
 import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
-from ...math.rows import put_rows, take_rows
+from ...ompshim import LoopNest
 from ..common import launcher_for, resolve_view
 
 
@@ -39,30 +39,29 @@ def stokes_weights_IQU(
     accel=None,
     use_accel=False,
 ):
-    n_det, n_samp = quats.shape[:2]
+    grid = LoopNest((quats.shape[0], starts, stops))
+    seg = grid.segments
 
     d_quats = resolve_view(accel, quats, use_accel)
     d_out = resolve_view(accel, weights_out, use_accel)
     d_hwp = resolve_view(accel, hwp_angle, use_accel) if hwp_angle is not None else None
     d_eps = resolve_view(accel, epsilon, use_accel)
 
-    def body(idet, iivl, lanes):
-        s = starts[iivl] + lanes
-        row = idet * n_samp + s
+    def body(idet, _iivl, _lanes):
         eta = (1.0 - d_eps[idet]) / (1.0 + d_eps[idet])
-        angle = _position_angle(take_rows(d_quats, row, lead=2))
+        angle = _position_angle(seg.take(d_quats))
         if d_hwp is not None:
-            angle = angle + 2.0 * d_hwp[s]
-        iqu = (
-            np.full_like(angle, cal),
-            cal * eta * np.cos(2.0 * angle),
-            cal * eta * np.sin(2.0 * angle),
-        )
-        put_rows(d_out, row, np.stack(iqu, axis=-1), lead=2)
+            angle = angle + 2.0 * seg.take(d_hwp, axis=0)
+        scale = cal * eta
+        iqu = np.empty(angle.shape + (3,))
+        iqu[..., 0] = cal
+        np.multiply(scale, np.cos(2.0 * angle), out=iqu[..., 1])
+        np.multiply(scale, np.sin(2.0 * angle), out=iqu[..., 2])
+        seg.put(d_out, iqu)
 
     launcher_for(accel, use_accel)(
         "stokes_weights_IQU",
-        (n_det, starts, stops),
+        grid,
         body,
         flops_per_iteration=60.0,
         bytes_per_iteration=64.0,

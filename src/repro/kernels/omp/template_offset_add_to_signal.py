@@ -1,7 +1,7 @@
 """template_offset_add_to_signal, OpenMP Target Offload implementation."""
 
 from ...core.dispatch import ImplementationType, kernel
-from ...math.rows import put_rows, take_rows
+from ...ompshim import LoopNest
 from ..common import launcher_for, resolve_view
 
 
@@ -16,21 +16,20 @@ def template_offset_add_to_signal(
     accel=None,
     use_accel=False,
 ):
-    n_det, n_samp = tod.shape
+    grid = LoopNest((tod.shape[0], starts, stops))
+    seg = grid.segments
 
     d_amp = resolve_view(accel, amplitudes, use_accel)
     d_off = resolve_view(accel, amp_offsets, use_accel)
     d_tod = resolve_view(accel, tod, use_accel)
 
-    def body(idet, iivl, lanes):
-        s = starts[iivl] + lanes
-        row = idet * n_samp + s
-        amp_idx = d_off[idet] + s // step_length
-        put_rows(d_tod, row, take_rows(d_tod, row, lead=2) + d_amp[amp_idx], lead=2)
+    def body(idet, _iivl, _lanes):
+        amp_idx = d_off[idet] + seg.flat // step_length
+        seg.put(d_tod, seg.take(d_tod) + d_amp[amp_idx])
 
     launcher_for(accel, use_accel)(
         "template_offset_add_to_signal",
-        (n_det, starts, stops),
+        grid,
         body,
         flops_per_iteration=3.0,
         bytes_per_iteration=24.0,

@@ -7,7 +7,7 @@ loses to XLA's linear-algebra rewriting on this particular kernel (§4.2).
 import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
-from ...math.rows import take_rows
+from ...ompshim import LoopNest
 from ..common import launcher_for, resolve_view
 
 
@@ -22,21 +22,20 @@ def template_offset_project_signal(
     accel=None,
     use_accel=False,
 ):
-    n_det, n_samp = tod.shape
+    grid = LoopNest((tod.shape[0], starts, stops))
+    seg = grid.segments
 
     d_tod = resolve_view(accel, tod, use_accel)
     d_amp = resolve_view(accel, amplitudes, use_accel)
     d_off = resolve_view(accel, amp_offsets, use_accel)
 
-    def body(idet, iivl, lanes):
-        s = starts[iivl] + lanes
-        row = idet * n_samp + s
-        amp_idx = d_off[idet] + s // step_length
-        np.add.at(d_amp, amp_idx.ravel(), take_rows(d_tod, row, lead=2).ravel())
+    def body(idet, _iivl, _lanes):
+        amp_idx = d_off[idet] + seg.flat // step_length
+        np.add.at(d_amp, amp_idx.ravel(), seg.take(d_tod).ravel())
 
     launcher_for(accel, use_accel)(
         "template_offset_project_signal",
-        (n_det, starts, stops),
+        grid,
         body,
         flops_per_iteration=3.0,
         bytes_per_iteration=24.0,

@@ -22,6 +22,7 @@ __all__ = [
     "normalize",
     "inv",
     "mult",
+    "mult_components",
     "rotate",
     "rotate_zaxis",
     "rotate_xaxis",
@@ -95,11 +96,16 @@ def inv(q: np.ndarray) -> np.ndarray:
 
 def mult(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Hamilton product ``p * q`` with broadcasting over leading axes."""
-    p = _check_quat(p)
-    q = _check_quat(q)
-    px, py, pz, pw = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    qx, qy, qz, qw = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    out = np.empty(np.broadcast(p, q).shape, dtype=np.float64)
+    return mult_components(_components(_check_quat(p)), _components(_check_quat(q)))
+
+
+def mult_components(p, q) -> np.ndarray:
+    """:func:`mult` of quaternions given as their ``x, y, z, w`` component
+    arrays (any sequence of four, e.g. a ``(4, ...)`` array whose rows are
+    contiguous), broadcast against each other; returns ``(..., 4)``."""
+    px, py, pz, pw = p
+    qx, qy, qz, qw = q
+    out = np.empty(np.broadcast_shapes(np.shape(px), np.shape(qx)) + (4,), dtype=np.float64)
     out[..., 0] = pw * qx + px * qw + py * qz - pz * qy
     out[..., 1] = pw * qy - px * qz + py * qw + pz * qx
     out[..., 2] = pw * qz + px * qy - py * qx + pz * qw

@@ -1,20 +1,25 @@
 """One segment descriptor per interval list: the kernels' view of ``(starts, stops)``.
 
-Every port walks the same segments -- the flat in-interval samples of the
-numpy kernels, the guarded collapse(3) nest of the OpenMP launcher, the
-padded lanes of the JAX kernels.  :class:`Segments` derives them from one
-``(starts, stops)`` pair.  An :class:`~repro.math.intervals.IntervalList`
-hands out one read-only pair and owns one descriptor, built on first use
-and dropped with the list; :func:`segments` finds it from the arrays alone,
-so no kernel signature changes.  Any other pair (a megabatch slab row, a
-raw test array) gets a fresh descriptor that nothing keeps.
+Every port walks the same segments -- the in-interval samples the numpy
+kernels and the OpenMP loop bodies move, the guarded collapse(3) nest of
+the OpenMP launcher, the padded lanes of the JAX kernels.
+:class:`Segments` derives them from one ``(starts, stops)`` pair, and
+moves data over them: :meth:`~Segments.take` and :meth:`~Segments.put`
+copy whole interval runs as ``a[:, start:stop]`` slices (``a[start:stop]``
+for a shared, sample-indexed array), never one row index per sample.  An
+:class:`~repro.math.intervals.IntervalList` hands out one read-only pair
+and owns one descriptor, built on first use and dropped with the list;
+:func:`segments` finds it from the arrays alone, so no kernel signature
+changes.  Any other pair (a megabatch slab row, a raw test array) gets a
+fresh descriptor that nothing keeps.
 
 Memory: per in-interval sample, ``flat``, ``ivl`` and ``lane`` hold 8 B
 each (24 B, built on first use); the JAX padded lanes add 9 B per padded
 lane (``n_ivl * max_len``).  Nothing is held or built per detector: the
 OpenMP launcher hands its loop body ``ivl`` and ``lane`` as they are, next
 to a column of detector indices, and the body broadcasts over the two
-(:meth:`repro.ompshim.LoopNest.iterations`).
+(:meth:`repro.ompshim.LoopNest.iterations`); :attr:`~Segments.runs` holds
+three ints per span that holds a sample.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ class Segments:
     ``max_len`` and ``n_samples``.  Per in-interval sample, in interval
     order: ``flat`` (its sample index), ``ivl`` (its interval) and
     ``lane`` (its offset in the interval).  Every array is read-only.
+    Per span holding a sample: ``runs``.
     """
 
     def __init__(self, starts, stops):
@@ -74,6 +80,50 @@ class Segments:
     def lane(self) -> np.ndarray:
         positions = np.arange(self.n_samples, dtype=np.int64)
         return _frozen(positions - np.repeat(self.offsets, self.lengths))
+
+    @cached_property
+    def runs(self) -> Tuple[Tuple[int, int, int], ...]:
+        """``(start, stop, offset)`` of every span that holds a sample, in
+        interval order: the sample run ``[start, stop)`` sits at
+        ``[offset, offset + stop - start)`` among the in-interval samples."""
+        keep = self.lengths > 0
+        return tuple(
+            zip(
+                self.starts[keep].tolist(),
+                self.stops[keep].tolist(),
+                self.offsets[keep].tolist(),
+            )
+        )
+
+    def take(self, a: np.ndarray, axis: int = 1) -> np.ndarray:
+        """The in-interval samples of ``a`` along ``axis``, in interval order:
+        ``np.take(a, self.flat, axis=axis)``, copied run by run.
+
+        ``axis=1`` gathers every detector row of a ``(n_det, n_samp, ...)``
+        array; ``axis=0`` a shared ``(n_samp, ...)`` array.
+        """
+        lead = (slice(None),) * axis
+        parts = [a[lead + (slice(start, stop),)] for start, stop, _ in self.runs]
+        if not parts:
+            return np.empty(a.shape[:axis] + (0,) + a.shape[axis + 1 :], dtype=a.dtype)
+        return np.concatenate(parts, axis=axis)
+
+    def put(self, a: np.ndarray, values, axis: int = 1) -> None:
+        """Write ``values`` to the in-interval samples of ``a`` along
+        ``axis``, in place: ``put_lanes(a, self.flat, values)`` (for
+        ``axis=1``), one slice write per run.
+
+        Runs are written in interval order, so where spans overlap the
+        last write wins, as it does for the index form.  ``values`` are
+        broadcast to ``take(a, axis)``'s shape and cast as assignment
+        casts them.
+        """
+        lead = (slice(None),) * axis
+        shape = a.shape[:axis] + (self.n_samples,) + a.shape[axis + 1 :]
+        values = np.broadcast_to(values, shape)
+        for start, stop, offset in self.runs:
+            run = values[lead + (slice(offset, offset + stop - start),)]
+            a[lead + (slice(start, stop),)] = run
 
     @cached_property
     def padded(self) -> Tuple[np.ndarray, np.ndarray]:

@@ -35,10 +35,16 @@ class LoopNest:
     samples up to the longest interval, with the paper's in-loop guard
     (§3.1.2) -- lane ``k`` of interval ``j`` runs only if ``k < stops[j]
     - starts[j]`` -- applied here, once, from the intervals' segment
-    descriptor (:mod:`repro.math.segments`).  ``extents`` is the padded
-    grid either way: what the device is charged for.
-    :meth:`iterations` gives the index arrays ``(i, j, k)`` of the
+    descriptor (:mod:`repro.math.segments`), kept as :attr:`segments`.
+    ``extents`` is the padded grid either way: what the device is charged
+    for.  :meth:`iterations` gives the index arrays ``(i, j, k)`` of the
     iterations that run.  Raises ``ValueError`` on a negative extent.
+
+    A kernel builds its nest once and passes it as the launch's ``grid``,
+    so its loop body reads the same descriptor the launcher swept
+    (``nest.segments``) and moves data over it run by run
+    (:meth:`~repro.math.segments.Segments.take`,
+    :meth:`~repro.math.segments.Segments.put`) without deriving another.
     """
 
     def __init__(self, grid) -> None:

@@ -94,6 +94,15 @@ def _arg_builders(
         flags[r.choice(n_samp, max(1, n_samp // 12), replace=False)] |= 2
         return flags
 
+    def det_flags(salt: int) -> Optional[np.ndarray]:
+        if not with_flags:
+            return None
+        flags = np.zeros((n_det, n_samp), dtype=np.uint8)
+        r = rng(salt)
+        flags[r.random((n_det, n_samp)) < 0.1] |= 1
+        flags[r.random((n_det, n_samp)) < 0.1] |= 2
+        return flags
+
     def det_quats(salt: int) -> np.ndarray:
         r = rng(salt)
         return qa.from_angles(
@@ -198,6 +207,8 @@ def _arg_builders(
             stops=stops,
             shared_flags=shared_flags(9),
             mask=1 if with_flags else 0,
+            det_flags=det_flags(15),
+            det_mask=2 if with_flags else 0,
         )
 
     def template_offset_add_to_signal() -> Dict[str, object]:

@@ -15,8 +15,8 @@ import pytest
 
 from repro.core.dispatch import ImplementationType
 from repro.kernels import kernel_registry
-from repro.kernels.common import flatten_intervals
 from repro.math import qa
+from repro.math.segments import segments
 from repro.workflows.microbench import kernel_cases, make_intervals, run_kernel_case
 
 # Registry-driven, not hand-enumerated: every registered kernel whose spec
@@ -91,7 +91,7 @@ def test_pole_lanes_match_python_bitwise(kernel, impl):
 
     def with_poles():
         args, outputs = factory()
-        lanes = flatten_intervals(args["starts"], args["stops"])[::5]
+        lanes = segments(args["starts"], args["stops"]).flat[::5]
         rng = np.random.default_rng(17)
         theta = np.where(np.arange(lanes.size) % 2, np.pi, 0.0)
         phi, pa = rng.uniform(-np.pi, np.pi, (2, args["quats"].shape[0], lanes.size))
@@ -151,26 +151,26 @@ def test_all_inverted_intervals_are_a_noop(impl):
             )
 
 
-def test_flatten_intervals_orders_samples():
-    from repro.kernels.common import flatten_intervals
-
+def test_segments_flat_orders_samples():
     starts = np.array([0, 10, 20], dtype=np.int64)
     stops = np.array([3, 12, 21], dtype=np.int64)
-    flat = flatten_intervals(starts, stops)
-    assert flat.tolist() == [0, 1, 2, 10, 11, 20]
+    seg = segments(starts, stops)
+    assert seg.flat.tolist() == [0, 1, 2, 10, 11, 20]
+    assert seg.runs == ((0, 3, 0), (10, 12, 3), (20, 21, 5))
     e = np.zeros(0, dtype=np.int64)
-    assert flatten_intervals(e, e).size == 0
+    assert segments(e, e).flat.size == 0
 
 
-def test_flatten_intervals_degenerate_spans():
-    """Zero-length and inverted spans flatten to nothing, like range()."""
-    from repro.kernels.common import flatten_intervals, pad_intervals
+def test_segments_flat_degenerate_spans():
+    """Zero-length and inverted spans hold no sample, like range()."""
+    from repro.kernels.common import pad_intervals
 
     starts = np.array([5, 10, 30, 40], dtype=np.int64)
     stops = np.array([5, 13, 25, 40], dtype=np.int64)  # empty, ok, inverted, empty
-    assert flatten_intervals(starts, stops).tolist() == [10, 11, 12]
+    assert segments(starts, stops).flat.tolist() == [10, 11, 12]
+    assert segments(starts, stops).runs == ((10, 13, 0),)
     # All-degenerate lists produce an empty flat index, not an error.
-    assert flatten_intervals(starts, starts).size == 0
+    assert segments(starts, starts).flat.size == 0
     idx, valid, max_len = pad_intervals(starts, starts)
     assert not valid.any() and max_len == 0
 

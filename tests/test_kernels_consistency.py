@@ -2,7 +2,10 @@
 
 Every kernel must produce identical results (to float tolerance) in all
 four implementations, on irregular intervals, with flags, against the
-pure-Python oracle.
+pure-Python oracle.  Inputs come from the registry-driven argument
+builders of :func:`repro.workflows.microbench.kernel_cases`, the ones the
+bitwise parity suite uses; the cases here vary them with
+:func:`with_args`.
 """
 
 import numpy as np
@@ -11,9 +14,8 @@ import pytest
 from repro.accel import SimulatedDevice
 from repro.core.dispatch import ImplementationType, kernel_registry
 from repro.kernels import EXTENSION_KERNELS  # noqa: F401  (registers kernels)
-from repro.math import qa
 from repro.ompshim import OmpTargetRuntime
-from repro.workflows.microbench import make_intervals
+from repro.workflows.microbench import kernel_cases, make_intervals
 
 IMPLS = [
     ImplementationType.PYTHON,
@@ -31,28 +33,11 @@ KERNEL_NAMES = sorted(
 
 N_DET = 3
 N_SAMP = 120
-NNZ = 3
-NSIDE = 16
 
-# Irregular interval pattern exercising the padding/guard logic.
-STARTS = np.array([0, 25, 60, 110], dtype=np.int64)
-STOPS = np.array([20, 55, 100, 120], dtype=np.int64)
-
-RNG = np.random.default_rng(314159)
-
-
-def make_quats():
-    theta = RNG.uniform(0.1, np.pi - 0.1, (N_DET, N_SAMP))
-    phi = RNG.uniform(-np.pi, np.pi, (N_DET, N_SAMP))
-    pa = RNG.uniform(-np.pi, np.pi, (N_DET, N_SAMP))
-    return qa.from_angles(theta, phi, pa)
-
-
-def make_flags():
-    flags = np.zeros(N_SAMP, dtype=np.uint8)
-    flags[RNG.choice(N_SAMP, 15, replace=False)] |= 1
-    flags[RNG.choice(N_SAMP, 10, replace=False)] |= 2
-    return flags
+# Irregular intervals, shared flags on the pointing kernels and
+# build_noise_weighted, detector flags on build_noise_weighted, few
+# distinct pixels (scatter collisions) with some invalid ones.
+CASES = kernel_cases(n_det=N_DET, n_samp=N_SAMP)
 
 
 def run_impl(name, impl, args_factory, use_accel=False):
@@ -73,255 +58,14 @@ def run_impl(name, impl, args_factory, use_accel=False):
     return [args[k] for k in outputs]
 
 
-# Argument factories build fresh inputs/outputs per call so in-place
-# mutation cannot leak between implementations.
+def with_args(factory, **changes):
+    """``factory`` with some of its arguments replaced."""
 
-def pointing_detector_args():
-    rng1 = np.random.default_rng(6)
-    fp = qa.from_angles(
-        rng1.uniform(0.0, 0.1, N_DET),
-        rng1.uniform(0, 1, N_DET),
-        rng1.uniform(0, 1, N_DET),
-    )
-    rng2 = np.random.default_rng(7)
-    bore = qa.from_angles(
-        rng2.uniform(0.1, np.pi - 0.1, N_SAMP),
-        rng2.uniform(-np.pi, np.pi, N_SAMP),
-        np.zeros(N_SAMP),
-    )
-    flags = np.zeros(N_SAMP, dtype=np.uint8)
-    flags[::7] = 1
-    return (
-        dict(
-            fp_quats=fp,
-            boresight=bore,
-            quats_out=np.zeros((N_DET, N_SAMP, 4)),
-            starts=STARTS,
-            stops=STOPS,
-            shared_flags=flags,
-            mask=1,
-        ),
-        ["quats_out"],
-    )
+    def build():
+        args, outputs = factory()
+        return dict(args, **changes), outputs
 
-
-def stokes_I_args():
-    return (
-        dict(
-            weights_out=np.zeros((N_DET, N_SAMP)),
-            cal=1.25,
-            starts=STARTS,
-            stops=STOPS,
-        ),
-        ["weights_out"],
-    )
-
-
-def stokes_IQU_args():
-    rng2 = np.random.default_rng(8)
-    quats = qa.from_angles(
-        rng2.uniform(0.1, np.pi - 0.1, (N_DET, N_SAMP)),
-        rng2.uniform(-np.pi, np.pi, (N_DET, N_SAMP)),
-        rng2.uniform(-np.pi, np.pi, (N_DET, N_SAMP)),
-    )
-    return (
-        dict(
-            quats=quats,
-            weights_out=np.zeros((N_DET, N_SAMP, 3)),
-            hwp_angle=rng2.uniform(0, 2 * np.pi, N_SAMP),
-            epsilon=np.array([0.0, 0.05, 0.1]),
-            cal=1.1,
-            starts=STARTS,
-            stops=STOPS,
-        ),
-        ["weights_out"],
-    )
-
-
-def pixels_args(nest):
-    rng2 = np.random.default_rng(9)
-    quats = qa.from_angles(
-        rng2.uniform(0.01, np.pi - 0.01, (N_DET, N_SAMP)),
-        rng2.uniform(-np.pi, np.pi, (N_DET, N_SAMP)),
-        np.zeros((N_DET, N_SAMP)),
-    )
-    flags = np.zeros(N_SAMP, dtype=np.uint8)
-    flags[::11] = 2
-    return (
-        dict(
-            quats=quats,
-            pixels_out=np.zeros((N_DET, N_SAMP), dtype=np.int64),
-            nside=NSIDE,
-            nest=nest,
-            starts=STARTS,
-            stops=STOPS,
-            shared_flags=flags,
-            mask=2,
-        ),
-        ["pixels_out"],
-    )
-
-
-def scan_map_args():
-    rng2 = np.random.default_rng(10)
-    npix = 12 * NSIDE * NSIDE
-    pixels = rng2.integers(0, npix, (N_DET, N_SAMP))
-    pixels[0, 5] = -1  # flagged pointing
-    return (
-        dict(
-            map_data=rng2.normal(size=(npix, NNZ)),
-            pixels=pixels,
-            weights=rng2.normal(size=(N_DET, N_SAMP, NNZ)),
-            tod=np.ones((N_DET, N_SAMP)),
-            starts=STARTS,
-            stops=STOPS,
-            data_scale=0.5,
-            should_zero=False,
-            should_subtract=False,
-        ),
-        ["tod"],
-    )
-
-
-def scan_map_zero_subtract_args():
-    args, outs = scan_map_args()
-    args["should_zero"] = True
-    args["should_subtract"] = True
-    return args, outs
-
-
-def noise_weight_args():
-    rng2 = np.random.default_rng(11)
-    return (
-        dict(
-            tod=rng2.normal(size=(N_DET, N_SAMP)),
-            det_weights=np.array([0.5, 1.0, 2.0]),
-            starts=STARTS,
-            stops=STOPS,
-        ),
-        ["tod"],
-    )
-
-
-def build_noise_weighted_args():
-    rng2 = np.random.default_rng(12)
-    npix = 12 * NSIDE * NSIDE
-    pixels = rng2.integers(0, 50, (N_DET, N_SAMP))  # few pixels: duplicates
-    pixels[1, 30] = -1
-    flags = np.zeros(N_SAMP, dtype=np.uint8)
-    flags[::13] = 1
-    return (
-        dict(
-            zmap=np.zeros((npix, NNZ)),
-            pixels=pixels,
-            weights=rng2.normal(size=(N_DET, N_SAMP, NNZ)),
-            tod=rng2.normal(size=(N_DET, N_SAMP)),
-            det_scale=np.array([1.0, 0.7, 1.3]),
-            starts=STARTS,
-            stops=STOPS,
-            shared_flags=flags,
-            mask=1,
-        ),
-        ["zmap"],
-    )
-
-
-STEP = 16
-N_AMP_DET = (N_SAMP + STEP - 1) // STEP
-
-
-def offset_add_args():
-    rng2 = np.random.default_rng(13)
-    return (
-        dict(
-            step_length=STEP,
-            amplitudes=rng2.normal(size=N_DET * N_AMP_DET),
-            amp_offsets=np.arange(N_DET, dtype=np.int64) * N_AMP_DET,
-            tod=rng2.normal(size=(N_DET, N_SAMP)),
-            starts=STARTS,
-            stops=STOPS,
-        ),
-        ["tod"],
-    )
-
-
-def offset_project_args():
-    rng2 = np.random.default_rng(14)
-    return (
-        dict(
-            step_length=STEP,
-            tod=rng2.normal(size=(N_DET, N_SAMP)),
-            amplitudes=np.zeros(N_DET * N_AMP_DET),
-            amp_offsets=np.arange(N_DET, dtype=np.int64) * N_AMP_DET,
-            starts=STARTS,
-            stops=STOPS,
-        ),
-        ["amplitudes"],
-    )
-
-
-def precond_args():
-    rng2 = np.random.default_rng(15)
-    n = N_DET * N_AMP_DET
-    return (
-        dict(
-            offset_var=rng2.uniform(0.5, 2.0, n),
-            amp_in=rng2.normal(size=n),
-            amp_out=np.zeros(n),
-        ),
-        ["amp_out"],
-    )
-
-
-def cov_hits_args():
-    rng2 = np.random.default_rng(16)
-    npix = 12 * NSIDE * NSIDE
-    pixels = rng2.integers(0, 50, (N_DET, N_SAMP))
-    pixels[2, 12] = -1
-    return (
-        dict(
-            hits=np.zeros(npix, dtype=np.int64),
-            pixels=pixels,
-            starts=STARTS,
-            stops=STOPS,
-        ),
-        ["hits"],
-    )
-
-
-def cov_invnpp_args():
-    rng2 = np.random.default_rng(17)
-    npix = 12 * NSIDE * NSIDE
-    pixels = rng2.integers(0, 50, (N_DET, N_SAMP))
-    pixels[0, 44] = -1
-    nblock = NNZ * (NNZ + 1) // 2
-    return (
-        dict(
-            invnpp=np.zeros((npix, nblock)),
-            pixels=pixels,
-            weights=rng2.normal(size=(N_DET, N_SAMP, NNZ)),
-            det_scale=np.array([1.0, 0.8, 1.2]),
-            starts=STARTS,
-            stops=STOPS,
-        ),
-        ["invnpp"],
-    )
-
-
-CASES = {
-    "pointing_detector": pointing_detector_args,
-    "stokes_weights_I": stokes_I_args,
-    "stokes_weights_IQU": stokes_IQU_args,
-    "pixels_healpix": lambda: pixels_args(nest=False),
-    "scan_map": scan_map_args,
-    "noise_weight": noise_weight_args,
-    "build_noise_weighted": build_noise_weighted_args,
-    "template_offset_add_to_signal": offset_add_args,
-    "template_offset_project_signal": offset_project_args,
-    "template_offset_apply_diag_precond": precond_args,
-    "cov_accum_diag_hits": cov_hits_args,
-    "cov_accum_diag_invnpp": cov_invnpp_args,
-}
+    return build
 
 
 class TestRegistryCompleteness:
@@ -384,48 +128,37 @@ def test_omp_matches_python_oracle_bitwise(name, use_accel):
 
 
 def test_pixels_nest_consistency():
-    reference = run_impl(
-        "pixels_healpix", ImplementationType.PYTHON, lambda: pixels_args(nest=True)
-    )
-    for impl in (ImplementationType.NUMPY, ImplementationType.JAX, ImplementationType.OMP_TARGET):
-        out = run_impl("pixels_healpix", impl, lambda: pixels_args(nest=True))
-        np.testing.assert_array_equal(out[0], reference[0])
+    for nest in (True, False):
+        factory = with_args(CASES["pixels_healpix"], nest=nest)
+        reference = run_impl("pixels_healpix", ImplementationType.PYTHON, factory)
+        for impl in IMPLS[1:]:
+            out = run_impl("pixels_healpix", impl, factory)
+            np.testing.assert_array_equal(out[0], reference[0])
 
 
 def test_scan_map_zero_subtract_modes():
-    reference = run_impl(
-        "scan_map", ImplementationType.PYTHON, scan_map_zero_subtract_args
-    )
+    factory = with_args(CASES["scan_map"], should_zero=True, should_subtract=True)
+    reference = run_impl("scan_map", ImplementationType.PYTHON, factory)
     for impl in (ImplementationType.NUMPY, ImplementationType.JAX, ImplementationType.OMP_TARGET):
-        out = run_impl("scan_map", impl, scan_map_zero_subtract_args)
+        out = run_impl("scan_map", impl, factory)
         np.testing.assert_allclose(out[0], reference[0], rtol=1e-12)
 
 
 def test_outside_intervals_untouched():
     """Samples outside every interval must never be written."""
-    sentinel_args, _ = noise_weight_args()
-    gap_mask = np.ones(N_SAMP, dtype=bool)
-    for a, b in zip(STARTS, STOPS):
-        gap_mask[a:b] = False
     for impl in IMPLS:
-        args, _ = noise_weight_args()
+        args, _ = CASES["noise_weight"]()
+        gap_mask = np.ones(N_SAMP, dtype=bool)
+        for a, b in zip(args["starts"], args["stops"]):
+            gap_mask[a:b] = False
+        assert gap_mask.any()
         before = args["tod"].copy()
         fn = kernel_registry.get("noise_weight", impl, allow_fallback=False)
         fn(**args)
         np.testing.assert_array_equal(args["tod"][:, gap_mask], before[:, gap_mask])
 
 
-def with_intervals(factory, starts, stops):
-    """``factory`` with its interval list replaced."""
-
-    def build():
-        args, outputs = factory()
-        return dict(args, starts=starts, stops=stops), outputs
-
-    return build
-
-
-INTERVAL_KERNELS = [name for name in KERNEL_NAMES if "starts" in CASES[name]()[0]]
+INTERVAL_KERNELS = [name for name in KERNEL_NAMES if kernel_registry.spec(name).has_arg("starts")]
 DEGENERATE = make_intervals(N_SAMP, "degenerate")
 INVERTED = (np.array([5, 40], dtype=np.int64), np.array([2, 30], dtype=np.int64))
 ACCEL_IMPLS = [ImplementationType.JAX, ImplementationType.OMP_TARGET]
@@ -439,8 +172,10 @@ def test_degenerate_spans_change_nothing(name, impl, use_accel):
     samples on either accelerated port: bitwise the call without them."""
     starts, stops = DEGENERATE
     keep = stops > starts
-    plain = run_impl(name, impl, with_intervals(CASES[name], starts[keep], stops[keep]), use_accel)
-    degenerate = run_impl(name, impl, with_intervals(CASES[name], starts, stops), use_accel)
+    plain = run_impl(
+        name, impl, with_args(CASES[name], starts=starts[keep], stops=stops[keep]), use_accel
+    )
+    degenerate = run_impl(name, impl, with_args(CASES[name], starts=starts, stops=stops), use_accel)
     for a, b in zip(plain, degenerate):
         assert a.tobytes() == b.tobytes(), f"{name}: degenerate spans changed the result"
 
@@ -449,7 +184,8 @@ def test_degenerate_spans_change_nothing(name, impl, use_accel):
 @pytest.mark.parametrize("impl", ACCEL_IMPLS, ids=lambda impl: impl.value)
 @pytest.mark.parametrize("use_accel", [False, True], ids=["host", "device"])
 def test_all_inverted_intervals_no_op(name, impl, use_accel):
-    factory = with_intervals(CASES[name], *INVERTED)
+    starts, stops = INVERTED
+    factory = with_args(CASES[name], starts=starts, stops=stops)
     args, outputs = factory()
     before = [args[k] for k in outputs]
     for old, out in zip(before, run_impl(name, impl, factory, use_accel)):
@@ -459,40 +195,11 @@ def test_all_inverted_intervals_no_op(name, impl, use_accel):
 def test_empty_intervals_no_op():
     empty = np.array([], dtype=np.int64)
     for impl in IMPLS:
-        args, _ = noise_weight_args()
-        args["starts"] = empty
-        args["stops"] = empty
+        args, _ = with_args(CASES["noise_weight"], starts=empty, stops=empty)()
         before = args["tod"].copy()
         fn = kernel_registry.get("noise_weight", impl, allow_fallback=False)
         fn(**args)
         np.testing.assert_array_equal(args["tod"], before)
-
-
-def build_noise_weighted_detflags_args():
-    rng2 = np.random.default_rng(42)
-    npix = 12 * NSIDE * NSIDE
-    pixels = rng2.integers(0, 50, (N_DET, N_SAMP))
-    det_flags = np.zeros((N_DET, N_SAMP), dtype=np.uint8)
-    det_flags[0, ::5] = 1
-    det_flags[2, 40:60] = 2
-    flags = np.zeros(N_SAMP, dtype=np.uint8)
-    flags[::17] = 1
-    return (
-        dict(
-            zmap=np.zeros((npix, NNZ)),
-            pixels=pixels,
-            weights=rng2.normal(size=(N_DET, N_SAMP, NNZ)),
-            tod=rng2.normal(size=(N_DET, N_SAMP)),
-            det_scale=np.array([1.0, 0.7, 1.3]),
-            starts=STARTS,
-            stops=STOPS,
-            shared_flags=flags,
-            mask=1,
-            det_flags=det_flags,
-            det_mask=3,
-        ),
-        ["zmap"],
-    )
 
 
 class TestDetectorFlags:
@@ -504,26 +211,16 @@ class TestDetectorFlags:
         [ImplementationType.NUMPY, ImplementationType.JAX, ImplementationType.OMP_TARGET],
     )
     def test_det_flags_match_oracle(self, impl):
-        ref = run_impl(
-            "build_noise_weighted",
-            ImplementationType.PYTHON,
-            build_noise_weighted_detflags_args,
-        )
-        out = run_impl("build_noise_weighted", impl, build_noise_weighted_detflags_args)
+        factory = CASES["build_noise_weighted"]
+        args, _ = factory()
+        assert args["det_flags"] is not None and args["det_mask"]
+        ref = run_impl("build_noise_weighted", ImplementationType.PYTHON, factory)
+        out = run_impl("build_noise_weighted", impl, factory)
         np.testing.assert_allclose(out[0], ref[0], rtol=1e-12, atol=1e-12)
 
     def test_det_flags_change_result(self):
-        flagged = run_impl(
-            "build_noise_weighted",
-            ImplementationType.NUMPY,
-            build_noise_weighted_detflags_args,
-        )
-
-        def unflagged_args():
-            args, outs = build_noise_weighted_detflags_args()
-            args["det_flags"] = None
-            args["det_mask"] = 0
-            return args, outs
-
-        plain = run_impl("build_noise_weighted", ImplementationType.NUMPY, unflagged_args)
+        factory = CASES["build_noise_weighted"]
+        flagged = run_impl("build_noise_weighted", ImplementationType.NUMPY, factory)
+        unflagged = with_args(factory, det_flags=None, det_mask=0)
+        plain = run_impl("build_noise_weighted", ImplementationType.NUMPY, unflagged)
         assert not np.allclose(flagged[0], plain[0])

@@ -323,6 +323,46 @@ class TestLaunchAccounting:
         assert mb.launch_seconds == pytest.approx(mb.launches * 5.0e-6)
 
 
+class TestStackedDescriptors:
+    """A stacked OpenMP launch hands each member the descriptor of its own
+    launch: the member's body moves data over it and derives no other."""
+
+    def test_warm_unit_derives_one_descriptor_per_member(self, monkeypatch):
+        from repro.math import segments as segmod
+        from repro.workflows.satellite import (
+            SizeSpec,
+            make_satellite_data,
+            same_bits,
+            satellite_processing_pipeline,
+        )
+
+        size = SizeSpec("omp-hybrid", 4, 2, 4096, 32)  # perfbench's omp-hybrid size
+        omp = ImplementationType.OMP_TARGET
+
+        def unit(plan):
+            data = make_satellite_data(size, realization=1)
+            pipe = satellite_processing_pipeline(size.nside, implementation=omp, plan=plan)
+            pipe.exec(data, use_accel=True, accel=fresh_runtime())
+            pipe.finalize(data)
+            return data["zmap"]
+
+        eager = unit("eager")
+        unit("megabatch")  # cold
+        derived = []
+        real_init = segmod.Segments.__init__
+
+        def counting(seg, starts, stops):
+            derived.append(len(starts))
+            real_init(seg, starts, stops)
+
+        monkeypatch.setattr(segmod.Segments, "__init__", counting)
+        zmap = unit("megabatch")
+        # Six stacked kernels, one slab row per member: a member body that
+        # derived a descriptor of its own would add more.
+        assert len(derived) == 6 * size.n_observations
+        assert same_bits(zmap, eager)
+
+
 class TestParallelMegabatch:
     """The pool: identical maps for any plan × worker count."""
 

@@ -12,6 +12,8 @@ from repro.kernels.common import host_parallel_for_collapse3, launcher_for, reco
 from repro.kernels.omp.stacked import stacked_entry
 from repro.kernels.spec import ArgRole, ArgSpec, Intent, KernelSpec
 from repro.math import IntervalList
+from repro.math.rows import put_lanes
+from repro.math.segments import Segments
 from repro.obs.events import EventType
 from repro.ompshim import LoopNest, MapClause, MappingError, NotPresentError, OmpTargetRuntime
 from repro.workflows.microbench import kernel_cases, make_intervals
@@ -410,15 +412,19 @@ class TestSpanLaunch:
 
     def test_stacked_members_get_their_own_iterations(self, rt):
         """A stacked launch over span nests: charged for the padded stacked
-        grid, one body call, and each member body sees exactly its own
-        guarded iterations -- a member without samples is skipped."""
+        grid, one body call with one open grid per member, and each member
+        body sees exactly its own guarded iterations, read from its own
+        launch's descriptor -- a member without samples is skipped."""
         member_calls = []
 
         def probe(tod, starts, stops, accel=None, use_accel=False):
-            def body(i, j, k):
-                member_calls.append(np.stack((i, j, k)))
+            grid = LoopNest((tod.shape[0], starts, stops))
 
-            launcher_for(accel, use_accel)("probe", (tod.shape[0], starts, stops), body)
+            def body(i, j, k):
+                assert j.base is grid.segments.ivl and k.base is grid.segments.lane
+                member_calls.append(raveled(i, j, k))
+
+            launcher_for(accel, use_accel)("probe", grid, body)
 
         spec = KernelSpec(
             "probe",
@@ -436,7 +442,7 @@ class TestSpanLaunch:
 
         def spying(name, grid, body, **kwargs):
             def spy(i, j, k):
-                stacked_calls.append(np.stack((i, j, k)))
+                stacked_calls.append([raveled(*member) for member in zip(i, j, k)])
                 body(i, j, k)
 
             launch(name, grid, spy, **kwargs)
@@ -452,14 +458,11 @@ class TestSpanLaunch:
         assert rt.device.clock.now == reference.device.clock.now
         members = [0, 1, 3]  # member 2 holds no sample
         wants = [guarded(3, starts[m], stops[m])[1] for m in members]
-        assert len(member_calls) == len(members)
-        for got, want in zip(member_calls, wants):
-            np.testing.assert_array_equal(got, want)
         (stacked,) = stacked_calls
-        offset = np.array([[3], [0], [0]])
-        np.testing.assert_array_equal(
-            stacked, np.concatenate([w + offset * m for m, w in zip(members, wants)], axis=1)
-        )
+        for calls in (member_calls, stacked):
+            assert len(calls) == len(members)
+            for got, want in zip(calls, wants):
+                np.testing.assert_array_equal(got, want)
 
 
 OMP = ImplementationType.OMP_TARGET
@@ -508,29 +511,37 @@ class TestOpenGrid:
     @pytest.mark.parametrize("use_accel", [False, True], ids=["host", "device"])
     def test_kernels_give_the_same_bits_on_flat_vectors(self, monkeypatch, use_accel):
         """Every registered OpenMP kernel gives the same bits whether its body
-        gets the open grid or the fully materialized flat index vectors."""
-        open_grid = LoopNest.iterations
+        moves whole interval runs (``Segments.take``/``put``) or moves
+        through the flat index vectors they replace (``np.take`` and
+        ``put_lanes`` over the descriptor's ``flat``), with and without
+        (shared and detector) flags, over every interval kind that launches."""
 
-        def flat(nest):
-            return tuple(a.ravel() for a in np.broadcast_arrays(*open_grid(nest)))
+        def take(seg, a, axis=1):
+            return np.take(a, seg.flat, axis=axis)
+
+        def put(seg, a, values, axis=1):
+            assert axis == 1
+            put_lanes(a, seg.flat, values)
 
         n_det, n_samp = 3, 120
-        cases = kernel_cases(n_det=n_det, n_samp=n_samp, intervals="degenerate")
-        names = [n for n in cases if OMP in kernel_registry.implementations(n)]
-        assert len(names) >= 11
-        for name in names:
-            outputs = []
-            for iterations in (open_grid, flat):
-                monkeypatch.setattr(LoopNest, "iterations", iterations)
-                args, outs = cases[name]()
-                if kernel_registry.spec(name).has_arg("det_flags"):
-                    rng = np.random.default_rng(27)
-                    args["det_flags"] = rng.integers(0, 4, (n_det, n_samp), dtype=np.uint8)
-                    args["det_mask"] = 2
-                run_omp(name, args, use_accel)
-                outputs.append([args[k] for k in outs])
-            for got, want in zip(*outputs):
-                assert same_bits(got, want), name
+        movers = ((Segments.take, Segments.put), (take, put))
+        for kind in ("irregular", "full", "degenerate"):
+            for with_flags in (True, False):
+                cases = kernel_cases(
+                    n_det=n_det, n_samp=n_samp, intervals=kind, with_flags=with_flags
+                )
+                names = [n for n in cases if OMP in kernel_registry.implementations(n)]
+                assert len(names) >= 11
+                for name in names:
+                    outputs = []
+                    for mover_take, mover_put in movers:
+                        monkeypatch.setattr(Segments, "take", mover_take)
+                        monkeypatch.setattr(Segments, "put", mover_put)
+                        args, outs = cases[name]()
+                        run_omp(name, args, use_accel)
+                        outputs.append([args[k] for k in outs])
+                    for got, want in zip(*outputs):
+                        assert same_bits(got, want), (name, kind, with_flags)
 
 
 class TestMapClauseEnum:

@@ -1,4 +1,4 @@
-"""Tests for the segment descriptor (repro.math.segments)."""
+"""Tests for the segment descriptor (repro.math.segments) and its mover."""
 
 import copy
 import gc
@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels.common import flatten_intervals, pad_intervals
+from repro.kernels.common import pad_intervals
 from repro.math import IntervalList
+from repro.math.rows import put_lanes, put_rows, take_rows
 from repro.math.segments import Segments, segments
 from repro.ompshim import LoopNest
 from repro.workflows.microbench import make_intervals
+
+from tests.test_rows import _assert_same, _fill, layouts
 
 spans_strategy = st.lists(
     st.tuples(st.integers(0, 200), st.integers(0, 60)).map(lambda t: (t[0], t[0] + t[1])),
@@ -128,6 +131,91 @@ class TestDescriptor:
         for a in (seg.lengths, seg.offsets, seg.flat, seg.ivl, seg.lane, *seg.padded):
             assert not a.flags.writeable
 
-    def test_flatten_intervals_is_the_list_flat(self):
-        il = IntervalList([(0, 5), (10, 20)])
-        assert flatten_intervals(*il.as_arrays()) is il.segments.flat
+
+@st.composite
+def span_pairs(draw, n_samp):
+    """``(starts, stops)`` within ``[0, n_samp]``, in any order: spans may
+    be empty, inverted (``stop < start``), sit at ``[n_samp, n_samp)`` or
+    overlap one another."""
+    spans = draw(
+        st.lists(
+            st.tuples(st.integers(0, n_samp), st.integers(-3, 12)),
+            max_size=8,
+        )
+    )
+    starts = np.array([a for a, _ in spans], dtype=np.int64)
+    stops = np.array([min(max(a + d, 0), n_samp) for a, d in spans], dtype=np.int64)
+    return starts, stops
+
+
+@st.composite
+def mover_cases(draw):
+    """A descriptor, a ``(n_det, n_samp, *trailing)`` target, the same
+    target shared (``(n_samp, *trailing)``), and the value dtype."""
+    (n_det,), trailing, dtype, vdtype = draw(layouts(lead_axes=(1, 1)))
+    n_samp = draw(st.integers(1, 40))
+    seg = Segments(*draw(span_pairs(n_samp)))
+    a = _fill(draw, (n_det, n_samp) + trailing, dtype)
+    shared = _fill(draw, (n_samp,) + trailing, dtype)
+    return seg, a, shared, vdtype
+
+
+class TestMover:
+    """``Segments.take``/``put`` move whole runs and equal the index forms
+    they replace bit for bit -- overlapping spans included, where the last
+    write wins."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=mover_cases())
+    def test_take_is_the_index_gather(self, case):
+        seg, a, shared, _ = case
+        n_det, n_samp = a.shape[:2]
+        rows = np.arange(n_det)[:, None] * n_samp + seg.flat
+        got = seg.take(a)
+        _assert_same(got, np.take(a, seg.flat, axis=1))
+        _assert_same(got, take_rows(a, rows, lead=2))
+        _assert_same(seg.take(shared, axis=0), np.take(shared, seg.flat, axis=0))
+        _assert_same(seg.take(shared, axis=0), take_rows(shared, seg.flat))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), case=mover_cases())
+    def test_put_is_the_index_write(self, data, case):
+        seg, a, shared, vdtype = case
+        n_det, n_samp = a.shape[:2]
+        trailing = a.shape[2:]
+        rows = np.arange(n_det)[:, None] * n_samp + seg.flat
+        # Full-shape values, values broadcast over the samples, or a scalar.
+        vshape = data.draw(
+            st.sampled_from([(n_det, seg.n_samples) + trailing, (n_det, 1) + trailing, ()])
+        )
+        values = _fill(data.draw, vshape, vdtype)
+        got, lanes, by_rows = a.copy(), a.copy(), a.copy()
+        seg.put(got, values)
+        put_lanes(lanes, seg.flat, values)
+        put_rows(by_rows, rows, values, lead=2)
+        _assert_same(got, lanes)
+        _assert_same(got, by_rows)
+
+        svalues = _fill(data.draw, (seg.n_samples,) + trailing, vdtype)
+        got, want = shared.copy(), shared.copy()
+        seg.put(got, svalues, axis=0)
+        put_rows(want, seg.flat, svalues)
+        _assert_same(got, want)
+
+    def test_overlapping_spans_last_write_wins(self):
+        seg = Segments(np.array([4, 0, 2]), np.array([8, 6, 3]))
+        a = np.zeros((1, 10), dtype=np.int64)
+        seg.put(a, np.arange(1, seg.n_samples + 1)[None, :])
+        # [4, 8) first, then [0, 6) overwrites 4 and 5, then [2, 3).
+        np.testing.assert_array_equal(a[0], [5, 6, 11, 8, 9, 10, 3, 4, 0, 0])
+        np.testing.assert_array_equal(seg.take(a)[0], [9, 10, 3, 4, 5, 6, 11, 8, 9, 10, 11])
+
+    def test_runs_skip_spans_without_samples(self):
+        starts, stops = make_intervals(64, "degenerate")
+        seg = segments(starts, stops)
+        keep = stops > starts
+        assert seg.runs == tuple(
+            zip(starts[keep].tolist(), stops[keep].tolist(), seg.offsets[keep].tolist())
+        )
+        empty = Segments(np.array([5, 40]), np.array([2, 30]))
+        assert empty.runs == () and empty.take(np.ones((2, 64, 3))).shape == (2, 0, 3)
