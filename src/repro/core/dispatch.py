@@ -218,8 +218,8 @@ class KernelRegistry:
         Every ``impl`` implementation of a ``megabatch=True`` kernel that
         registers afterwards gets its stacked entry from it.  The stacked
         entry takes the per-observation keyword arguments, except that
-        ``"stack"`` args carry a leading ``n_obs`` axis and intervals
-        arrive as ``(n_obs, n_ivl)`` padded slabs.
+        each ``"stack"`` arg, intervals included, is the sequence of the
+        group members' own values; broadcast args come once.
         """
         self._stackers[impl] = stacker
 

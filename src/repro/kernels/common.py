@@ -13,7 +13,6 @@ from ..ompshim.runtime import LoopNest
 
 __all__ = [
     "pad_intervals",
-    "pad_intervals_grouped",
     "resolve_view",
     "host_parallel_for_collapse3",
     "launcher_for",
@@ -45,30 +44,6 @@ def pad_intervals(
     return index, valid, seg.max_len
 
 
-def pad_intervals_grouped(
-    starts: np.ndarray, stops: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Pad already-stacked ``(n_obs, n_ivl)`` interval slabs.
-
-    The megabatch collector hands kernels their group's starts/stops as
-    rectangular slabs with degenerate ``(0, 0)`` padding rows; this is
-    the stacked analogue of :func:`pad_intervals`, returning
-    ``(sample_index, valid_mask, max_length)`` with a leading ``n_obs``
-    axis and one group-wide ``max_length``.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    stops = np.asarray(stops, dtype=np.int64)
-    if starts.ndim != 2 or starts.shape != stops.shape:
-        raise ValueError("grouped starts/stops must be matching 2-D slabs")
-    n_obs, n_ivl = starts.shape
-    idx, valid, max_len = pad_intervals(starts.reshape(-1), stops.reshape(-1))
-    return (
-        idx.reshape(n_obs, n_ivl, max_len),
-        valid.reshape(n_obs, n_ivl, max_len),
-        max_len,
-    )
-
-
 def resolve_view(accel, arr: np.ndarray, use_accel: bool) -> np.ndarray:
     """The array a kernel should operate on.
 
@@ -91,7 +66,7 @@ def host_parallel_for_collapse3(
     """Host fallback of the collapse(3) launcher (no device, no charge).
 
     The same sweep as the device launcher: one ``body`` call with the
-    index arrays of the :class:`~repro.ompshim.runtime.LoopNest` of
+    loop indices of the :class:`~repro.ompshim.runtime.LoopNest` of
     ``grid`` (:meth:`~repro.ompshim.runtime.LoopNest.iterations`).
     """
     nest = LoopNest.of(grid)

@@ -10,6 +10,21 @@ instead of Python loops (the whole-program transformation the paper
 credits for JAX's launch-overhead amortization).  Scalars are trace-time
 constants of the stacked launch.
 
+The entry receives each ``"stack"`` argument as the group members' own
+values.  It resolves their device views, stacks only the operands the
+compiled function takes, builds the group's lanes from the members'
+segment descriptors (:func:`group_lanes`) and writes each member's
+result row straight into that member's output view.
+
+JIT-cache bucketing: for kernels with no written broadcast argument, the
+observation axis is padded to the next power-of-two bucket
+(:func:`repro.jaxshim.config.next_batch_bucket`) with all-masked zero
+rows, so the shim's trace-cache key -- which hashes argument shapes --
+repeats across nearby group sizes instead of recompiling per
+observation-count change.  Scatter kernels run at the exact group size:
+a padded row's masked lanes would add ``+0.0`` into the accumulator,
+which is not bitwise-neutral against ``-0.0``.
+
 Scatter kernels cannot be blind outer-vmaps: vmapping the accumulation
 would give each observation its own copy of the GLOBAL accumulator.
 Only the contributions are vmapped; one scatter-add then commits them
@@ -18,58 +33,60 @@ exactly the sequence the eager loop performs, so the sums are bitwise
 identical.
 """
 
-import functools
 import inspect
 
 import numpy as np
 
 from ...jaxshim import vmap
-from ..common import pad_intervals_grouped, resolve_view
+from ...jaxshim.config import next_batch_bucket
+from ...math.segments import segments
+from ..common import resolve_view
 from ..spec import ArgRole
 from .kernel import module_jit, scatter_add
 
 
-def group_lanes(starts, stops):
-    """(flat lanes, valid mask, max_len, rows with work) of a group.
+def group_lanes(descriptors, n_rows):
+    """``(flat, valid, max_len, rows)``: the padded lanes of a group.
 
-    ``starts``/``stops`` are the collector's ``(n_obs, n_ivl)`` slabs.
-    Invalid lanes -- interval padding *and* whole degenerate rows padded
-    in by shorter group members -- are redirected to the observation's
-    first valid sample, so a set-style kernel's "dummy work" rewrites a
-    value some valid lane also writes (the eager clamping convention,
-    extended across the group's rectangular slab).  Observations with no
-    valid lanes at all must not be written back: their eager call was a
+    ``descriptors`` are the members' segment descriptors, in member order;
+    ``n_rows`` (at least their number) adds bucket padding rows.  Each row
+    lays out its member's padded lanes
+    (:attr:`~repro.math.segments.Segments.padded`) in an ``(n_ivl,
+    max_len)`` block, ``n_ivl`` and ``max_len`` the group's longest, and
+    ``flat``/``valid`` hold the blocks raveled, one row per member.
+    Invalid lanes -- interval padding, and whole degenerate intervals a
+    shorter member lacks -- go to the member's first valid sample, so a
+    set-style kernel's "dummy work" rewrites a value some valid lane also
+    writes (the eager clamping convention, extended across the group).
+    A row with no valid lane at all (an empty member, a padding row)
+    points every lane at sample 0.  ``rows`` marks the members with work:
+    a member without must not be written back, as its eager call was a
     no-op.
-
-    The lanes are derived once per distinct slab value and kept for the
-    two most recent slabs, so they are shared, hence read-only.  A group
-    reaches the stacked kernels as at most two slabs: padded to the
-    batch bucket, and unpadded for a kernel that writes a broadcast
-    array (``MegabatchCollector._run_stacked``).
     """
-    starts = np.ascontiguousarray(starts, dtype=np.int64)
-    stops = np.ascontiguousarray(stops, dtype=np.int64)
-    return _slab_lanes(starts.shape, stops.shape, starts.tobytes(), stops.tobytes())
+    n_ivl = max(len(seg) for seg in descriptors)
+    max_len = max(seg.max_len for seg in descriptors)
+    rows = np.zeros(n_rows, dtype=bool)
+    flat = np.zeros((n_rows, n_ivl, max_len), dtype=np.int64)
+    valid = np.zeros((n_rows, n_ivl, max_len), dtype=bool)
+    for m, seg in enumerate(descriptors):
+        if not seg.n_samples:
+            continue
+        index, ok = seg.padded
+        rows[m] = True
+        flat[m] = seg.starts[np.argmax(seg.lengths > 0)]  # the first valid sample
+        np.copyto(flat[m, : len(seg), : seg.max_len], index, where=ok)
+        valid[m, : len(seg), : seg.max_len] = ok
+    return flat.reshape(n_rows, -1), valid.reshape(n_rows, -1), max_len, rows
 
 
-@functools.lru_cache(maxsize=2)  # a group's padded and unpadded slabs
-def _slab_lanes(starts_shape, stops_shape, starts, stops):
-    idx, valid, max_len = pad_intervals_grouped(
-        np.frombuffer(starts, dtype=np.int64).reshape(starts_shape),
-        np.frombuffer(stops, dtype=np.int64).reshape(stops_shape),
-    )
-    n_obs = idx.shape[0]
-    flat = idx.reshape(n_obs, -1)
-    vmask = valid.reshape(n_obs, -1)
-    if max_len == 0:
-        rows = np.zeros(n_obs, dtype=bool)
-    else:
-        rows = vmask.any(axis=1)
-        anchor = np.where(rows, flat[np.arange(n_obs), np.argmax(vmask, axis=1)], 0)
-        flat = np.where(vmask, flat, anchor[:, None])
-    for a in (flat, vmask, rows):
-        a.flags.writeable = False
-    return flat, vmask, max_len, rows
+def _stack(rows, n_rows):
+    """``rows`` stacked on a new leading axis, zero rows padding it to
+    ``n_rows``."""
+    first = np.asarray(rows[0])
+    out = np.empty((n_rows,) + first.shape, dtype=first.dtype)
+    np.stack(rows, out=out[: len(rows)])
+    out[len(rows) :] = 0
+    return out
 
 
 def stacked_entry(spec, per_observation):
@@ -77,6 +94,7 @@ def stacked_entry(spec, per_observation):
     compiled = per_observation.compiled
     operands_for = per_observation.__wrapped__
     scatter = spec.fusion_kind == "scatter"
+    bucketed = not any(a.batch == "broadcast" and a.intent.writes for a in spec.args)
     (out_name,) = spec.output_names()
     stack = set(spec.stacked_names())
     params = list(inspect.signature(compiled).parameters)
@@ -102,35 +120,35 @@ def stacked_entry(spec, per_observation):
         launch = module_jit(lambda *ops: batched(*ops), static, name)
 
     def entry(accel=None, use_accel=False, **kwargs):
-        flat, valid, max_len, rows = group_lanes(kwargs["starts"], kwargs["stops"])
+        k = len(kwargs["starts"])
+        n_rows = next_batch_bucket(k) if bucketed else k
+        descriptors = [segments(*pair) for pair in zip(kwargs["starts"], kwargs["stops"])]
+        flat, valid, max_len, rows = group_lanes(descriptors, n_rows)
         if max_len == 0:
             return
-        shared = {
-            k: resolve_view(accel, v, use_accel) if isinstance(v, np.ndarray) else v
-            for k, v in kwargs.items()
-            if k not in stack
-        }
-        members = []
-        for i in range(len(flat)):
-            own = {k: v if v is None else v[i] for k, v in kwargs.items() if k in stack}
-            members.append(operands_for(**shared, **own)(flat[i], valid[i]))
+
+        def view(v):
+            return resolve_view(accel, v, use_accel) if isinstance(v, np.ndarray) else v
+
+        shared = {p: view(v) for p, v in kwargs.items() if p not in stack}
+        own = [{p: view(kwargs[p][i]) for p in stack if p in kwargs} for i in range(k)]
+        members = [operands_for(**shared, **own[i])(flat[i], valid[i]) for i in range(k)]
         lanes = {"flat": flat, "valid": valid}
         operands = []
         for j, p in enumerate(params):
-            if p in stack:  # the collector's slab, not a re-stacked copy
-                operands.append(kwargs[p])
-            elif p in lanes:  # the cached group lanes, likewise
+            if p in lanes:
                 operands.append(lanes[p])
             elif in_axes[j] is None:
                 operands.append(members[0][j])
             else:
-                operands.append(np.stack([m[j] for m in members]))
+                operands.append(_stack([m[j] for m in members], n_rows))
         if scatter:
             out = shared[out_name]
             out[:] = launch(out, *operands)
         else:
             result = np.asarray(launch(*operands))
-            kwargs[out_name][rows] = result[rows]
+            for i in np.flatnonzero(rows):
+                own[i][out_name][...] = result[i]
 
     entry.compiled = launch
     return entry

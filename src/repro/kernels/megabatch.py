@@ -11,18 +11,19 @@ operator: installed around an operator's ``exec`` (via
 per-observation :class:`~repro.core.dispatch.BoundKernel` calls, defers
 them, and at flush time groups compatible calls — same kernel, same
 implementation, same scalar parameters, same array shapes — into a
-single stacked launch with a leading ``n_obs`` axis.
+single stacked launch.
 
-Batch axes come from the :class:`~repro.kernels.spec.KernelSpec`:
-``"stack"`` arguments (detdata/shared/focalplane/derived) are resolved
-to their device views and stacked; ``"broadcast"`` arguments (scalars
-and GLOBAL accumulators) are passed through once.  Interval lists are
-padded to a common ``(n_obs, n_ivl)`` slab with degenerate ``(0, 0)``
-rows (an observation with an empty interval list contributes an
-all-masked slab — see :func:`repro.kernels.common.pad_intervals_grouped`).
-Each backend's stacked entry is derived from its per-observation
-implementation (:mod:`repro.kernels.jax.stacked`,
-:mod:`repro.kernels.omp.stacked`).
+Batch axes come from the :class:`~repro.kernels.spec.KernelSpec`.  A
+group's *members* are its per-observation calls.  A stacked call passes
+each ``"stack"`` argument (detdata/shared/focalplane/intervals/derived)
+as the sequence of the members' own values -- the very arrays their
+per-observation calls received, interval pairs included -- and each
+``"broadcast"`` argument (scalars and GLOBAL accumulators) once.  The
+collector copies, stacks and pads nothing: each backend's stacked entry,
+derived from its per-observation implementation
+(:mod:`repro.kernels.jax.stacked`, :mod:`repro.kernels.omp.stacked`),
+resolves the device views it reads and writes its results into them, and
+every member's intervals keep the segment descriptor their list owns.
 
 Bitwise parity is the gate: a stacked launch must reproduce the eager
 per-observation sequence exactly.  Three rules make that hold:
@@ -36,49 +37,18 @@ per-observation sequence exactly.  Three rules make that hold:
   one-by-one in deferral order through the normal eager path.
 * Only calls with no data hazard against other pending kernels are
   deferred past each other; a conflict flushes the queue first.
-
-JIT-cache bucketing: for JAX launches of kernels with no written
-broadcast argument, the observation axis is padded to the next
-power-of-two bucket (:func:`repro.jaxshim.config.next_batch_bucket`)
-with all-masked rows, so the shim's trace-cache key — which hashes
-argument shapes — repeats across nearby group sizes instead of
-recompiling per observation-count change.  Scatter kernels run at the
-exact group size: a padded row's masked lanes would add ``+0.0`` into
-the accumulator, which is not bitwise-neutral against ``-0.0``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 import numpy as np
 
-from ..core.dispatch import ImplementationType, kernel_registry
+from ..core.dispatch import kernel_registry
 from ..obs import state as obs_state
-from .common import resolve_view
-from .spec import Intent
 
-__all__ = ["MegabatchCollector", "stack_group_intervals"]
-
-
-def stack_group_intervals(
-    starts_list, stops_list
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Pad per-observation interval lists to a common ``(n_obs, n_ivl)``.
-
-    Shorter (or empty) lists pad with degenerate ``(0, 0)`` rows, which
-    the padding machinery turns into all-masked lanes.
-    """
-    n_ivl = max((len(s) for s in starts_list), default=0)
-    n_obs = len(starts_list)
-    starts2 = np.zeros((n_obs, n_ivl), dtype=np.int64)
-    stops2 = np.zeros((n_obs, n_ivl), dtype=np.int64)
-    for i, (sa, so) in enumerate(zip(starts_list, stops_list)):
-        sa = np.asarray(sa, dtype=np.int64)
-        so = np.asarray(so, dtype=np.int64)
-        starts2[i, : len(sa)] = sa
-        stops2[i, : len(so)] = so
-    return starts2, stops2
+__all__ = ["MegabatchCollector"]
 
 
 class _Deferred:
@@ -252,9 +222,10 @@ class MegabatchCollector:
             tr = obs_state.active
             if tr is not None:
                 tr.metrics.count("megabatch.stacked_failures")
-            # Stacked implementations commit in-place GLOBAL updates
-            # last, so a failed launch left no partial state; the eager
-            # path (including its resilience wrappers) takes over.
+            # A stacked launch fails before any member's body writes
+            # (a fault fires at the launch, GLOBAL commits come last), so
+            # it left no partial state; the eager path (including its
+            # resilience wrappers) takes over.
             self._replay(calls)
 
     def _replay(self, calls: List[_Deferred]) -> None:
@@ -272,52 +243,16 @@ class MegabatchCollector:
         accel = calls[0].kwargs.get("accel")
         use_accel = bool(calls[0].kwargs.get("use_accel", False))
 
-        pad_rows = 0
-        if bound.impl is ImplementationType.JAX and not any(
-            a.batch == "broadcast" and a.intent.writes for a in spec.args
-        ):
-            from ..jaxshim.config import next_batch_bucket
-
-            pad_rows = next_batch_bucket(k) - k
-
+        # "stack" arguments as the members' own values, in member order;
+        # broadcast and scalar ones once.
         stacked_kwargs: Dict[str, Any] = {}
-        views: Dict[str, List[np.ndarray]] = {}
-        interval_names = [a.name for a in spec.args if a.role.value == "intervals"]
-        if interval_names:
-            groups = {
-                name: [np.asarray(c.merged[name]) for c in calls]
-                + [np.zeros(0, dtype=np.int64)] * pad_rows
-                for name in interval_names
-            }
-            starts2, stops2 = stack_group_intervals(
-                groups[interval_names[0]], groups[interval_names[1]]
-            )
-            stacked_kwargs[interval_names[0]] = starts2
-            stacked_kwargs[interval_names[1]] = stops2
         for a in spec.args:
-            if a.name in interval_names or a.name not in calls[0].merged:
+            if a.name not in calls[0].merged:
                 continue
-            value = calls[0].merged[a.name]
-            if value is None or not isinstance(value, np.ndarray):
-                stacked_kwargs[a.name] = value
-                continue
-            if a.batch == "broadcast":
-                # Unresolved: the stacked implementation resolves the
-                # device view itself, exactly like the eager one.
-                stacked_kwargs[a.name] = value
-                continue
-            member_views = [
-                resolve_view(accel, c.merged[a.name], use_accel) for c in calls
-            ]
-            stacked = np.stack(member_views, axis=0)
-            if pad_rows:
-                pad = np.zeros(
-                    (pad_rows,) + stacked.shape[1:], dtype=stacked.dtype
-                )
-                stacked = np.concatenate((stacked, pad), axis=0)
-            stacked_kwargs[a.name] = stacked
-            if a.intent.writes:
-                views[a.name] = member_views
+            if a.batch == "stack":
+                stacked_kwargs[a.name] = tuple(c.merged[a.name] for c in calls)
+            else:
+                stacked_kwargs[a.name] = calls[0].merged[a.name]
 
         tr = obs_state.active
         if tr is not None:
@@ -329,11 +264,6 @@ class MegabatchCollector:
                 mb(**stacked_kwargs, accel=accel, use_accel=use_accel)
         else:
             mb(**stacked_kwargs, accel=accel, use_accel=use_accel)
-
-        for name, member_views in views.items():
-            stacked = stacked_kwargs[name]
-            for i, view in enumerate(member_views):
-                view[...] = stacked[i]
 
         elided = k - 1
         self.stacked_launches += 1

@@ -9,21 +9,20 @@ and the launcher's in-loop guard cuts the out-of-interval lanes once, from
 the intervals' segment descriptor; data is dereferenced through mapped
 device pointers.
 
-A kernel's loop body runs once per launch, over index arrays ``(idet,
-iivl, lanes)`` that broadcast to the iterations that pass the guard; the
-C-order ravel of the broadcast is loop order (detector outermost, lane
-innermost).  The launcher passes an open grid -- ``idet`` a column,
-``(iivl, lanes)`` the descriptor's row of in-interval samples -- so a
+A kernel's loop body runs once per launch, over the iterations that pass
+the guard: the detectors by the descriptor's in-interval samples, in
+loop order (detector outermost, lane innermost).  The launcher passes
+``idet`` as a column and ``None`` for ``iivl`` and ``lanes``, so a
 per-detector value (``d_w[idet]``) is read once per detector.  The body
 moves per-sample data as GPU teams read it, in contiguous sample runs:
 it reaches its launch's own descriptor (``seg = grid.segments``, the one
 the launcher swept) and gathers and writes whole (detector x interval)
 runs with ``seg.take`` and ``seg.put`` (:mod:`repro.math.segments`), in
 interval order, building no per-iteration row index.  The samples they
-move are exactly those of the grid's ``(iivl, lanes)`` row, so in-body
-scatters (``add_rows``, a 1-D ``np.add.at``) add in the nested loop's
-order and match the scalar reference bit for bit.  Flag branches write
-only the flagged lanes.
+move are exactly the guarded iterations', so in-body scatters
+(``add_rows``, a 1-D ``np.add.at``) add in the nested loop's order and
+match the scalar reference bit for bit.  Flag branches write only the
+flagged lanes.
 
 Without a runtime (``use_accel=False``) the kernels run on the host --
 OpenMP's fallback behaviour when no device is available.

@@ -98,10 +98,11 @@ _ARRAY_ROLES = frozenset(
 RESERVED_PARAMS = ("accel", "use_accel")
 
 #: Valid :attr:`ArgSpec.batch` values: how a megabatch (observation-
-#: stacked) launch treats the argument.  ``"stack"`` args gain a leading
-#: ``n_obs`` axis (per-observation data); ``"broadcast"`` args are passed
-#: once, shared by every stacked observation (scalars, and GLOBAL
-#: accumulators the stacked kernel updates in observation order).
+#: stacked) call passes the argument.  A ``"stack"`` arg arrives as the
+#: sequence of the group members' own values (per-observation data, one
+#: per member, in member order); a ``"broadcast"`` arg is passed once,
+#: shared by every member (scalars, and GLOBAL accumulators the stacked
+#: kernel updates in observation order).
 BATCH_AXES = frozenset({"stack", "broadcast"})
 
 #: Role-derived default batch axis: per-observation data stacks, global
@@ -142,9 +143,9 @@ class ArgSpec:
     shape: Optional[Tuple[Any, ...]] = None
     rank: Optional[int] = None
     optional: bool = False
-    #: How a megabatch launch treats the argument: ``"stack"`` (leading
-    #: ``n_obs`` axis) or ``"broadcast"`` (shared across the group).
-    #: ``None`` derives the axis from the role (see ``_DEFAULT_BATCH``).
+    #: How a megabatch call passes the argument: ``"stack"`` (the members'
+    #: own values, one per member) or ``"broadcast"`` (once, shared across
+    #: the group).  ``None`` derives it from the role (see ``_DEFAULT_BATCH``).
     batch: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -231,13 +232,12 @@ class KernelSpec:
     fallback_eligible: bool = True
     parity: bool = True
     waive_impls: Tuple[str, ...] = ()
-    #: Whether a stacked (observation-leading) megabatch entry path is
-    #: meaningful for this kernel.  When true, each accelerated backend
-    #: derives a stacked entry from its per-observation implementation
-    #: (same arguments, ``"stack"`` args carry a leading ``n_obs`` axis,
-    #: intervals arrive as ``(n_obs, n_ivl)`` padded slabs) and the
-    #: collector may group this kernel's per-observation calls into one
-    #: launch.
+    #: Whether a stacked megabatch entry path is meaningful for this
+    #: kernel.  When true, each accelerated backend derives a stacked
+    #: entry from its per-observation implementation (same arguments,
+    #: each ``"stack"`` arg -- intervals included -- as the sequence of
+    #: the members' own values) and the collector may group this kernel's
+    #: per-observation calls into one launch.
     megabatch: bool = False
     #: Dataflow shape for the fusion pass: ``"elementwise"`` kernels map
     #: each output sample from the matching input sample, ``"gather"``
@@ -288,7 +288,7 @@ class KernelSpec:
         if self.megabatch and not self.interval_batched:
             raise ValueError(
                 f"kernel {self.name!r}: megabatch=True requires "
-                f"interval_batched (stacking pads per-observation intervals)"
+                f"interval_batched (stacked entries walk each member's intervals)"
             )
         object.__setattr__(self, "_by_name", by_name)
 
@@ -313,7 +313,7 @@ class KernelSpec:
         return [a for a in self.args if a.is_array]
 
     def stacked_names(self) -> List[str]:
-        """Arguments that gain a leading ``n_obs`` axis when megabatched."""
+        """Arguments a megabatch call passes once per member."""
         return [a.name for a in self.args if a.batch == "stack"]
 
     def input_names(self) -> List[str]:
@@ -471,7 +471,8 @@ class KernelSpec:
 
         Sums ``nbytes`` of array arguments by intent -- the per-kernel
         data-movement attribution the obs layer records.  INOUT counts
-        on both sides.
+        on both sides.  A sequence of arrays (a megabatch call's
+        ``"stack"`` argument) counts each member's array.
         """
         try:
             merged = self.bind_call(args, kwargs or {})
@@ -480,10 +481,10 @@ class KernelSpec:
         read = written = 0
         for a in self.args:
             value = merged.get(a.name)
-            if not isinstance(value, np.ndarray):
-                continue
+            values = value if isinstance(value, tuple) else (value,)
+            nbytes = sum(v.nbytes for v in values if isinstance(v, np.ndarray))
             if a.intent.reads:
-                read += value.nbytes
+                read += nbytes
             if a.intent.writes:
-                written += value.nbytes
+                written += nbytes
         return read, written

@@ -10,16 +10,15 @@ for a shared, sample-indexed array), never one row index per sample.  An
 :class:`~repro.math.intervals.IntervalList` hands out one read-only pair
 and owns one descriptor, built on first use and dropped with the list;
 :func:`segments` finds it from the arrays alone, so no kernel signature
-changes.  Any other pair (a megabatch slab row, a raw test array) gets a
-fresh descriptor that nothing keeps.
+changes.  Any other pair (a raw test array) gets a fresh descriptor that
+nothing keeps.
 
-Memory: per in-interval sample, ``flat``, ``ivl`` and ``lane`` hold 8 B
-each (24 B, built on first use); the JAX padded lanes add 9 B per padded
-lane (``n_ivl * max_len``).  Nothing is held or built per detector: the
-OpenMP launcher hands its loop body ``ivl`` and ``lane`` as they are, next
-to a column of detector indices, and the body broadcasts over the two
-(:meth:`repro.ompshim.LoopNest.iterations`); :attr:`~Segments.runs` holds
-three ints per span that holds a sample.
+Memory: per in-interval sample, ``flat`` holds 8 B (built on first use);
+the JAX padded lanes add 9 B per padded lane (``n_ivl * max_len``), and
+:attr:`~Segments.runs` holds three ints per span that holds a sample.
+Nothing is held or built per detector: the OpenMP launcher hands its loop
+body a column of detector indices, and the body moves per-sample data
+through the descriptor itself (:meth:`repro.ompshim.LoopNest.iterations`).
 """
 
 from __future__ import annotations
@@ -50,9 +49,8 @@ class Segments:
     empty ``range()``.  Per interval: ``lengths`` and ``offsets`` (each
     span's first position among the in-interval samples), plus
     ``max_len`` and ``n_samples``.  Per in-interval sample, in interval
-    order: ``flat`` (its sample index), ``ivl`` (its interval) and
-    ``lane`` (its offset in the interval).  Every array is read-only.
-    Per span holding a sample: ``runs``.
+    order: ``flat`` (its sample index).  Every array is read-only.  Per
+    span holding a sample: ``runs``.
     """
 
     def __init__(self, starts, stops):
@@ -71,15 +69,6 @@ class Segments:
     def flat(self) -> np.ndarray:
         positions = np.arange(self.n_samples, dtype=np.int64)
         return _frozen(np.repeat(self.starts - self.offsets, self.lengths) + positions)
-
-    @cached_property
-    def ivl(self) -> np.ndarray:
-        return _frozen(np.repeat(np.arange(len(self), dtype=np.int64), self.lengths))
-
-    @cached_property
-    def lane(self) -> np.ndarray:
-        positions = np.arange(self.n_samples, dtype=np.int64)
-        return _frozen(positions - np.repeat(self.offsets, self.lengths))
 
     @cached_property
     def runs(self) -> Tuple[Tuple[int, int, int], ...]:

@@ -37,8 +37,8 @@ class LoopNest:
     - starts[j]`` -- applied here, once, from the intervals' segment
     descriptor (:mod:`repro.math.segments`), kept as :attr:`segments`.
     ``extents`` is the padded grid either way: what the device is charged
-    for.  :meth:`iterations` gives the index arrays ``(i, j, k)`` of the
-    iterations that run.  Raises ``ValueError`` on a negative extent.
+    for.  :meth:`iterations` gives the loop indices the body is called
+    with.  Raises ``ValueError`` on a negative extent.
 
     A kernel builds its nest once and passes it as the launch's ``grid``,
     so its loop body reads the same descriptor the launcher swept
@@ -68,35 +68,27 @@ class LoopNest:
         return n_outer * n_middle * n_inner
 
     @property
-    def n_iterations(self) -> int:
-        """Iterations that run: :attr:`size` less the guarded lanes."""
-        if self.segments is None:
-            return self.size
-        return self.extents[0] * self.segments.n_samples
-
-    @property
     def launches(self) -> bool:
         """False for intervals holding no sample at all: like the scalar
         loop over empty ranges, such a nest launches nothing."""
         return self.segments is None or self.segments.max_len > 0
 
-    def iterations(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Index arrays ``(i, j, k)`` that broadcast to exactly the
-        iterations that run; raveled in C order, the broadcast lists them
-        in loop order (``i`` outermost, ``k`` innermost), so in-body
-        scatters add in the order the nested loop would.
+    def iterations(self) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+        """The loop indices ``(i, j, k)`` a body is called with.
 
-        A span nest gives an open grid: ``i`` is an ``(n_outer, 1)``
-        column and ``(j, k)`` are ``(1, n_samples)`` read-only views of
-        the descriptor's ``ivl`` and ``lane`` -- nothing is allocated per
-        (outer, sample) pair, and a body computes a per-outer or
-        per-sample value once.  Plain extents give full vectors.
+        Plain extents give full vectors that list every iteration in loop
+        order (``i`` outermost, ``k`` innermost).  A span nest gives ``i``
+        as an ``(n_outer, 1)`` column and ``None`` for ``j`` and ``k``:
+        the iterations that run are that column by the descriptor's
+        in-interval samples, in loop order, and a body moves per-sample
+        data through :attr:`segments` (``take``/``put``, interval by
+        interval), so nothing is built per sample or per (outer, sample)
+        pair.
         """
         if self.segments is None:
             i, j, k = np.indices(self.extents).reshape(3, -1)
             return i, j, k
-        outer = np.arange(self.extents[0], dtype=np.int64)[:, None]
-        return outer, self.segments.ivl[None, :], self.segments.lane[None, :]
+        return np.arange(self.extents[0], dtype=np.int64)[:, None], None, None
 
 
 class OmpTargetRuntime:
@@ -290,8 +282,8 @@ class OmpTargetRuntime:
         onto the two outer axes and the inner axis is the thread/SIMD
         dimension; a GPU runs every iteration of the region concurrently,
         and so does this shim: ``body(i, j, k)`` is called once per launch
-        with the index arrays of :meth:`LoopNest.iterations`, which
-        broadcast to the iterations that run, in loop order.  A grid with
+        with the loop indices of :meth:`LoopNest.iterations` (for a span
+        nest, the detector column and ``None``, ``None``).  A grid with
         no iterations never calls ``body``; intervals with no sample
         launch nothing.
 

@@ -13,7 +13,10 @@ JIT cache buckets), and the parallel pool.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import obs, resilience
 from repro.compilepipe import build_plan, lower_workflow
 from repro.compilepipe.planner import eager_launches, planned_launch_elisions
 from repro.core import Data, ImplementationType, Pipeline
@@ -21,9 +24,11 @@ from repro.core.dispatch import get_kernel, megabatch_collection, use_implementa
 from repro.jaxshim import PRNGKey, normal, split, uniform, vmap
 from repro.jaxshim.primitives import BATCHING_WAIVERS, batching_coverage
 from repro.kernels import MegabatchCollector, kernel_registry
-from repro.kernels.common import pad_intervals, pad_intervals_grouped
+from repro.kernels.common import pad_intervals
 from repro.kernels.jax import stacked
 from repro.kernels.spec import ArgRole
+from repro.math.segments import Segments
+from repro.resilience import FaultKind, FaultPlan, FaultSpec
 from repro.workflows.microbench import kernel_cases
 
 from tests.test_compilepipe import (
@@ -324,8 +329,10 @@ class TestLaunchAccounting:
 
 
 class TestStackedDescriptors:
-    """A stacked OpenMP launch hands each member the descriptor of its own
-    launch: the member's body moves data over it and derives no other."""
+    """A stacked launch hands each member kernel its own interval lists, so
+    every member reads the descriptor its list owns: a unit derives one
+    descriptor per member's list on fresh data, and none over lists it
+    has seen."""
 
     def test_warm_unit_derives_one_descriptor_per_member(self, monkeypatch):
         from repro.math import segments as segmod
@@ -337,17 +344,6 @@ class TestStackedDescriptors:
         )
 
         size = SizeSpec("omp-hybrid", 4, 2, 4096, 32)  # perfbench's omp-hybrid size
-        omp = ImplementationType.OMP_TARGET
-
-        def unit(plan):
-            data = make_satellite_data(size, realization=1)
-            pipe = satellite_processing_pipeline(size.nside, implementation=omp, plan=plan)
-            pipe.exec(data, use_accel=True, accel=fresh_runtime())
-            pipe.finalize(data)
-            return data["zmap"]
-
-        eager = unit("eager")
-        unit("megabatch")  # cold
         derived = []
         real_init = segmod.Segments.__init__
 
@@ -355,12 +351,29 @@ class TestStackedDescriptors:
             derived.append(len(starts))
             real_init(seg, starts, stops)
 
-        monkeypatch.setattr(segmod.Segments, "__init__", counting)
-        zmap = unit("megabatch")
-        # Six stacked kernels, one slab row per member: a member body that
-        # derived a descriptor of its own would add more.
-        assert len(derived) == 6 * size.n_observations
-        assert same_bits(zmap, eager)
+        def unit(impl, plan, data):
+            pipe = satellite_processing_pipeline(size.nside, implementation=impl, plan=plan)
+            pipe.exec(data, use_accel=True, accel=fresh_runtime())
+            pipe.finalize(data)
+            return data["zmap"]
+
+        for impl in ACCEL_IMPLS:
+            eager = unit(impl, "eager", make_satellite_data(size, realization=1))
+            unit(impl, "megabatch", make_satellite_data(size, realization=1))  # cold
+            fresh = make_satellite_data(size, realization=1)
+            derived.clear()
+            monkeypatch.setattr(segmod.Segments, "__init__", counting)
+            assert same_bits(unit(impl, "megabatch", fresh), eager), impl
+            # One per observation's list, which the six stacked kernels
+            # share with every other reader of the list.
+            assert len(derived) == size.n_observations, impl
+            derived.clear()
+            again = make_satellite_data(size, realization=1)
+            for ob, seen in zip(again.obs, fresh.obs):
+                ob.intervals = seen.intervals
+            assert same_bits(unit(impl, "megabatch", again), eager), impl
+            assert derived == [], impl
+            monkeypatch.undo()
 
 
 class TestParallelMegabatch:
@@ -420,7 +433,7 @@ class TestBatchingRuleCoverage:
 
 
 class TestPadIntervals:
-    """Regression: zero-length observations and grouped padding rows."""
+    """Regression: zero-length observations."""
 
     def test_empty_interval_list(self):
         idx, valid, max_len = pad_intervals(
@@ -428,68 +441,64 @@ class TestPadIntervals:
         )
         assert idx.shape == (0, 0) and valid.shape == (0, 0) and max_len == 0
 
-    def test_grouped_padding_row_is_masked(self):
-        starts = np.array([[0, 5], [0, 0]], dtype=np.int64)
-        stops = np.array([[3, 8], [4, 0]], dtype=np.int64)
-        idx, valid, max_len = pad_intervals_grouped(starts, stops)
-        assert idx.shape == (2, 2, max_len)
-        assert not valid[1, 1].any()  # the (0, 0) padding row
-        assert valid[1, 0].sum() == 4
+
+def slab_lanes(pairs, n_rows):
+    """The group lanes as an interval slab gives them (the reference).
+
+    The members' lists stacked into an ``(n_rows, n_ivl)`` slab with
+    degenerate ``(0, 0)`` padding, padded as one flat list, then every
+    invalid lane of a row with work sent to the row's first valid sample.
+    """
+    n_ivl = max(len(starts) for starts, _ in pairs)
+    starts2 = np.zeros((n_rows, n_ivl), dtype=np.int64)
+    stops2 = np.zeros((n_rows, n_ivl), dtype=np.int64)
+    for i, (starts, stops) in enumerate(pairs):
+        starts2[i, : len(starts)] = starts
+        stops2[i, : len(stops)] = stops
+    idx, valid, max_len = pad_intervals(starts2.reshape(-1), stops2.reshape(-1))
+    flat = idx.reshape(n_rows, -1)
+    vmask = valid.reshape(n_rows, -1)
+    if max_len == 0:
+        return flat, vmask, max_len, np.zeros(n_rows, dtype=bool)
+    rows = vmask.any(axis=1)
+    anchor = np.where(rows, flat[np.arange(n_rows), np.argmax(vmask, axis=1)], 0)
+    return np.where(vmask, flat, anchor[:, None]), vmask, max_len, rows
 
 
-class TestGroupLanesCache:
-    """The JAX stacked kernels of a flush share one derivation of the
-    group's lanes per distinct interval slab (``stacked.group_lanes``)."""
-
-    @staticmethod
-    def _count(monkeypatch):
-        derived, lookups = [], []
-        real_pad, real_lanes = stacked.pad_intervals_grouped, stacked.group_lanes
-
-        def counting_pad(starts, stops):
-            derived.append(starts.shape)
-            return real_pad(starts, stops)
-
-        def counting_lanes(starts, stops):
-            lookups.append(starts.shape)
-            return real_lanes(starts, stops)
-
-        monkeypatch.setattr(stacked, "pad_intervals_grouped", counting_pad)
-        monkeypatch.setattr(stacked, "group_lanes", counting_lanes)
-        stacked._slab_lanes.cache_clear()
-        return derived, lookups
-
-    @pytest.mark.parametrize(
-        "n_obs, slabs",
-        [
-            (4, 1),  # jax-megabatch's group: padding to the bucket adds no rows
-            (3, 2),  # padded to 4 rows, and unpadded for build_noise_weighted
-        ],
-    )
-    def test_warm_unit_derives_lanes_once_per_slab(self, monkeypatch, n_obs, slabs):
-        # The JAX chain on the device, every observation in one group.
-        d_eager = make_data(n_obs=n_obs)
-        Pipeline(processing_ops(), implementation=ImplementationType.JAX).exec(
-            d_eager, use_accel=True, accel=fresh_runtime()
+@st.composite
+def member_lists(draw):
+    """1-5 members' raw ``(starts, stops)``: lists of different lengths,
+    empty lists, and spans that are empty, inverted or at the end."""
+    n_samp = draw(st.integers(1, 48))
+    pairs = []
+    for _ in range(draw(st.integers(1, 5))):
+        spans = draw(
+            st.lists(st.tuples(st.integers(0, n_samp), st.integers(-3, 12)), max_size=6)
         )
-        pipe = Pipeline(processing_ops(), implementation=ImplementationType.JAX, plan="megabatch")
-        pipe.exec(make_data(n_obs=n_obs), use_accel=True, accel=fresh_runtime())  # traces
-        derived, lookups = self._count(monkeypatch)
-        # A unit with new slabs, then a unit whose data, and so whose
-        # slabs, are identical: it derives none.
-        for expected in (slabs, 0):
-            derived.clear()
-            lookups.clear()
-            d = make_data(n_obs=n_obs)
-            pipe.exec(d, use_accel=True, accel=fresh_runtime())
-            assert len(lookups) == 6  # the six stacked kernels
-            assert len(derived) == expected
-            assert_bitwise_equal(d_eager, d)
-            assert d["zmap"].tobytes() == d_eager["zmap"].tobytes()
+        starts = np.array([a for a, _ in spans], dtype=np.int64)
+        stops = np.array([min(max(a + d, 0), n_samp) for a, d in spans], dtype=np.int64)
+        pairs.append((starts, stops))
+    return pairs, len(pairs) + draw(st.integers(0, 3))
 
-    def test_stacked_launch_receives_the_cached_lanes(self, monkeypatch):
-        """Each stacked launch gets the group's cached ``flat``/``valid``
-        slabs themselves, not copies re-stacked from their rows."""
+
+class TestGroupLanes:
+    """The JAX stacked entry's lanes, composed from the members' own
+    descriptors (``stacked.group_lanes``)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(member_lists())
+    def test_lanes_equal_the_slab_derivation(self, case):
+        pairs, n_rows = case
+        got = stacked.group_lanes([Segments(*pair) for pair in pairs], n_rows)
+        want = slab_lanes(pairs, n_rows)
+        assert got[2] == want[2]
+        for g, w in zip((got[0], got[1], got[3]), (want[0], want[1], want[3])):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+
+    def test_stacked_launch_receives_the_group_lanes(self, monkeypatch):
+        """Each stacked launch gets the group's ``flat``/``valid`` arrays
+        themselves, not copies re-stacked from their rows."""
         from repro.jaxshim.api import JitFunction
 
         d_eager = make_data(n_obs=3)
@@ -499,8 +508,8 @@ class TestGroupLanesCache:
         seen = []
         real_lanes, real_call = stacked.group_lanes, JitFunction.__call__
 
-        def recording_lanes(starts, stops):
-            lanes = real_lanes(starts, stops)
+        def recording_lanes(descriptors, n_rows):
+            lanes = real_lanes(descriptors, n_rows)
             seen.append(("lanes", lanes))
             return lanes
 
@@ -515,7 +524,7 @@ class TestGroupLanesCache:
         pipe = Pipeline(processing_ops(), implementation=ImplementationType.JAX, plan="megabatch")
         pipe.exec(d, use_accel=True, accel=fresh_runtime())
         assert_bitwise_equal(d_eager, d)  # maps and timestreams
-        # Each launch follows its own group_lanes lookup.
+        # Each launch follows its own group_lanes call.
         launches = {
             name: (seen[i - 1][1], args)
             for i, (name, args) in enumerate(seen)
@@ -527,28 +536,44 @@ class TestGroupLanesCache:
         (_, valid, _, _), args = launches["_scan_map_megabatch"]
         assert any(a is valid for a in args)  # scan_map also reads the mask
 
-    def test_cached_lanes_are_read_only(self):
-        starts = np.array([[0, 5], [2, 0]], dtype=np.int64)
-        stops = np.array([[3, 8], [6, 0]], dtype=np.int64)
-        flat, valid, max_len, rows = stacked.group_lanes(starts, stops)
-        assert max_len == 4
-        for a in (flat, valid, rows):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = a[0]
-        again = stacked.group_lanes(starts.copy(), stops.copy())
-        assert all(x is y for x, y in zip(again, (flat, valid, max_len, rows)))
 
-    def test_same_shape_other_values_get_their_own_lanes(self, monkeypatch):
-        derived, _ = self._count(monkeypatch)
-        starts = np.array([[0, 5], [2, 0]], dtype=np.int64)
-        stops = np.array([[3, 8], [6, 0]], dtype=np.int64)
-        first = stacked.group_lanes(starts, stops)
-        other = stacked.group_lanes(starts, stops + np.array([[1, 0], [0, 0]]))
-        assert len(derived) == 2
-        assert other[2] == first[2] == 4
-        assert not np.array_equal(other[0], first[0])
-        assert not np.array_equal(other[1], first[1])
-        stacked._slab_lanes.cache_clear()  # a fresh derivation agrees
-        for cached, fresh in zip(other, stacked.group_lanes(starts, stops + [[1, 0], [0, 0]])):
-            assert np.array_equal(cached, fresh)
-        assert len(derived) == 3
+class TestStackedFaultReplay:
+    """A fault inside a stacked launch fires before any member body writes:
+    the group replays eagerly and the run stays bitwise identical, for a
+    fault at each stacked launch of the chain (set-style kernels and the
+    ones that add into the timestream or the map)."""
+
+    @pytest.mark.parametrize(
+        "impl, site, kind",
+        [
+            (ImplementationType.OMP_TARGET, "ompshim.target_region", FaultKind.TARGET_FAIL),
+            (ImplementationType.JAX, "device.launch", FaultKind.LAUNCH_FAIL),
+        ],
+        ids=["omp_target", "jax"],
+    )
+    def test_failed_stacked_launch_replays_bitwise(self, impl, site, kind):
+        d_eager = make_data(n_obs=3)
+        Pipeline(processing_ops(), implementation=impl).exec(
+            d_eager, use_accel=True, accel=fresh_runtime()
+        )
+        pipe = Pipeline(processing_ops(), implementation=impl, plan="megabatch")
+        pipe.exec(make_data(n_obs=3), use_accel=True, accel=fresh_runtime())  # traces
+
+        def run(*nth):
+            plan = FaultPlan("stacked-launch", (FaultSpec(site=site, kind=kind, nth=nth, max_fires=1),))
+            d = make_data(n_obs=3)
+            rt = fresh_runtime()
+            with obs.tracing() as tracer, resilience.resilient(plan) as ctrl:
+                ctrl.bind_clock(rt.device.clock)
+                pipe.exec(d, use_accel=True, accel=rt)
+            return d, ctrl, tracer.metrics.counters
+
+        _, ctrl, _ = run(10**9)  # fires nothing; counts the site's calls
+        n_calls = ctrl.injector.calls[site]
+        assert n_calls == 6  # one stacked launch per kernel of the chain
+        for n in range(1, n_calls + 1):
+            d, ctrl, counters = run(n)
+            assert ctrl.counters.get("faults_injected") == 1, n
+            assert counters["megabatch.stacked_failures"].value == 1, n
+            assert counters["megabatch.replayed_calls"].value == 3, n  # the group, eagerly
+            assert_bitwise_equal(d_eager, d)

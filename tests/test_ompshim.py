@@ -282,14 +282,14 @@ class TestKernelLaunch:
         )
         launched = rt.device.kernels_launched
         stacked_entry(spec, probe)(
-            tod=np.zeros((2, 3, 10)),
-            starts=np.array([[0, 4], [6, 0]]),
-            stops=np.array([[3, 9], [8, 0]]),
+            tod=(np.zeros((3, 10)), np.zeros((3, 10))),
+            starts=(np.array([0, 4]), np.array([6])),
+            stops=(np.array([3, 9]), np.array([8])),
             accel=rt,
             use_accel=True,
         )
         assert rt.device.kernels_launched == launched + 1
-        assert [g for g, _ in member_calls] == [(3, 2, 5), (3, 2, 2)]
+        assert [g for g, _ in member_calls] == [(3, 2, 5), (3, 1, 2)]
         for member_grid, ijk in member_calls:
             np.testing.assert_array_equal(ijk, np.indices(member_grid).reshape(3, -1))
 
@@ -313,9 +313,16 @@ def guarded(n_det, starts, stops):
     return grid, np.stack((i[keep], j[keep], k[keep]))
 
 
-def raveled(i, j, k):
-    """The iterations that a body's index arrays broadcast to, in C order."""
-    return np.stack([a.ravel() for a in np.broadcast_arrays(i, j, k)])
+def swept(i, j, k, seg):
+    """The iterations a span launch's body runs, in loop order: its
+    detector column ``i`` by the in-interval samples of the launch's
+    descriptor ``seg`` (``j`` and ``k`` are None), from the descriptor's
+    own fields."""
+    assert j is None and k is None
+    np.testing.assert_array_equal(i, np.arange(len(i))[:, None])
+    ivl = np.repeat(np.arange(len(seg)), seg.lengths)
+    lane = seg.flat - seg.starts[ivl]
+    return np.stack(np.broadcast_arrays(i, ivl, lane)).reshape(3, -1)
 
 
 def span_lists():
@@ -346,14 +353,15 @@ class TestSpanLaunch:
     @pytest.mark.parametrize("n_det", [1, 3])
     def test_body_sees_the_guarded_iterations(self, rt, case, n_det):
         starts, stops = SPAN_LISTS[case]
-        grid, want = guarded(n_det, starts, stops)
+        extents, want = guarded(n_det, starts, stops)
         launchers = {
             "device": rt.target_teams_distribute_parallel_for,
             "host": host_parallel_for_collapse3,
         }
         for where, launch in launchers.items():
             calls = []
-            launch("k", (n_det, starts, stops), lambda i, j, k: calls.append(raveled(i, j, k)))
+            grid = LoopNest((n_det, starts, stops))
+            launch("k", grid, lambda i, j, k: calls.append(swept(i, j, k, grid.segments)))
             if want.size:
                 assert len(calls) == 1, where
                 np.testing.assert_array_equal(calls[0], want)
@@ -362,9 +370,10 @@ class TestSpanLaunch:
         # The recorder keeps the nest for a stacked launch, or nothing.
         with recording_launches() as record:
             launcher_for(rt, True)("k", (n_det, starts, stops), lambda i, j, k: None)
-        if grid[2]:
-            assert record.nest.extents == grid
-            np.testing.assert_array_equal(raveled(*record.nest.iterations()), want)
+        if extents[2]:
+            assert record.nest.extents == extents
+            got = swept(*record.nest.iterations(), record.nest.segments)
+            np.testing.assert_array_equal(got, want)
         else:
             assert record.body is None
 
@@ -405,7 +414,7 @@ class TestSpanLaunch:
         il = IntervalList([(0, 5), (8, 20)])
         nest = LoopNest((2, *il.as_arrays()))
         assert nest.segments is il.segments
-        assert nest.extents == (2, 2, 12) and nest.size == 48 and nest.n_iterations == 34
+        assert nest.extents == (2, 2, 12) and nest.size == 48 and nest.segments.n_samples == 17
         assert LoopNest.of(nest) is nest
         with pytest.raises(ValueError):
             LoopNest((-1, *il.as_arrays()))
@@ -414,15 +423,14 @@ class TestSpanLaunch:
         """A stacked launch over span nests: charged for the padded stacked
         grid, one body call with one open grid per member, and each member
         body sees exactly its own guarded iterations, read from its own
-        launch's descriptor -- a member without samples is skipped."""
+        list's descriptor -- a member without samples is skipped."""
         member_calls = []
 
         def probe(tod, starts, stops, accel=None, use_accel=False):
             grid = LoopNest((tod.shape[0], starts, stops))
 
             def body(i, j, k):
-                assert j.base is grid.segments.ivl and k.base is grid.segments.lane
-                member_calls.append(raveled(i, j, k))
+                member_calls.append(swept(i, j, k, grid.segments))
 
             launcher_for(accel, use_accel)("probe", grid, body)
 
@@ -435,21 +443,25 @@ class TestSpanLaunch:
             ),
             megabatch=True,
         )
-        starts = np.array([[0, 4, 9], [6, 0, 0], [2, 2, 0], [1, 5, 0]])
-        stops = np.array([[3, 9, 9], [8, 0, 0], [2, 1, 0], [4, 11, 0]])
+        # Each member's own lists (the longest has 3 intervals).
+        starts = [np.array([0, 4, 9]), np.array([6]), np.array([2, 2]), np.array([1, 5])]
+        stops = [np.array([3, 9, 9]), np.array([8]), np.array([2, 1]), np.array([4, 11])]
         stacked_calls = []
         launch = rt.target_teams_distribute_parallel_for
 
         def spying(name, grid, body, **kwargs):
             def spy(i, j, k):
-                stacked_calls.append([raveled(*member) for member in zip(i, j, k)])
+                stacked_calls.append(
+                    [swept(*member, nest.segments) for *member, nest in zip(i, j, k, grid.members)]
+                )
                 body(i, j, k)
 
             launch(name, grid, spy, **kwargs)
 
         rt.target_teams_distribute_parallel_for = spying
+        tods = tuple(np.zeros((3, 12)) for _ in starts)
         stacked_entry(spec, probe)(
-            tod=np.zeros((4, 3, 12)), starts=starts, stops=stops, accel=rt, use_accel=True
+            tod=tods, starts=tuple(starts), stops=tuple(stops), accel=rt, use_accel=True
         )
         assert rt.device.kernels_launched == 1
         # Charged for the padded (n_obs * n_det, n_ivl, max_len) grid.
@@ -487,17 +499,19 @@ class TestOpenGrid:
     """A span launch hands its body an open grid, not per-iteration vectors."""
 
     def test_open_grid_views_the_descriptor(self):
+        """The grid is the detector column; the samples are the list's own
+        descriptor, which the body reads through the nest."""
         il = IntervalList([(2, 9), (12, 40), (41, 44)])
-        i, j, k = LoopNest((3, *il.as_arrays())).iterations()
-        assert i.shape == (3, 1) and j.shape == k.shape == (1, il.n_samples)
-        for view, field in ((j, il.segments.ivl), (k, il.segments.lane)):
-            assert np.shares_memory(view, field)
-            assert not view.flags.writeable
+        nest = LoopNest((3, *il.as_arrays()))
+        i, j, k = nest.iterations()
+        np.testing.assert_array_equal(i, [[0], [1], [2]])
+        assert j is None and k is None
+        assert nest.segments is il.segments
+        assert swept(i, j, k, nest.segments).shape == (3, 3 * il.n_samples)
 
     def test_launch_allocates_nothing_per_detector_sample(self, rt):
         n_det, n_samp = 32, 1 << 14
         il = IntervalList([(0, n_samp // 3), (n_samp // 3 + 8, n_samp)])
-        il.segments.ivl, il.segments.lane  # noqa: B018  (built before tracing starts)
         bound = n_det * il.n_samples  # one byte per iteration
         for launch in (rt.target_teams_distribute_parallel_for, host_parallel_for_collapse3):
             tracemalloc.start()

@@ -31,6 +31,15 @@ def reference(starts, stops):
     return np.array(rows, dtype=np.int64).reshape(-1, 3).T
 
 
+def assert_fields(seg, starts, stops):
+    """``seg``'s in-interval samples are the scalar loop's, in its order,
+    each interval's run sitting at its ``offsets`` entry."""
+    flat, ivl, lane = reference(starts, stops)
+    np.testing.assert_array_equal(seg.flat, flat)
+    np.testing.assert_array_equal(np.repeat(np.arange(len(seg)), seg.lengths), ivl)
+    np.testing.assert_array_equal(np.arange(seg.n_samples) - seg.offsets[ivl], lane)
+
+
 class TestOwnedPair:
     def test_as_arrays_is_one_read_only_pair(self):
         il = IntervalList([(0, 5), (10, 20)])
@@ -68,15 +77,14 @@ class TestOwnedPair:
         assert segments(own_starts.copy(), own_stops) is not il.segments
 
     def test_megabatch_slab_rows_are_uncached(self):
+        """Rows of a writeable 2-D interval array are foreign pairs:
+        uncached, and never frozen by a lookup."""
         slab_starts = np.array([[0, 10], [3, 0]])
         slab_stops = np.array([[5, 20], [9, 0]])
         for row in range(2):
             seg = segments(slab_starts[row], slab_stops[row])
             assert seg is not segments(slab_starts[row], slab_stops[row])
-            np.testing.assert_array_equal(
-                np.stack((seg.flat, seg.ivl, seg.lane)),
-                reference(slab_starts[row], slab_stops[row]),
-            )
+            assert_fields(seg, slab_starts[row], slab_stops[row])
         assert slab_starts.flags.writeable  # never frozen by a lookup
 
     def test_copies_and_pickles_get_their_own_pair(self):
@@ -95,7 +103,7 @@ class TestDescriptor:
         il = IntervalList(spans)
         starts, stops = il.as_arrays()
         seg = il.segments
-        np.testing.assert_array_equal(np.stack((seg.flat, seg.ivl, seg.lane)), reference(starts, stops))
+        assert_fields(seg, starts, stops)
         assert seg.n_samples == il.n_samples
         assert seg.max_len == max((len(iv) for iv in il), default=0)
         np.testing.assert_array_equal(seg.offsets, np.cumsum(stops - starts) - (stops - starts))
@@ -117,18 +125,20 @@ class TestDescriptor:
         assert pad_intervals(e, e)[0].shape == (0, 0)
 
     def test_sweep_repeats_per_outer_index(self):
-        """The launcher's sweep over a descriptor: an open grid whose
-        broadcast, raveled in C order, repeats ``(ivl, lane)`` once per
-        outer index."""
+        """The launcher's sweep over a descriptor: the outer column by the
+        descriptor's in-interval samples, which repeat once per outer
+        index; nothing is built per sample."""
         nest = LoopNest((2, np.array([0, 6]), np.array([2, 9])))
-        i, j, k = (a.ravel() for a in np.broadcast_arrays(*nest.iterations()))
-        np.testing.assert_array_equal(i, [0] * 5 + [1] * 5)
-        np.testing.assert_array_equal(j, [0, 0, 1, 1, 1] * 2)
-        np.testing.assert_array_equal(k, [0, 1, 0, 1, 2] * 2)
+        i, j, k = nest.iterations()
+        np.testing.assert_array_equal(i, [[0], [1]])
+        assert j is None and k is None
+        outer, flat = np.broadcast_arrays(i, nest.segments.flat)
+        np.testing.assert_array_equal(outer.ravel(), [0] * 5 + [1] * 5)
+        np.testing.assert_array_equal(flat.ravel(), [0, 1, 6, 7, 8] * 2)
 
     def test_arrays_are_read_only(self):
         seg = IntervalList([(0, 5), (10, 20)]).segments
-        for a in (seg.lengths, seg.offsets, seg.flat, seg.ivl, seg.lane, *seg.padded):
+        for a in (seg.lengths, seg.offsets, seg.flat, *seg.padded):
             assert not a.flags.writeable
 
 
