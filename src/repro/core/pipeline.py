@@ -55,7 +55,19 @@ class LoopOrder(Enum):
 
 
 class Pipeline(Operator):
-    """Run operators in sequence with framework-managed data movement."""
+    """Run operators in sequence with framework-managed data movement.
+
+    ``plan`` is a device schedule.  "eager" stages per operator on the
+    ``policy`` schedule (the parity oracle); "compiled" plans the whole
+    workflow's movement (elision, prefetch, deferred drains, fusion);
+    "megabatch" additionally stacks every observation's call of a kernel
+    into one launch (detector x observation batching).  On a device all
+    three run through :mod:`repro.compilepipe`'s one executor, with
+    identical numerics.  On the host every plan runs the eager loop.
+    The compiled/megabatch plans subsume MovementPolicy (their residency
+    plans are strictly better than HYBRID), so ``policy`` only selects
+    the eager schedule.
+    """
 
     def __init__(
         self,
@@ -66,45 +78,23 @@ class Pipeline(Operator):
         policy: MovementPolicy = MovementPolicy.HYBRID,
         order: LoopOrder = LoopOrder.OPERATOR_MAJOR,
         plan: str = "eager",
-        megabatch_group: Optional[int] = None,
     ):
         super().__init__(name=name)
         if plan not in ("eager", "compiled", "megabatch"):
             raise ValueError(
                 f"plan must be 'eager', 'compiled' or 'megabatch', got {plan!r}"
             )
-        if megabatch_group is not None and megabatch_group < 1:
-            raise ValueError(f"megabatch_group must be >= 1, got {megabatch_group}")
         if policy is MovementPolicy.NAIVE and plan != "eager":
             raise ValueError(
                 f"policy=MovementPolicy.NAIVE is an eager schedule; it needs "
                 f"plan='eager', got plan={plan!r}"
-            )
-        if megabatch_group is not None and plan != "megabatch":
-            raise ValueError(
-                f"megabatch_group needs plan='megabatch', got plan={plan!r}"
             )
         self.operators: List[Operator] = list(operators)
         self.implementation = implementation
         self.accel = accel
         self.policy = policy
         self.order = order
-        #: "eager" stages per operator on the ``policy`` schedule (the
-        #: parity oracle); "compiled" plans the whole workflow's movement
-        #: (elision, prefetch, deferred drains, fusion); "megabatch"
-        #: additionally groups compatible per-observation kernel calls
-        #: into single stacked launches (detector x observation
-        #: batching).  On a device all three run through
-        #: :mod:`repro.compilepipe`'s one executor, with identical
-        #: numerics.  The compiled/megabatch plans subsume MovementPolicy
-        #: (their residency plans are strictly better than HYBRID), so
-        #: ``policy`` only selects the eager schedule.
         self.plan = plan
-        #: Observations per stacked launch group under plan="megabatch"
-        #: (None: all observations in one group).  Grouping only affects
-        #: how many launches are elided, never the numerics: parity is
-        #: bitwise for every group size.
-        self.megabatch_group = megabatch_group
         #: The last compiled PipelinePlan executed (for inspection/tests).
         self.last_plan = None
 
@@ -138,29 +128,26 @@ class Pipeline(Operator):
     def work_units(self, data: Data) -> List[Data]:
         """The :class:`Data` views one ``exec`` runs the operators over.
 
-        A ``data`` without observations is its own single unit under
-        every plan and order, so the operators still create their global
-        outputs (an all-zero map).  Otherwise ``plan="megabatch"`` chunks
-        the observations into stacked-launch groups of
-        ``megabatch_group`` (None: every observation in one chunk),
-        OBSERVATION_MAJOR gives one view per observation and
-        OPERATOR_MAJOR runs over ``data`` itself.  Each view shares the
-        parent's communicator and ``meta`` dict (global products such as
-        sky maps and output accumulators), so the host path and
+        OBSERVATION_MAJOR gives one view per observation, except under
+        ``plan="megabatch"``, which stacks every observation's calls and so
+        runs over ``data`` itself, as OPERATOR_MAJOR does.  A ``data``
+        without observations is its own single unit under every plan and
+        order, so the operators still create their global outputs (an
+        all-zero map).  Each view shares the parent's communicator and
+        ``meta`` dict (global products such as sky maps and output
+        accumulators), so the host path and
         :class:`~repro.compilepipe.CompiledRun` form the same units.
         """
-        if not data.obs:
-            return [data]
-        if self.plan == "megabatch":
-            group = self.megabatch_group or len(data.obs)
-        elif self.order is LoopOrder.OBSERVATION_MAJOR:
-            group = 1
-        else:
+        if (
+            not data.obs
+            or self.plan == "megabatch"
+            or self.order is LoopOrder.OPERATOR_MAJOR
+        ):
             return [data]
         units: List[Data] = []
-        for lo in range(0, len(data.obs), group):
+        for ob in data.obs:
             sub = Data(comm=data.comm)
-            sub.obs = data.obs[lo : lo + group]
+            sub.obs = [ob]
             sub.meta = data.meta
             units.append(sub)
         return units
@@ -173,11 +160,7 @@ class Pipeline(Operator):
 
         with use_implementation(impl):
             if not accel_enabled:
-                units = self.work_units(data)
-                if self.plan == "megabatch":
-                    self._exec_megabatch_host(units)
-                    return
-                for unit in units:
+                for unit in self.work_units(data):
                     for op in self.operators:
                         op.ensure_outputs(unit)
                         op.exec(unit, use_accel=False, accel=None)
@@ -198,25 +181,6 @@ class Pipeline(Operator):
                 plan = execute_compiled(self, data, runtime)
             # A plan holds the data it ran on; eager ones are not kept.
             self.last_plan = None if plan.eager else plan
-
-    def _exec_megabatch_host(self, chunks: List[Data]) -> None:
-        """Stacked launches without a device: operator-major over chunks.
-
-        Each operator's per-observation kernel calls within a chunk are
-        collected and flushed as single stacked host launches; kernels
-        without a stacked implementation replay per observation, so the
-        result is bitwise identical to the eager path.  Running chunks in
-        sequence, operator-major within each chunk, performs exactly the
-        eager OPERATOR_MAJOR kernel sequence.
-        """
-        from ..kernels.megabatch import MegabatchCollector
-        from .dispatch import megabatch_collection
-
-        for op in self.operators:
-            for unit in chunks:
-                op.ensure_outputs(unit)
-                with megabatch_collection(MegabatchCollector()):
-                    op.exec(unit, use_accel=False, accel=None)
 
     @function_timer
     def finalize(self, data: Data) -> None:

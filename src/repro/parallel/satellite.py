@@ -46,13 +46,10 @@ def _process_one_observation(
     implementation: ImplementationType,
     realization: int,
     sky: np.ndarray,
-    plan: str = "eager",
 ) -> np.ndarray:
     """Simulate + process one observation; return its partial zmap."""
     data = make_satellite_data_shard(size, [iobs], realization=realization, sky=sky)
-    pipe = satellite_processing_pipeline(
-        size.nside, implementation=implementation, plan=plan
-    )
+    pipe = satellite_processing_pipeline(size.nside, implementation=implementation)
     pipe.apply(data)
     return data["zmap"]
 
@@ -70,7 +67,6 @@ def satellite_task_runner(
     size,
     implementation: ImplementationType,
     realization: int,
-    plan: str = "eager",
 ) -> None:
     """One elastic task: one observation's partial map into the slab.
 
@@ -91,11 +87,11 @@ def satellite_task_runner(
     if tr is not None:
         with tr.span(f"shard_obs_{iobs:04d}", rank=wid, obs=iobs):
             slab.array("zmap")[iobs] = _process_one_observation(
-                iobs, size, implementation, realization, sky, plan
+                iobs, size, implementation, realization, sky
             )
     else:
         slab.array("zmap")[iobs] = _process_one_observation(
-            iobs, size, implementation, realization, sky, plan
+            iobs, size, implementation, realization, sky
         )
 
 
@@ -114,7 +110,6 @@ def run_parallel_satellite(
     elastic_config: Optional[ElasticConfig] = None,
     checkpoint: Optional[TaskCheckpoint] = None,
     abort_after_commits: Optional[int] = None,
-    plan: str = "eager",
 ) -> Dict[str, Any]:
     """The Figure 4 measurement: the benchmark across live processes.
 
@@ -135,7 +130,7 @@ def run_parallel_satellite(
     world = SimWorld(n_nodes=1, procs_per_node=n_procs)
     out = run_zmap_tasks(
         satellite_task_runner,
-        (size, implementation, realization, plan),
+        (size, implementation, realization),
         size.n_observations,
         (healpix_npix(size.nside), NNZ),
         n_procs,

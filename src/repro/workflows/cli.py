@@ -12,18 +12,19 @@ Subcommands::
                                         baseline, per-kernel python-vs-numpy
                                         microbenchmarks, and the modeled
                                         runtime, appended to BENCH_<date>.json
-    repro-bench sweep [--no-mps]        the Fig 4 process sweep (modeled) plus
-                                        the NAIVE/HYBRID/COMPILED data-movement
-                                        comparison; --live adds measured
-                                        wall-clock points and records the
-                                        comparison in BENCH_<date>.json
-    repro-bench plan SIZE BACKEND       print the compiled pipeline plan
-                                        (elided transfers, fused groups,
-                                        overlap windows) and verify the
-                                        compiled run is bitwise identical
-                                        to eager (exits nonzero if not)
-    repro-bench loc                     the LoC study (Figs 2-3)
-    repro-bench kernels                 list kernels and implementations
+    repro-bench sweep [--no-mps]        the Fig 4 process sweep (modeled);
+                                        --live adds measured wall-clock points
+    repro-bench plan SIZE BACKEND       compare the plans: print the compiled
+                                        pipeline plan (elided transfers, fused
+                                        groups, overlap windows) and the
+                                        naive/hybrid/compiled/megabatch
+                                        movement table; exits nonzero unless
+                                        every product is bitwise identical
+                                        across the plans and megabatching
+                                        reduces launches
+    repro-bench kernels                 list kernels and implementations;
+                                        exits nonzero on a missing
+                                        implementation or vmap batching rule
     repro-bench serve --smoke           end-to-end serving-plane drill:
                                         broker + 2 node processes + 4
                                         concurrent clients, one injected
@@ -187,9 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser(
         "plan",
-        help="print the compiled pipeline plan (residency, elisions, fused "
-        "groups, prefetch/drain windows) and check compiled-vs-eager "
-        "bitwise parity; exits nonzero on mismatch",
+        help="compare the plans: print the compiled pipeline plan "
+        "(residency, elisions, fused groups, prefetch/drain windows) and "
+        "the naive/hybrid/compiled/megabatch movement table, each plan "
+        "run on a fresh device; exits nonzero unless every product is "
+        "bitwise identical across the plans and megabatching reduces "
+        "launches",
     )
     p_plan.add_argument(
         "size", choices=[s for s in SIZES if not s.startswith("paper")]
@@ -198,13 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument(
         "--json",
         action="store_true",
-        help="emit the machine-readable plan document instead of the table",
+        help="emit the repro-plan/1 document instead of the tables",
     )
     p_plan.add_argument(
         "--seed", type=int, default=0, help="simulation realization seed"
     )
 
-    p_sweep = sub.add_parser("sweep", help="the Fig 4 process sweep")
+    p_sweep = sub.add_parser("sweep", help="the Fig 4 process sweep (modeled)")
     p_sweep.add_argument("--no-mps", action="store_true")
     p_sweep.add_argument(
         "--live",
@@ -222,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="1,2,4,8",
         help="comma-separated process counts for the live points",
     )
-
-    sub.add_parser("loc", help="the lines-of-code study (Figs 2-3)")
 
     p_serve = sub.add_parser(
         "serve",
@@ -347,35 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the machine-readable coverage document instead of a table",
     )
 
-    p_mb = sub.add_parser(
-        "megabatch",
-        help="stacked-launch (megabatch) benchmark: eager vs compiled vs "
-        "megabatch parity and launch reduction; exits nonzero on parity "
-        "failure, a missing batching rule, or no launch reduction",
-    )
-    p_mb.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small problem, CI-friendly runtime",
-    )
-    p_mb.add_argument(
-        "--size",
-        choices=sorted(SIZES),
-        default="small",
-        help="problem size (ignored with --smoke, which uses tiny)",
-    )
-    p_mb.add_argument(
-        "--backend",
-        choices=["jax", "omp_target"],
-        default="omp_target",
-        help="accelerated backend to measure",
-    )
-    p_mb.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        help="write the repro-megabatch/1 report JSON here (the CI artifact)",
-    )
     return parser
 
 
@@ -692,34 +665,23 @@ def _cmd_perf(
 
 
 def _cmd_plan(size_name: str, backend_name: str, as_json: bool, seed: int) -> int:
-    from ..compilepipe import lower_workflow, build_plan, plan_report, render_plan
-    from .satellite import make_satellite_data, same_bits, satellite_processing_pipeline
+    from ..accel.transfer import TransferModel
+    from ..compilepipe import plan_report, render_plan
+    from ..core.dispatch import use_implementation
+    from ..perfmodel import estimate_movement
+    from .satellite import run_movement_comparison
 
-    size = SIZES[size_name]
     impl = _BACKENDS[backend_name]
-
-    # Static plan over the real dataset (the planner never executes).
-    data = make_satellite_data(size, realization=seed)
-    pipe = satellite_processing_pipeline(size.nside, implementation=impl)
-    plan = build_plan(lower_workflow(pipe.operators, pipe.work_units(data)))
-
-    # Parity gate: eager and compiled runs over fresh data must agree bit
-    # for bit on every product.
-    def _run(plan_mode: str):
-        d = make_satellite_data(size, realization=seed)
-        accel = OmpTargetRuntime(SimulatedDevice())
-        p = satellite_processing_pipeline(size.nside, implementation=impl, plan=plan_mode)
-        p.exec(d, use_accel=True, accel=accel)
-        return d
-
-    de, dc = _run("eager"), _run("compiled")
-    mismatches = []
-    if not same_bits(de["zmap"], dc["zmap"]):
-        mismatches.append("zmap")
-    for ob_e, ob_c in zip(de.obs, dc.obs):
-        for k in ob_e.detdata:
-            if not same_bits(ob_e.detdata[k], ob_c.detdata[k]):
-                mismatches.append(f"{ob_e.name}.{k}")
+    # Every plan on a fresh device; every product must agree bit for bit.
+    movement = run_movement_comparison(
+        SIZES[size_name], implementation=impl, realization=seed
+    )
+    plan = movement["plan"]
+    policies = movement["policies"]
+    mismatches = movement["mismatches"]
+    reduction = policies["megabatch"]["launch_reduction"]
+    with use_implementation(impl):
+        modeled = estimate_movement(plan, TransferModel())
 
     if as_json:
         import json
@@ -729,22 +691,70 @@ def _cmd_plan(size_name: str, backend_name: str, as_json: bool, seed: int) -> in
         doc["size"] = size_name
         doc["backend"] = backend_name
         doc["parity"] = {"identical": not mismatches, "mismatches": mismatches}
+        # Virtual-clock and perf-model numbers only: no wall-clock time.
+        doc["policies"] = policies
+        doc["launch_reduction"] = reduction
+        doc["modeled_launch_seconds"] = {
+            mode: est.launch_seconds for mode, est in modeled.items()
+        }
         print(json.dumps(doc, indent=1))
     else:
+        table = Table(
+            [
+                "policy",
+                "exposed transfer [s]",
+                "saving vs naive",
+                "H2D",
+                "D2H",
+                "launches",
+                "virtual [s]",
+            ],
+            title=f"data movement: {size_name} / {backend_name} "
+            "(naive vs hybrid vs compiled vs megabatch)",
+        )
+        for mode, e in policies.items():
+            saving = e.get("transfer_saving")
+            table.add_row(
+                [
+                    mode,
+                    f"{e['transfer_exposed_seconds']:.6f}",
+                    "-" if saving is None else f"{saving * 100:.1f}%",
+                    e["h2d_copies"],
+                    e["d2h_copies"],
+                    e["kernels_launched"],
+                    f"{e['virtual_seconds']:.6f}",
+                ]
+            )
+        comp, mb = policies["compiled"], policies["megabatch"]
         print(render_plan(plan))
         print()
+        print(table.render())
         print(
-            "compiled-vs-eager parity: "
-            + ("bitwise identical" if not mismatches else "MISMATCH")
+            f"compiled plan: {comp['transfers_elided']:.0f} transfers elided, "
+            f"{comp['fused_groups']:.0f} fused group(s) "
+            f"({comp['launches_elided']:.0f} launches elided), "
+            f"{comp['overlap_seconds'] * 1e3:.2f} ms of copies overlapped with "
+            "compute"
         )
+        print(
+            f"megabatch plan: {mb['launches_elided']:.0f} launches elided, "
+            f"{reduction:.1f}x fewer launches than per-observation dispatch"
+        )
+        print(
+            "products bitwise identical across plans: "
+            + ("yes" if not mismatches else "NO")
+        )
+    failed = False
     if mismatches:
         print(
-            "error: compiled run diverged from eager on: "
-            + ", ".join(mismatches),
+            "error: the plans disagree on: " + ", ".join(mismatches),
             file=sys.stderr,
         )
-        return 1
-    return 0
+        failed = True
+    if reduction <= 1.0:
+        print(f"error: no launch reduction ({reduction:.2f}x)", file=sys.stderr)
+        failed = True
+    return 1 if failed else 0
 
 
 def _cmd_sweep(
@@ -754,124 +764,8 @@ def _cmd_sweep(
     live_procs: str = "1,2,4,8",
 ) -> int:
     print(fig4_process_sweep(mps_enabled=not no_mps)[0])
-
-    from .satellite import run_movement_comparison
-
-    movement = run_movement_comparison(SIZES["medium_scaled"])
-    mtable = Table(
-        [
-            "policy",
-            "exposed transfer [s]",
-            "saving vs naive",
-            "H2D",
-            "D2H",
-            "launches",
-        ],
-        title="data movement: medium_scaled / omp_target "
-        "(naive vs hybrid vs compiled vs megabatch)",
-    )
-    for mode in ("naive", "hybrid", "compiled", "megabatch"):
-        e = movement["policies"][mode]
-        saving = e.get("transfer_saving")
-        mtable.add_row(
-            [
-                mode,
-                f"{e['transfer_exposed_seconds']:.6f}",
-                "-" if saving is None else f"{saving * 100:.1f}%",
-                e["h2d_copies"],
-                e["d2h_copies"],
-                e["kernels_launched"],
-            ]
-        )
-    comp = movement["policies"]["compiled"]
-    mb = movement["policies"]["megabatch"]
-    print()
-    print(mtable.render())
-    print(
-        f"compiled plan: {comp['transfers_elided']:.0f} transfers elided, "
-        f"{comp['fused_groups']:.0f} fused group(s) "
-        f"({comp['launches_elided']:.0f} launches elided), "
-        f"{comp['overlap_seconds'] * 1e3:.2f} ms of copies overlapped with "
-        "compute"
-    )
-    print(
-        f"megabatch plan: {mb['launches_elided']:.0f} launches elided, "
-        f"{mb['launch_reduction']:.1f}x fewer launches than per-observation "
-        "dispatch"
-    )
-    print(
-        "maps bitwise identical across policies: "
-        + ("yes" if movement["identical"] else "NO")
-    )
-    if not movement["identical"]:
-        print(
-            "error: movement policies disagree on the output maps",
-            file=sys.stderr,
-        )
-        return 1
-
     if not live:
         return 0
-
-    import datetime
-    import json
-
-    today = datetime.date.today().isoformat()
-    bench_path = Path(f"BENCH_{today}.json")
-    doc = {"schema": "repro-perf/1", "host": _host_info(), "runs": []}
-    if bench_path.exists():
-        try:
-            existing = json.loads(bench_path.read_text())
-            if existing.get("schema") == "repro-perf/1":
-                doc = existing
-        except (ValueError, OSError):
-            pass
-    from ..accel.transfer import TransferModel
-    from ..core.dispatch import use_implementation
-    from ..perfmodel import estimate_movement
-
-    with use_implementation(ImplementationType.OMP_TARGET):
-        modeled = estimate_movement(movement["plan"], TransferModel())
-    hyb_v = movement["policies"]["hybrid"]["virtual_seconds"]
-    comp_v = movement["policies"]["compiled"]["virtual_seconds"]
-    mb_v = movement["policies"]["megabatch"]["virtual_seconds"]
-    doc["runs"].append(
-        {
-            "date": today,
-            "kind": "pipeline_compiler",
-            "size": "medium_scaled",
-            "backend": "omp_target",
-            "policies": {
-                mode: {
-                    k: v
-                    for k, v in e.items()
-                    if isinstance(v, (int, float, bool))
-                }
-                for mode, e in movement["policies"].items()
-            },
-            "identical": movement["identical"],
-            "megabatch": {
-                "launches_saved": movement["policies"]["megabatch"][
-                    "launches_elided"
-                ],
-                "launch_reduction": movement["policies"]["megabatch"][
-                    "launch_reduction"
-                ],
-                "modeled_delta_vs_eager_s": hyb_v - mb_v,
-                "modeled_delta_vs_compiled_s": comp_v - mb_v,
-                "modeled_launch_delta_vs_eager_s": (
-                    modeled["hybrid"].launch_seconds
-                    - modeled["megabatch"].launch_seconds
-                ),
-                "modeled_launch_delta_vs_compiled_s": (
-                    modeled["compiled"].launch_seconds
-                    - modeled["megabatch"].launch_seconds
-                ),
-            },
-        }
-    )
-    bench_path.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"\nrecorded movement comparison: {bench_path}")
 
     from ..parallel import run_parallel_satellite
     from ..perfmodel import cpu_runtime
@@ -900,13 +794,6 @@ def _cmd_sweep(
         )
     print()
     print(table.render())
-    return 0
-
-
-def _cmd_loc() -> int:
-    print(fig2_loc_total()[0])
-    print()
-    print(fig3_loc_per_kernel()[0])
     return 0
 
 
@@ -1030,99 +917,6 @@ def _cmd_kernels(as_json: bool = False) -> int:
         )
         failed = True
     return 1 if failed else 0
-
-
-def _cmd_megabatch(
-    smoke: bool, size_name: str, backend_name: str, json_path: Optional[Path]
-) -> int:
-    """Eager vs compiled vs megabatch on one size: parity + launch savings."""
-    import json
-
-    from ..jaxshim.primitives import BATCHING_WAIVERS, batching_coverage
-    from .satellite import run_movement_comparison
-
-    size_name = "tiny" if smoke else size_name
-    impl = _BACKENDS[backend_name]
-    movement = run_movement_comparison(SIZES[size_name], implementation=impl)
-
-    coverage = batching_coverage()
-    holes = sorted(
-        n for n, ok in coverage.items() if not ok and n not in BATCHING_WAIVERS
-    )
-    hybrid = movement["policies"]["hybrid"]
-    compiled = movement["policies"]["compiled"]
-    mb = movement["policies"]["megabatch"]
-
-    doc = {
-        "schema": "repro-megabatch/1",
-        "mode": "smoke" if smoke else "full",
-        "size": size_name,
-        "backend": backend_name,
-        "host": _host_info(),
-        "identical": movement["identical"],
-        "launch_reduction": mb["launch_reduction"],
-        "launches": {
-            "eager": hybrid["kernels_launched"],
-            "compiled": compiled["kernels_launched"],
-            "megabatch": mb["kernels_launched"],
-            "elided": mb["launches_elided"],
-        },
-        "virtual_seconds": {
-            mode: movement["policies"][mode]["virtual_seconds"]
-            for mode in ("naive", "hybrid", "compiled", "megabatch")
-        },
-        "batching_rules": {
-            "primitives": len(coverage),
-            "covered": sum(1 for ok in coverage.values() if ok),
-            "waived": sorted(BATCHING_WAIVERS),
-            "holes": holes,
-        },
-    }
-    if json_path is not None:
-        json_path.parent.mkdir(parents=True, exist_ok=True)
-        json_path.write_text(json.dumps(doc, indent=1) + "\n")
-
-    table = Table(
-        ["plan", "launches", "launches elided", "virtual [s]"],
-        title=f"megabatch: {size_name} / {backend_name}",
-    )
-    for mode in ("hybrid", "compiled", "megabatch"):
-        e = movement["policies"][mode]
-        table.add_row(
-            [
-                mode if mode != "hybrid" else "eager (hybrid)",
-                e["kernels_launched"],
-                f"{e.get('launches_elided', 0):.0f}",
-                f"{e['virtual_seconds']:.6f}",
-            ]
-        )
-    print(table.render())
-    print(
-        f"\nlaunch reduction vs per-observation dispatch: "
-        f"{mb['launch_reduction']:.1f}x; "
-        f"batching rules: {doc['batching_rules']['covered']}/"
-        f"{doc['batching_rules']['primitives']} primitives"
-        + (f"; report: {json_path}" if json_path is not None else "")
-    )
-    print(
-        "maps bitwise identical across plans: "
-        + ("yes" if movement["identical"] else "NO")
-    )
-
-    failures = []
-    if not movement["identical"]:
-        failures.append("megabatch maps diverged from eager")
-    if holes:
-        failures.append(
-            "primitives without batching rules (unwaived): " + ", ".join(holes)
-        )
-    if mb["launch_reduction"] <= 1.0:
-        failures.append(
-            f"no launch reduction ({mb['launch_reduction']:.2f}x)"
-        )
-    for msg in failures:
-        print(f"error: {msg}", file=sys.stderr)
-    return 1 if failures else 0
 
 
 def _cmd_chaos(
@@ -1274,7 +1068,7 @@ def _cmd_ingest(
     for n_procs, leg in report["elastic"].items():
         table.add_row(
             [
-                f"elastic x{n_procs} (window {leg['window_samples']})",
+                f"elastic x{n_procs} ({leg['stream_windows']} windows)",
                 _verdict(leg["identical"]),
             ]
         )
@@ -1359,8 +1153,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_plan(args.size, args.backend, args.json, args.seed)
     if args.command == "sweep":
         return _cmd_sweep(args.no_mps, args.live, args.live_size, args.live_procs)
-    if args.command == "loc":
-        return _cmd_loc()
     if args.command == "serve":
         return _cmd_serve(args.size, args.clients, args.seed, args.quiet)
     if args.command == "chaos":
@@ -1378,8 +1170,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
     if args.command == "kernels":
         return _cmd_kernels(args.json)
-    if args.command == "megabatch":
-        return _cmd_megabatch(args.smoke, args.size, args.backend, args.json)
     raise AssertionError("unreachable")
 
 

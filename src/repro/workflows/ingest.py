@@ -34,6 +34,7 @@ from ..resilience import named_plan, resilient
 from ..store import (
     ObservationStore,
     StreamConfig,
+    plan_windows,
     register_producer,
     stream_pipeline,
 )
@@ -124,7 +125,7 @@ def streamed_task_runner(
     store_root: str,
     nside: int,
     implementation: ImplementationType,
-    window_samples: Optional[int],
+    config: Optional[StreamConfig],
 ) -> None:
     """One elastic task: stream one observation's windows into slab slot ``iobs``.
 
@@ -154,7 +155,7 @@ def streamed_task_runner(
             store,
             pipe,
             meta={"sky_map": sky},
-            config=StreamConfig(window_samples=window_samples),
+            config=config,
             observations=[iobs],
         )
         return out["zmap"]
@@ -178,8 +179,7 @@ def run_streamed_elastic(
     store_root: Union[str, Path],
     implementation: ImplementationType = ImplementationType.NUMPY,
     n_procs: int = 1,
-    window_samples: Optional[int] = None,
-    host_budget_bytes: Optional[int] = None,
+    config: Optional[StreamConfig] = None,
     elastic_config: Optional[ElasticConfig] = None,
     scrub: bool = True,
 ) -> Dict[str, Any]:
@@ -187,9 +187,12 @@ def run_streamed_elastic(
 
     Tasks address whole observations; each streams its (observation,
     window) pairs internally, so steal/hedge/crash recovery needs no
-    ordering guarantees.  The parent reduces slab slots in fixed
-    observation order -- bitwise identical for any worker count, window
-    size, and fault schedule.
+    ordering guarantees.  Each task windows its observation by
+    ``config`` as every streamed run does (:func:`~repro.store.plan_windows`,
+    from that observation's own stored bytes); ``stream_windows`` in the
+    result is the total window count.  The parent reduces slab slots in
+    fixed observation order -- bitwise identical for any worker count,
+    window size, and fault schedule.
     """
     store_root = str(store_root)
     store = ObservationStore.open(store_root, scrub=scrub)
@@ -197,20 +200,19 @@ def run_streamed_elastic(
     n_pix = sky.shape[0]
     nside = int(round((n_pix / 12) ** 0.5))
     n_obs = store.n_observations
-    if host_budget_bytes is not None and window_samples is None:
-        per = max(store.bytes_per_sample(i) for i in range(n_obs))
-        window_samples = max(1, host_budget_bytes // per)
 
     out = run_zmap_tasks(
         streamed_task_runner,
-        (store_root, nside, implementation, window_samples),
+        (store_root, nside, implementation, config),
         n_obs,
         (n_pix, NNZ),
         n_procs,
         config=elastic_config,
         cleanup=streamed_task_cleanup,
     )
-    out["window_samples"] = window_samples
+    out["stream_windows"] = sum(
+        len(plan_windows(store, iobs, config)) for iobs in range(n_obs)
+    )
     out["scrub"] = store.scrub_report.as_dict() if store.scrub_report else None
     return out
 
@@ -336,12 +338,12 @@ def run_ingest_benchmark(
                 out_dir / "store",
                 implementation=implementation,
                 n_procs=n_procs,
-                host_budget_bytes=host_budget_bytes,
+                config=cfg,
                 scrub=False,
             )
             report["elastic"][str(n_procs)] = {
                 "identical": same_bits(out["zmap"], oracle),
-                "window_samples": out["window_samples"],
+                "stream_windows": out["stream_windows"],
                 "committed": out["elastic"]["committed"],
             }
 

@@ -52,30 +52,66 @@ class TestParser:
 
 
 @pytest.fixture(scope="module")
-def sweep_run(tmp_path_factory):
+def sweep_run():
     """One ``sweep --no-mps --live`` run shared by the sweep tests.
 
-    The sweep spends most of its time in the medium_scaled movement
-    comparison, so the tests read one run's output instead of each paying
-    for it. Returns ``(exit code, stdout, directory of the BENCH file)``.
+    Returns ``(exit code, stdout)``.
     """
-    bench_dir = tmp_path_factory.mktemp("sweep")
     argv = [
         "sweep", "--no-mps", "--live", "--live-size", "tiny", "--live-procs", "1"
     ]
     out = io.StringIO()
-    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
-        mp.chdir(bench_dir)
+    with contextlib.redirect_stdout(out):
         rc = main(argv)
-    return rc, out.getvalue(), bench_dir
+    return rc, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def tiny_comparison():
+    """One tiny omp_target plan comparison shared by the ``plan`` output
+    tests, which feed it to the command in place of a fresh run."""
+    from repro.workflows.satellite import SIZES, run_movement_comparison
+
+    return run_movement_comparison(SIZES["tiny"])
+
+
+def _json_keys(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from _json_keys(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _json_keys(value)
+
+
+@pytest.fixture(scope="module")
+def figures_run(tmp_path_factory):
+    """One ``figures --out DIR`` run shared by the figure tests.
+
+    Returns ``(exit code, stdout, output directory)``.
+    """
+    out_dir = tmp_path_factory.mktemp("figures")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["figures", "--out", str(out_dir)])
+    return rc, out.getvalue(), out_dir
 
 
 class TestCommands:
-    def test_figures(self, capsys, tmp_path):
-        assert main(["figures", "--out", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
+    def test_figures(self, figures_run):
+        rc, out, out_dir = figures_run
+        assert rc == 0
         assert "Fig 4" in out and "Fig 6" in out
-        assert (tmp_path / "fig5_full_benchmark.txt").exists()
+        assert (out_dir / "fig5_full_benchmark.txt").exists()
+
+    def test_loc(self, figures_run):
+        # The line-count tables (Fig 2, Fig 3) are printed by ``figures``.
+        rc, out, out_dir = figures_run
+        assert rc == 0
+        assert "Fig 2" in out and "Fig 3" in out
+        for name in ("fig2_loc_total", "fig3_loc_per_kernel"):
+            assert (out_dir / f"{name}.txt").read_text().strip() in out
 
     def test_run_numpy(self, capsys):
         assert main(["run", "tiny", "numpy", "--no-mapmaking"]) == 0
@@ -89,28 +125,15 @@ class TestCommands:
         assert "kernel launches" in out
 
     def test_sweep(self, sweep_run):
-        import json
-
-        rc, out, bench_dir = sweep_run
+        rc, out = sweep_run
         assert rc == 0
-        assert "OOM" in out
-        (bench,) = bench_dir.glob("BENCH_*.json")
-        megabatch = json.loads(bench.read_text())["runs"][-1]["megabatch"]
-        # Differences of virtual-clock seconds are modeled, not wall time.
-        assert {"modeled_delta_vs_eager_s", "modeled_delta_vs_compiled_s"} <= set(
-            megabatch
-        )
-        assert not any(k.startswith("wall_delta") for k in megabatch)
+        assert "Fig 4 - runtime vs process count" in out and "OOM" in out
+        assert "Fig 4, measured: tiny / numpy" in out
 
     def test_sweep_no_mps(self, sweep_run):
-        rc, out, _ = sweep_run
+        rc, out = sweep_run
         assert rc == 0
         assert "MPS OFF" in out
-
-    def test_loc(self, capsys):
-        assert main(["loc"]) == 0
-        out = capsys.readouterr().out
-        assert "Fig 2" in out and "Fig 3" in out
 
     def test_kernels(self, capsys):
         assert main(["kernels"]) == 0
@@ -167,24 +190,50 @@ class TestCommands:
         assert "jax" in by_name["build_noise_weighted"]["megabatch"]
         assert by_name["pointing_detector"]["spec"]["megabatch"] is True
 
-    def test_megabatch_smoke(self, capsys, tmp_path):
+    @pytest.mark.parametrize("backend", ["omp_target", "jax"])
+    def test_plan_json(self, capsys, backend):
         import json
 
-        out_json = tmp_path / "mb.json"
-        assert main(["megabatch", "--smoke", "--json", str(out_json)]) == 0
-        out = capsys.readouterr().out
-        assert "launch reduction" in out
-        assert "maps bitwise identical across plans: yes" in out
-        doc = json.loads(out_json.read_text())
-        assert doc["schema"] == "repro-megabatch/1"
-        assert doc["identical"] is True
+        assert main(["plan", "tiny", backend, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["schema"] == "repro-plan/1"
+        assert doc["backend"] == backend
+        assert doc["parity"] == {"identical": True, "mismatches": []}
+        assert doc["totals"]["transfers_elided"] > 0
         assert doc["launch_reduction"] > 1.0
-        assert doc["launches"]["megabatch"] < doc["launches"]["compiled"]
-        assert doc["launches"]["megabatch"] < doc["launches"]["eager"]
-        assert doc["batching_rules"]["holes"] == []
-        assert set(doc["virtual_seconds"]) == {
-            "naive", "hybrid", "compiled", "megabatch"
-        }
+        launches = {mode: e["kernels_launched"] for mode, e in doc["policies"].items()}
+        assert launches["megabatch"] < launches["compiled"]
+        assert launches["megabatch"] < launches["hybrid"]
+        modes = {"naive", "hybrid", "compiled", "megabatch"}
+        assert set(doc["policies"]) == set(doc["modeled_launch_seconds"]) == modes
+        # Virtual-clock and perf-model seconds are modeled, not wall time.
+        assert not any(k.startswith("wall") for k in _json_keys(doc))
+
+    def test_plan_text(self, capsys, monkeypatch, tiny_comparison):
+        from repro.workflows import satellite
+
+        monkeypatch.setattr(
+            satellite, "run_movement_comparison", lambda *a, **kw: tiny_comparison
+        )
+        assert main(["plan", "tiny", "omp_target"]) == 0
+        out = capsys.readouterr().out
+        assert "stage schedule:" in out
+        assert "naive vs hybrid vs compiled vs megabatch" in out
+        assert "6.0x fewer launches than per-observation dispatch" in out
+        assert "products bitwise identical across plans: yes" in out
+
+    def test_plan_gate_exits_nonzero(self, capsys, monkeypatch, tiny_comparison):
+        from repro.workflows import satellite
+
+        policies = dict(tiny_comparison["policies"])
+        policies["megabatch"] = dict(policies["megabatch"], launch_reduction=1.0)
+        bad = dict(tiny_comparison, policies=policies, mismatches=["zmap"])
+        monkeypatch.setattr(satellite, "run_movement_comparison", lambda *a, **kw: bad)
+        assert main(["plan", "tiny", "omp_target"]) == 1
+        captured = capsys.readouterr()
+        assert "products bitwise identical across plans: NO" in captured.out
+        assert "the plans disagree on: zmap" in captured.err
+        assert "no launch reduction (1.00x)" in captured.err
 
 
 class TestFaultsCommand:

@@ -457,7 +457,7 @@ class TestMovementComparison:
         from repro.workflows.satellite import SIZES, run_movement_comparison
 
         r = run_movement_comparison(SIZES["small"])
-        assert r["identical"]
+        assert r["mismatches"] == []
         hybrid = r["policies"]["hybrid"]
         compiled = r["policies"]["compiled"]
         assert compiled["transfer_saving"] > hybrid["transfer_saving"]

@@ -2,13 +2,12 @@
 
 The megabatch path's one hard promise mirrors the compiled pipeline's:
 bitwise-identical results to eager per-observation dispatch, for every
-backend, every grouping of observations into launch units, and every
-worker count of the parallel pool — while launching strictly fewer
-kernels.  These tests pin that promise at each layer: the collector
-(kernel-level stacking), the pipeline (plan="megabatch" host and accel
-paths), the planner (static launch accounting), the perf model (the
-launches-saved term), the jaxshim (vmap batching rules and padded-shape
-JIT cache buckets), and the parallel pool.
+backend, while launching strictly fewer kernels.  These tests pin that
+promise at each layer: the collector (kernel-level stacking), the
+pipeline (plan="megabatch" on a device, and the host, where every plan
+runs the eager loop), the planner (static launch accounting), the perf
+model (the launches-saved term), and the jaxshim (vmap batching rules
+and padded-shape JIT cache buckets).
 """
 
 import numpy as np
@@ -193,19 +192,14 @@ class TestPipelineParity:
     """Pipeline(plan="megabatch") is bitwise-identical to eager."""
 
     @pytest.mark.parametrize("impl", ACCEL_IMPLS, ids=lambda i: i.value)
-    @pytest.mark.parametrize("group", [None, 1, 2, 3])
-    def test_accel_parity(self, impl, group):
+    def test_accel_parity(self, impl):
+        # Three observations: JAX pads the 3-member group to its 4-row bucket.
         d_eager = make_data(n_obs=3)
         Pipeline(processing_ops(), implementation=impl).exec(
             d_eager, use_accel=True, accel=fresh_runtime()
         )
         d = make_data(n_obs=3)
-        p = Pipeline(
-            processing_ops(),
-            implementation=impl,
-            plan="megabatch",
-            megabatch_group=group,
-        )
+        p = Pipeline(processing_ops(), implementation=impl, plan="megabatch")
         p.exec(d, use_accel=True, accel=fresh_runtime())
         assert_bitwise_equal(d_eager, d)
 
@@ -214,86 +208,52 @@ class TestPipelineParity:
         [ImplementationType.NUMPY, ImplementationType.JAX, ImplementationType.OMP_TARGET],
         ids=lambda i: i.value,
     )
-    @pytest.mark.parametrize("group", [None, 2])
-    def test_host_parity(self, impl, group):
+    def test_host_runs_every_plan_eagerly(self, impl, monkeypatch):
+        """A plan is a device schedule: on the host every plan runs the
+        eager loop, with no collector installed and no stacked entry
+        called, and gives the eager run's bits."""
+        from repro.core import dispatch
+
+        installed, stacked_calls = [], []
+        real_collection = dispatch.megabatch_collection
+        real_stacked = MegabatchCollector._run_stacked
+
+        def recording_collection(collector):
+            installed.append(collector)
+            return real_collection(collector)
+
+        def recording_stacked(self, calls, mb):
+            stacked_calls.append(len(calls))
+            return real_stacked(self, calls, mb)
+
+        monkeypatch.setattr(dispatch, "megabatch_collection", recording_collection)
+        monkeypatch.setattr(MegabatchCollector, "_run_stacked", recording_stacked)
         d_eager = make_data(n_obs=3)
         Pipeline(processing_ops(), implementation=impl).exec(d_eager)
-        d = make_data(n_obs=3)
-        Pipeline(
-            processing_ops(),
-            implementation=impl,
-            plan="megabatch",
-            megabatch_group=group,
-        ).exec(d)
-        assert_bitwise_equal(d_eager, d)
-
-    def test_random_groupings_parity(self):
-        """Property: ANY grouping of observations gives identical maps."""
-        rng = np.random.default_rng(7)
-        d_eager = make_data(n_obs=4)
-        Pipeline(
-            processing_ops(), implementation=ImplementationType.OMP_TARGET
-        ).exec(d_eager, use_accel=True, accel=fresh_runtime())
-        for group in rng.integers(1, 5, size=4):
-            d = make_data(n_obs=4)
-            Pipeline(
-                processing_ops(),
-                implementation=ImplementationType.OMP_TARGET,
-                plan="megabatch",
-                megabatch_group=int(group),
-            ).exec(d, use_accel=True, accel=fresh_runtime())
+        for plan in ("eager", "compiled", "megabatch"):
+            d = make_data(n_obs=3)
+            Pipeline(processing_ops(), implementation=impl, plan=plan).exec(d)
+            assert installed == [] and stacked_calls == [], plan
             assert_bitwise_equal(d_eager, d)
-
-    def test_megabatch_group_validation(self):
-        with pytest.raises(ValueError):
-            Pipeline(processing_ops(), plan="megabatch", megabatch_group=0)
-        with pytest.raises(ValueError):
-            Pipeline(processing_ops(), plan="bogus")
-        # A group size only means something to the megabatch plan.
-        for plan in ("eager", "compiled"):
-            with pytest.raises(ValueError, match="megabatch_group.*plan"):
-                Pipeline(processing_ops(), plan=plan, megabatch_group=2)
-
-    def test_megabatch_units_chunking(self):
-        d = make_data(n_obs=5)
-        pipe = Pipeline(processing_ops(), plan="megabatch", megabatch_group=2)
-        units = pipe.work_units(d)
-        assert [len(u.obs) for u in units] == [2, 2, 1]
-        assert sum(len(u.obs) for u in units) == len(d.obs)
-        (whole,) = Pipeline(processing_ops(), plan="megabatch").work_units(d)
-        assert len(whole.obs) == 5
 
 
 class TestLaunchAccounting:
     """Static plan, executed counters, and the perf-model term agree."""
 
-    def _run(self, group, impl=ImplementationType.OMP_TARGET):
+    def _run(self, impl=ImplementationType.OMP_TARGET):
         d = make_data(n_obs=3)
-        p = Pipeline(
-            processing_ops(),
-            implementation=impl,
-            plan="megabatch",
-            megabatch_group=group,
-        )
+        p = Pipeline(processing_ops(), implementation=impl, plan="megabatch")
         p.exec(d, use_accel=True, accel=fresh_runtime())
         return p.last_plan
 
     def test_omp_executed_matches_static(self):
-        for group in (None, 1, 2, 3):
-            plan = self._run(group)
-            assert plan.executed["launches_elided"] == plan.launches_elided, group
+        plan = self._run()
+        assert plan.executed["launches_elided"] == plan.launches_elided
 
     def test_jax_executed_matches_static(self):
         # Elisions count kernel dispatches, whatever each one launches.
-        for group in (None, 1, 2, 3):
-            plan = self._run(group, ImplementationType.JAX)
-            assert plan.executed["launches_elided"] == plan.launches_elided, group
-
-    def test_launches_monotone_in_group_size(self):
-        """Bigger launch units never launch more kernels."""
-        elided = [self._run(g).launches_elided for g in (1, 2, 3, None)]
-        assert elided == sorted(elided)
-        assert elided[-1] > elided[0]
+        plan = self._run(ImplementationType.JAX)
+        assert plan.executed["launches_elided"] == plan.launches_elided
 
     def test_planner_megabatch_beats_fusion_alone(self):
         d = make_data(n_obs=3)
@@ -374,24 +334,6 @@ class TestStackedDescriptors:
             assert same_bits(unit(impl, "megabatch", again), eager), impl
             assert derived == [], impl
             monkeypatch.undo()
-
-
-class TestParallelMegabatch:
-    """The pool: identical maps for any plan × worker count."""
-
-    @pytest.mark.parametrize("n_procs", [1, 3])
-    def test_parallel_megabatch_matches_parallel_eager(self, n_procs):
-        from repro.parallel.satellite import run_parallel_satellite
-        from repro.workflows.satellite import SIZES
-
-        size = SIZES["tiny"]
-        base = run_parallel_satellite(
-            size, ImplementationType.OMP_TARGET, n_procs=2, plan="eager"
-        )["zmap"]
-        out = run_parallel_satellite(
-            size, ImplementationType.OMP_TARGET, n_procs=n_procs, plan="megabatch"
-        )["zmap"]
-        assert np.asarray(base).tobytes() == np.asarray(out).tobytes()
 
 
 class TestJitCacheBuckets:

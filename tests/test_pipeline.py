@@ -262,6 +262,10 @@ class TestLoopOrder:
         assert obs_major.work_units(empty) == [empty]
         assert Pipeline(processing_ops()).work_units(d) == [d]
         assert Pipeline(processing_ops(), plan="megabatch").work_units(empty) == [empty]
+        # Megabatch stacks every observation's calls: one unit, any order.
+        for order in LoopOrder:
+            mb = Pipeline(processing_ops(), order=order, plan="megabatch")
+            assert mb.work_units(d) == [d]
 
     @pytest.mark.parametrize("order", list(LoopOrder), ids=lambda o: o.value)
     @pytest.mark.parametrize("plan", ["eager", "compiled", "megabatch"])

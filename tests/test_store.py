@@ -32,6 +32,7 @@ from repro.store import (
     StreamConfig,
     commit_chunk,
     commit_manifest,
+    plan_windows,
     read_chunk_header,
     stream_pipeline,
     verify_chunk,
@@ -702,11 +703,15 @@ def test_streamed_elastic_bitwise_parity(tmp_path, n_procs):
     # The elastic oracle: per-observation partials summed in fixed order.
     oracle = produce_zmap(_PAR_SIZE, ImplementationType.NUMPY, 0)
 
-    out = run_streamed_elastic(
-        store.root, n_procs=n_procs, window_samples=128, scrub=True
-    )
+    config = StreamConfig(window_samples=128)
+    out = run_streamed_elastic(store.root, n_procs=n_procs, config=config, scrub=True)
     assert out["n_workers"] == n_procs
     assert same_bits(out["zmap"], oracle)
+    # Each task windows its observation as plan_windows does.
+    assert out["stream_windows"] == sum(
+        len(plan_windows(store, i, config)) for i in range(store.n_observations)
+    )
+    assert out["stream_windows"] > store.n_observations
 
 
 def test_streamed_bitrot_recovers_bitwise(tmp_path):
