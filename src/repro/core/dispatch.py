@@ -362,9 +362,12 @@ class BoundKernel:
         return self.fn
 
     def __call__(self, *args, **kwargs):
-        if self.spec is not None and kernel_call_validation_active():
+        # The two thread-local lookups inline kernel_call_validation_active()
+        # and active_megabatch_collector(): this runs on every kernel call.
+        if self.spec is not None and getattr(_validation, "on", False):
             self.spec.validate_call(args, kwargs)
-        coll = active_megabatch_collector()
+        stack = getattr(_megabatch_local, "stack", None)
+        coll = stack[-1] if stack else None
         if coll is not None and coll.offer(self, args, kwargs):
             return None
         tr = self._tracer
@@ -397,20 +400,19 @@ def get_kernel(name: str, impl: Optional[ImplementationType] = None) -> Callable
     (respecting ``spec.fallback_eligible``) under per-implementation
     circuit breakers and retry-with-backoff.
     """
-    if not kernel_registry.kernels():
+    if not kernel_registry._impls:
         # Populate the registry on first use (the kernel modules register
         # themselves at import time).
         from .. import kernels as _kernels  # noqa: F401
 
     chosen = impl if impl is not None else default_implementation()
+    spec = kernel_registry._specs.get(name)
+    fn, resolved = kernel_registry.resolve(name, chosen)
     tr = obs_state.active
     ctrl = res_state.active
-    spec = kernel_registry.spec(name)
     if tr is None and ctrl is None:
-        fn, resolved = kernel_registry.resolve(name, chosen)
         return BoundKernel(name, spec, fn, resolved)
 
-    fn, resolved = kernel_registry.resolve(name, chosen)
     if tr is not None:
         tr.emit(
             Event(

@@ -28,7 +28,8 @@ class Focalplane:
     ``detector_quats[d]`` rotates the boresight frame onto detector ``d``'s
     line of sight and polarization orientation.  Frozen: fields cannot be
     reassigned, and the field contents must not be mutated either, since
-    derived values (the detector weights) are computed once and kept.
+    derived values (the stacked quaternions and leakages, the detector
+    weights) are computed once and kept.
     """
 
     sample_rate: float
@@ -52,13 +53,21 @@ class Focalplane:
     def n_detectors(self) -> int:
         return len(self.detectors)
 
-    def quat_array(self) -> np.ndarray:
-        """Detector quaternions stacked as (n_det, 4), in detector order."""
+    @cached_property
+    def _quat_array(self) -> np.ndarray:
         return np.array([self.detector_quats[d] for d in self.detectors])
 
-    def epsilon_array(self) -> np.ndarray:
-        """Polarization leakage per detector (0 = ideal)."""
+    def quat_array(self) -> np.ndarray:
+        """Detector quaternions stacked as (n_det, 4), in detector order (a copy)."""
+        return self._quat_array.copy()
+
+    @cached_property
+    def _epsilon_array(self) -> np.ndarray:
         return np.array([self.pol_leakage.get(d, 0.0) for d in self.detectors])
+
+    def epsilon_array(self) -> np.ndarray:
+        """Polarization leakage per detector (0 = ideal; a copy)."""
+        return self._epsilon_array.copy()
 
     def noise_model(self, n_freq: int = 1024) -> AnalyticNoiseModel:
         """The analytic 1/f noise model for these detectors."""

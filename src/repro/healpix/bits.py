@@ -52,14 +52,14 @@ def xyf2nest(ix: np.ndarray, iy: np.ndarray, face: np.ndarray, order: int) -> np
     """Combine in-face coordinates and face number into a NESTED index.
 
     The Morton code is looked up a byte of ``order`` at a time, one
-    ``np.take`` per coordinate: for ``0 <= ix, iy < 2**order`` it equals
+    ``take`` per coordinate: for ``0 <= ix, iy < 2**order`` it equals
     ``spread_bits(ix) | spread_bits(iy) << 1``.
     """
     ix = np.asarray(ix, dtype=np.int64)
     iy = np.asarray(iy, dtype=np.int64)
     pix = np.asarray(face, dtype=np.int64) << np.int64(2 * order)
     for shift in range(0, max(order, 1), 8):
-        morton = np.take(_SPREAD_X, (ix >> shift) & 255) | np.take(_SPREAD_Y, (iy >> shift) & 255)
+        morton = _SPREAD_X.take((ix >> shift) & 255) | _SPREAD_Y.take((iy >> shift) & 255)
         pix = pix + (morton << np.int64(2 * shift))
     return pix
 

@@ -20,7 +20,8 @@ _HALFPI = 0.5 * np.pi
 def _ang2xyf(nside: int, theta: np.ndarray, phi: np.ndarray):
     """Angles to in-face coordinates ``(ix, iy, face)``."""
     z, tt = _zphi(theta, phi)
-    z, tt = np.broadcast_arrays(z, tt)
+    if z.shape != tt.shape:
+        z, tt = np.broadcast_arrays(z, tt)
     za = np.abs(z)
 
     ix = np.empty(z.shape, dtype=np.int64)
@@ -30,7 +31,7 @@ def _ang2xyf(nside: int, theta: np.ndarray, phi: np.ndarray):
     order = nside2order(nside)
 
     eq = za <= _TWOTHIRD
-    if np.any(eq):
+    if eq.any():
         zeq = z[eq]
         tteq = tt[eq]
         temp1 = nside * (0.5 + tteq)
@@ -39,17 +40,14 @@ def _ang2xyf(nside: int, theta: np.ndarray, phi: np.ndarray):
         jm = (temp1 + temp2).astype(np.int64)
         ifp = jp >> order
         ifm = jm >> order
-        f = np.where(
-            ifp == ifm,
-            (ifp & 3) + 4,
-            np.where(ifp < ifm, ifp & 3, (ifm & 3) + 8),
-        )
+        ifp3 = ifp & 3
+        f = np.where(ifp == ifm, ifp3 + 4, np.where(ifp < ifm, ifp3, (ifm & 3) + 8))
         face[eq] = f
         ix[eq] = jm & (nside - 1)
         iy[eq] = (nside - 1) - (jp & (nside - 1))
 
     pol = ~eq
-    if np.any(pol):
+    if pol.any():
         zp = z[pol]
         ttp = tt[pol]
         zap = za[pol]

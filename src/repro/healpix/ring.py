@@ -31,7 +31,7 @@ def _zphi(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalize angles: return ``(z, tt)`` with ``tt = phi/(pi/2) in [0,4)``."""
     theta = np.asarray(theta, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
-    if np.any(theta < 0.0) or np.any(theta > np.pi):
+    if (theta < 0.0).any() or (theta > np.pi).any():
         raise ValueError("theta must lie in [0, pi]")
     z = np.cos(theta)
     tt = _mod4(phi * _INV_HALFPI)

@@ -9,8 +9,6 @@ streaming over the sample axis reproduces the full-observation sum for any
 window size.
 """
 
-import numpy as np
-
 from ...core.dispatch import ImplementationType, kernel
 from ...math.rows import add_rows, take_rows
 from ...math.segments import segments
@@ -46,7 +44,7 @@ def build_noise_weighted(
     if not good.any():
         # Fully flag-masked: no scatter work to build.
         return
-    keep = np.flatnonzero(good)
+    keep = good.ravel().nonzero()[0]
     z = det_scale * seg.take(tod.T, axis=0)
     contrib = z[..., None] * seg.take(weights.transpose(1, 0, 2), axis=0)
     add_rows(zmap, pix.reshape(-1)[keep], take_rows(contrib, keep, lead=2))

@@ -4,8 +4,6 @@ The branch-heavy kernel the paper singles out (§4.2): here the flag branch
 becomes one write to the flagged lanes of the ``(n_det, n_samples)`` working set.
 """
 
-import numpy as np
-
 from ...core.dispatch import ImplementationType, kernel
 from ...healpix import ang2pix
 from ...math import qa
@@ -32,5 +30,5 @@ def pixels_healpix(
     theta, phi = qa.to_position(seg.take(quats))
     pix = ang2pix(nside, theta, phi, nest=nest)
     if shared_flags is not None and mask:
-        put_lanes(pix, np.flatnonzero(seg.take(shared_flags, axis=0) & mask), -1)
+        put_lanes(pix, (seg.take(shared_flags, axis=0) & mask).nonzero()[0], -1)
     seg.put(pixels_out, pix)

@@ -40,11 +40,10 @@ def scan_map(
             seg.put(tod, 0.0)
         return
     safe = np.where(good, pix, 0)
-    gathered = take_rows(map_data, safe)
-    w = seg.take(weights)
+    terms = take_rows(map_data, safe) * seg.take(weights)
     sampled = np.zeros(pix.shape, dtype=np.float64)
     for k in range(nnz):
-        sampled += gathered[..., k] * w[..., k]
+        sampled += terms[..., k]
     value = sampled * data_scale
 
     out = seg.take(tod)

@@ -33,8 +33,9 @@ def stokes_weights_IQU(
     if hwp_angle is not None:
         angle = angle + 2.0 * seg.take(hwp_angle, axis=0)
     scale = cal * eta[:, None]
+    twice = 2.0 * angle
     iqu = np.empty(angle.shape + (3,))
     iqu[..., 0] = cal
-    np.multiply(scale, np.cos(2.0 * angle), out=iqu[..., 1])
-    np.multiply(scale, np.sin(2.0 * angle), out=iqu[..., 2])
+    np.multiply(scale, np.cos(twice), out=iqu[..., 1])
+    np.multiply(scale, np.sin(twice), out=iqu[..., 2])
     seg.put(weights_out, iqu)

@@ -48,7 +48,9 @@ class IntervalList:
     Construction normalizes the input: spans are sorted, merged when they
     touch or overlap, and empty spans are dropped.  A list never changes
     afterwards, so its kernel arrays and segment descriptor are built once,
-    on first use, and live as long as the list.
+    on first use, and live as long as the list.  A list cut from another's
+    arrays (:meth:`window`) starts from its arrays and builds its
+    :class:`Interval` spans only if asked for them.
     """
 
     def __init__(self, spans: Iterable[Tuple[int, int]] = ()):  # noqa: D401
@@ -62,16 +64,33 @@ class IntervalList:
                 normalized[-1] = Interval(prev.first, max(prev.last, iv.last))
             else:
                 normalized.append(iv)
-        self._spans: List[Interval] = normalized
+        self._span_list: Optional[List[Interval]] = normalized
         self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._segments: Optional[Segments] = None
+
+    @classmethod
+    def _owning(cls, starts: np.ndarray, stops: np.ndarray) -> "IntervalList":
+        """A list whose pair is ``(starts, stops)``: normalized int64
+        arrays that nothing else holds."""
+        out = cls.__new__(cls)
+        out._span_list = None
+        out._arrays = adopt(out, starts, stops)
+        out._segments = None
+        return out
+
+    @property
+    def _spans(self) -> List[Interval]:
+        if self._span_list is None:
+            starts, stops = self._arrays
+            self._span_list = [Interval(f, l) for f, l in zip(starts.tolist(), stops.tolist())]
+        return self._span_list
 
     def __getstate__(self) -> dict:
         # Copies and pickles rebuild their own arrays and descriptor.
         return {"_spans": self._spans}
 
     def __setstate__(self, state: dict) -> None:
-        self._spans = state["_spans"]
+        self._span_list = state["_spans"]
         self._arrays = None
         self._segments = None
 
@@ -196,6 +215,26 @@ class IntervalList:
     def shift(self, offset: int) -> "IntervalList":
         """Translate every interval by ``offset`` samples."""
         return IntervalList((iv.first + offset, iv.last + offset) for iv in self._spans)
+
+    def window(self, start: int, stop: int) -> "IntervalList":
+        """The spans inside the window ``[start, stop)``, shifted to its origin.
+
+        Equal to ``self.intersection(IntervalList([(start, stop)])).shift(-start)``,
+        and raises as that does on an invalid window, but cut from
+        :meth:`as_arrays`: the spans that overlap the window, the first and
+        last clipped to it.  A normalized list stays normalized under the
+        cut, so the result owns the two new arrays as its pair.
+        """
+        if start < 0 or stop < start:
+            raise ValueError(f"invalid interval [{start}, {stop})")
+        starts, stops = self.as_arrays()
+        lo = stops.searchsorted(start, side="right")
+        hi = starts.searchsorted(stop, side="left") if stop > start else lo
+        first = np.maximum(starts[lo:hi], start)
+        last = np.minimum(stops[lo:hi], stop)
+        first -= start
+        last -= start
+        return IntervalList._owning(first, last)
 
     # -- time-domain construction -----------------------------------------------
 

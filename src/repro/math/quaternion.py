@@ -23,6 +23,7 @@ __all__ = [
     "inv",
     "mult",
     "mult_components",
+    "mult_by_component",
     "rotate",
     "rotate_zaxis",
     "rotate_xaxis",
@@ -65,9 +66,14 @@ def amplitude(q: np.ndarray) -> np.ndarray:
 
 def _nonzero_norm(q: np.ndarray) -> np.ndarray:
     norm = amplitude(q)
-    if np.any(norm == 0):
-        raise ValueError("cannot normalize a zero quaternion")
+    _check_nonzero(norm)
     return norm
+
+
+def _check_nonzero(norm: np.ndarray) -> None:
+    # ``not norm.all()`` is ``np.any(norm == 0)``: NaN counts as nonzero.
+    if not norm.all():
+        raise ValueError("cannot normalize a zero quaternion")
 
 
 def normalize(q: np.ndarray) -> np.ndarray:
@@ -77,13 +83,19 @@ def normalize(q: np.ndarray) -> np.ndarray:
 
 
 def _unit_components(q: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The components of ``normalize(q)``, computed one by one.
+    """The components of ``normalize(q)``, each one contiguous block.
 
-    ``x / norm`` is ``(q / norm[..., None])[..., 0]`` bit for bit.
+    Squares and quotients run once over ``q`` viewed component-major, into
+    one ``(4, ...)`` buffer: ``x * x`` and ``x / norm`` are the products and
+    quotients :func:`amplitude` and ``q / norm[..., None]`` take, bit for
+    bit, and the squares add left to right as :func:`amplitude` adds them.
     """
     q = _check_quat(q)
-    norm = _nonzero_norm(q)
-    return tuple(c / norm for c in _components(q))
+    by_component = q.transpose((q.ndim - 1,) + tuple(range(q.ndim - 1)))
+    buf = np.multiply(by_component, by_component, out=np.empty(by_component.shape))
+    norm = np.sqrt(buf[0] + buf[1] + buf[2] + buf[3])
+    _check_nonzero(norm)
+    return tuple(np.divide(by_component, norm, out=buf))
 
 
 def inv(q: np.ndarray) -> np.ndarray:
@@ -110,6 +122,39 @@ def mult_components(p, q) -> np.ndarray:
     out[..., 1] = pw * qy - px * qz + py * qw + pz * qx
     out[..., 2] = pw * qz + px * qy - py * qx + pz * qw
     out[..., 3] = pw * qw - px * qx - py * qy - pz * qz
+    return out
+
+
+#: Term ``t`` of a Hamilton product multiplies ``p``'s w, x, y, z (for t = 0,
+#: 1, 2, 3) by ``q``'s component ``_TERM_Q[t][k]`` for output component k.
+_TERM_Q = np.array([[0, 1, 2, 3], [3, 2, 1, 0], [2, 3, 0, 1], [1, 0, 3, 2]])
+
+
+def mult_by_component(p, q) -> np.ndarray:
+    """:func:`mult_components`, component-major: ``(4, ...)`` in, ``(4, ...)`` out.
+
+    ``p`` and ``q`` hold the x, y, z, w components as rows, broadcast
+    against each other; the result has one contiguous row per component
+    and equals ``np.moveaxis(mult_components(p, q), -1, 0)`` bit for bit.
+    Each term is one broadcast multiply of a ``p`` component by ``q``'s
+    components in the order the four sums take them, added to (or
+    subtracted from) the running sums two components at a time, in
+    :func:`mult_components`' left-to-right order.  Two ``(4, ...)``
+    buffers are live at a time.
+    """
+    p, q = np.asarray(p), np.asarray(q)
+    shape = np.broadcast_shapes(p.shape[1:], q.shape[1:])
+    q = q.reshape((4,) + (1,) * (len(shape) + 1 - q.ndim) + q.shape[1:])
+    out = np.multiply(p[3], q[_TERM_Q[0]], out=np.empty((4,) + shape))
+    term = np.multiply(p[0], q[_TERM_Q[1]], out=np.empty_like(out))
+    np.add(out[0::2], term[0::2], out=out[0::2])
+    np.subtract(out[1::2], term[1::2], out=out[1::2])
+    np.multiply(p[1], q[_TERM_Q[2]], out=term)
+    np.add(out[:2], term[:2], out=out[:2])
+    np.subtract(out[2:], term[2:], out=out[2:])
+    np.multiply(p[2], q[_TERM_Q[3]], out=term)
+    np.add(out[1:3], term[1:3], out=out[1:3])
+    np.subtract(out[0::3], term[0::3], out=out[0::3])
     return out
 
 
@@ -202,8 +247,11 @@ def from_angles(theta: np.ndarray, phi: np.ndarray, pa: np.ndarray) -> np.ndarra
 
 
 def _direction_angles(dx, dy, dz) -> tuple[np.ndarray, np.ndarray]:
-    """``(theta, phi)`` of a unit direction vector."""
-    return np.arccos(np.clip(dz, -1.0, 1.0)), np.arctan2(dy, dx)
+    """``(theta, phi)`` of a unit direction vector.
+
+    ``dz.clip`` is the method ``np.clip`` calls, without its wrapper.
+    """
+    return np.arccos(dz.clip(-1.0, 1.0)), np.arctan2(dy, dx)
 
 
 def _position_angle(direction, orient) -> np.ndarray:
@@ -245,13 +293,21 @@ def to_position(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _direction_angles(*_zaxis(*_unit_components(q)))
 
 
+def _axes(x, y, z, w) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """``(_zaxis(x, y, z, w), _xaxis(x, y, z, w))``, computing the three
+    products both take (``x * z``, ``w * y``, ``y * y``) once."""
+    xz, wy, yy = x * z, w * y, y * y
+    zaxis = (2.0 * (xz + wy), 2.0 * (y * z - w * x), 1.0 - 2.0 * (x * x + yy))
+    xaxis = (1.0 - 2.0 * (yy + z * z), 2.0 * (x * y + w * z), 2.0 * (xz - wy))
+    return zaxis, xaxis
+
+
 def position_angle(q: np.ndarray) -> np.ndarray:
     """Return only the ``pa`` of :func:`to_angles`, without theta and phi.
 
     ``arctan2`` runs once per lane: the polar fallback only on polar lanes.
     """
-    x, y, z, w = _unit_components(q)
-    return _position_angle(_zaxis(x, y, z, w), _xaxis(x, y, z, w))
+    return _position_angle(*_axes(*_unit_components(q)))
 
 
 def from_vectors(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:

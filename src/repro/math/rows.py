@@ -3,11 +3,15 @@
 The paper's OpenMP port addresses a sample as the flat offset
 ``idet * n_samp + isamp``.  These helpers take that view of an array --
 its leading ``lead`` axes flattened into one row axis -- and move whole
-rows through NumPy's fast paths (``np.take``, ``np.put``, and ``np.add.at``
-on one column at a time) instead of multi-array advanced indexing, which
-NumPy runs on its generic path.  Each helper equals the form it replaces
-bit for bit: writes land in index order and the last write to a row wins,
-and every accumulator element receives its additions in index order.
+rows through NumPy's fast paths (``ndarray.take``, ``ndarray.put``, and
+``np.add.at`` on one column at a time) instead of multi-array advanced
+indexing, which NumPy runs on its generic path.  Each helper equals the
+form it replaces bit for bit: writes land in index order and the last
+write to a row wins, and every accumulator element receives its additions
+in index order.  They call the array methods and ufuncs directly, and
+broadcast ``values`` only when its shape differs from the one needed:
+NumPy's Python-level wrappers cost more than the move itself on the few
+thousand rows of a streamed window.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ def _void_rows(a: np.ndarray, row_shape) -> np.ndarray:
 
 
 def take_rows(a: np.ndarray, rows, lead: int = 1) -> np.ndarray:
-    """``a[np.unravel_index(rows, a.shape[:lead])]`` as one ``np.take``."""
-    return np.take(_row_view(a, lead), rows, axis=0)
+    """``a[np.unravel_index(rows, a.shape[:lead])]`` as one ``take``."""
+    return (a if lead == 1 else _row_view(a, lead)).take(rows, axis=0)
 
 
 def put_rows(a: np.ndarray, rows, values, lead: int = 1) -> None:
@@ -50,8 +54,10 @@ def put_rows(a: np.ndarray, rows, values, lead: int = 1) -> None:
         return
     rows = np.asarray(rows)
     row = flat.shape[1:]
-    values = np.broadcast_to(np.asarray(values, dtype=a.dtype), rows.shape + row)
-    np.put(_void_rows(a, row), rows, _void_rows(np.ascontiguousarray(values), row))
+    shape = rows.shape + row
+    if type(values) is not np.ndarray or values.dtype != a.dtype or values.shape != shape:
+        values = np.broadcast_to(np.asarray(values, dtype=a.dtype), shape)
+    _void_rows(a, row).put(rows, _void_rows(np.ascontiguousarray(values), row))
 
 
 def put_lanes(a: np.ndarray, lanes, values) -> None:
@@ -71,8 +77,11 @@ def add_rows(acc: np.ndarray, rows, values) -> None:
     rows = np.asarray(rows)
     width = math.prod(acc.shape[1:])
     cols = acc.reshape((acc.shape[0], width), copy=False)
-    if np.ndim(values):
-        values = np.broadcast_to(values, rows.shape + acc.shape[1:])
+    scalar = not np.ndim(values)
+    if not scalar:
+        shape = rows.shape + acc.shape[1:]
+        if type(values) is not np.ndarray or values.shape != shape:
+            values = np.broadcast_to(values, shape)
         values = values.reshape(rows.shape + (width,))
     for j in range(width):
-        np.add.at(cols[:, j], rows, values[..., j] if np.ndim(values) else values)
+        np.add.at(cols[:, j], rows, values if scalar else values[..., j])

@@ -58,9 +58,9 @@ class Segments:
         self.stops = np.asarray(stops, dtype=np.int64)
         lengths = np.maximum(self.stops - self.starts, 0)
         self.lengths = _frozen(lengths)
-        self.offsets = _frozen(np.cumsum(lengths) - lengths)
-        self.max_len = int(lengths.max(initial=0))
-        self.n_samples = int(lengths.sum())
+        self.offsets = _frozen(lengths.cumsum() - lengths)
+        self.max_len = int(np.maximum.reduce(lengths, initial=0))
+        self.n_samples = int(np.add.reduce(lengths))
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -92,10 +92,13 @@ class Segments:
         array; ``axis=0`` a shared ``(n_samp, ...)`` array.
         """
         lead = (slice(None),) * axis
-        parts = [a[lead + (slice(start, stop),)] for start, stop, _ in self.runs]
-        if not parts:
+        runs = self.runs
+        if len(runs) == 1:
+            start, stop, _ = runs[0]
+            return a[lead + (slice(start, stop),)].copy()
+        if not runs:
             return np.empty(a.shape[:axis] + (0,) + a.shape[axis + 1 :], dtype=a.dtype)
-        return np.concatenate(parts, axis=axis)
+        return np.concatenate([a[lead + (slice(start, stop),)] for start, stop, _ in runs], axis=axis)
 
     def put(self, a: np.ndarray, values, axis: int = 1) -> None:
         """Write ``values`` to the in-interval samples of ``a`` along
@@ -104,12 +107,13 @@ class Segments:
 
         Runs are written in interval order, so where spans overlap the
         last write wins, as it does for the index form.  ``values`` are
-        broadcast to ``take(a, axis)``'s shape and cast as assignment
-        casts them.
+        broadcast to ``take(a, axis)``'s shape (an array of that shape is
+        sliced as it is) and cast as assignment casts them.
         """
         lead = (slice(None),) * axis
         shape = a.shape[:axis] + (self.n_samples,) + a.shape[axis + 1 :]
-        values = np.broadcast_to(values, shape)
+        if type(values) is not np.ndarray or values.shape != shape:
+            values = np.broadcast_to(values, shape)
         for start, stop, offset in self.runs:
             run = values[lead + (slice(offset, offset + stop - start),)]
             a[lead + (slice(start, stop),)] = run

@@ -27,7 +27,7 @@ import json
 import os
 import zlib
 from pathlib import Path
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, NamedTuple, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -191,14 +191,14 @@ def read_chunk_header(path: Path) -> Tuple[Dict[str, object], int]:
             )
         header = json.loads(hdr.decode("utf-8"))
         payload_offset = 4 + 4 + hdr_len + 4
-    _check_size(path, size, payload_offset + int(header["payload_nbytes"]))
+    _check_size(path.name, size, payload_offset + int(header["payload_nbytes"]))
     return header, payload_offset
 
 
-def _check_size(path: Path, size: int, expected: int) -> None:
+def _check_size(name: str, size: int, expected: int) -> None:
     if size != expected:
         raise StoreIntegrityError(
-            f"chunk {path.name!r} payload truncated: file is {size} bytes, "
+            f"chunk {name!r} payload truncated: file is {size} bytes, "
             f"header promises {expected}"
         )
 
@@ -219,45 +219,58 @@ def verify_chunk(path: Path) -> Dict[str, object]:
     return header
 
 
-#: What :func:`read_payload` learns from a validated header: the parsed
-#: header, the payload offset, and the header frame's raw bytes (magic,
-#: length, header JSON with its generation, header CRC).
-HeaderFrame = Tuple[Dict[str, object], int, bytes]
+class HeaderFrame(NamedTuple):
+    """What :func:`read_payload` keeps of a validated header: the file's
+    first bytes up to the payload (magic, length, header JSON with its
+    generation and payload CRC, header CRC) and the payload's shape, dtype
+    and size, parsed once."""
+
+    frame: bytes
+    shape: Tuple[int, ...]
+    dtype: np.dtype
+    nbytes: int
 
 
 def read_payload(
-    path: Path, known: Optional[HeaderFrame] = None
+    path: Union[str, Path], known: Optional[HeaderFrame] = None
 ) -> Tuple[np.ndarray, HeaderFrame]:
     """Read one chunk's payload into a fresh, writable array.
 
-    Returns ``(array, (header, offset, frame))``; pass the second item
-    back as ``known`` on the next read of the same path to skip parsing
-    the header.  The file's first ``offset`` bytes must still equal
-    ``frame`` -- on any mismatch the header is re-parsed through
-    :func:`read_chunk_header`, which raises its usual diagnostics.
-    Either way the file size must match the header and the payload must
-    arrive in one read.  The payload CRC is not checked here (see
+    Returns ``(array, frame)``; pass ``frame`` back as ``known`` on the
+    next read of the same path to skip parsing the header.  One ``readv``
+    fills a copy of the frame and the payload; the copy must still equal
+    ``known.frame`` -- on any mismatch the header is re-parsed through
+    :func:`read_chunk_header`, which raises its usual diagnostics.  Either
+    way the file size must match the header and the payload must arrive in
+    that one read.  The payload CRC is not checked here (see
     :func:`verify_chunk`).
     """
-    path = Path(path)
+    path = os.fspath(path)
     try:
-        f = open(path, "rb", buffering=0)
+        fd = os.open(path, os.O_RDONLY)
     except FileNotFoundError:
-        raise StoreIntegrityError(f"chunk {path.name!r} is missing") from None
-    with f:
-        if known is not None and f.read(known[1]) != known[2]:
-            known = None
+        raise StoreIntegrityError(f"chunk {os.path.basename(path)!r} is missing") from None
+    try:
+        if known is not None:
+            frame = bytearray(len(known.frame))
+            out = np.empty(known.shape, known.dtype)
+            got = os.readv(fd, (frame, out))
+            if got < len(frame) or frame != known.frame:
+                known = None
         if known is None:
             header, offset = read_chunk_header(path)
-            f.seek(0)
-            known = (header, offset, f.read(offset))
-        header, offset, _ = known
-        nbytes = int(header["payload_nbytes"])
-        _check_size(path, os.fstat(f.fileno()).st_size, offset + nbytes)
-        out = np.empty(tuple(header["shape"]), dtype=np.dtype(header["dtype"]))
-        got = f.readinto(out)
-    if got != nbytes:
+            os.lseek(fd, 0, os.SEEK_SET)
+            frame = bytearray(offset)
+            out = np.empty(tuple(header["shape"]), dtype=np.dtype(header["dtype"]))
+            got = os.readv(fd, (frame, out))
+            known = HeaderFrame(bytes(frame), out.shape, out.dtype, int(header["payload_nbytes"]))
+        offset = len(known.frame)
+        _check_size(os.path.basename(path), os.fstat(fd).st_size, offset + known.nbytes)
+    finally:
+        os.close(fd)
+    if got != offset + known.nbytes:
         raise StoreIntegrityError(
-            f"chunk {path.name!r} short read: got {got} of {nbytes} payload bytes"
+            f"chunk {os.path.basename(path)!r} short read: got {got - offset} "
+            f"of {known.nbytes} payload bytes"
         )
     return out, known

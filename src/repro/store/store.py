@@ -174,13 +174,57 @@ def _chunk_file(kind: str, key: str, window: int) -> str:
     return f"{kind}__{key}__w{window:04d}.chunk"
 
 
+class _ChunkRead:
+    """One chunk of a read plan: its path, the samples ``[start, stop)``
+    it holds, its manifest entry, and its header frame once read."""
+
+    __slots__ = ("path", "start", "stop", "entry", "frame")
+
+    def __init__(self, path: str, entry: Dict[str, Any]):
+        self.path = path
+        self.start = int(entry["start"])
+        self.stop = int(entry["stop"])
+        self.entry = entry
+        self.frame: Optional[HeaderFrame] = None
+
+
+class _ReadPlan:
+    """What every window of one observation reads.
+
+    Built from the manifest on the observation's first window and reused
+    by the rest: the focalplane, the normalized interval lists, and per
+    array its manifest key, key, sample axis (0 for shared arrays) and
+    chunks (paths as strings, header frames cached on first read).
+    """
+
+    __slots__ = ("focalplane", "intervals", "arrays")
+
+    def __init__(self, doc: Dict[str, Any], chunks_dir: str):
+        quats = np.array(doc["fp_quats"], dtype=np.float64)
+        self.focalplane = _focalplane_from_meta(doc["focalplane"], quats)
+        self.intervals = {
+            key: IntervalList.from_arrays(starts, stops)
+            for key, (starts, stops) in doc["intervals"].items()
+        }
+        self.arrays = [
+            (
+                akey,
+                entry["key"],
+                0 if entry["kind"] == "shared" else 1,
+                [_ChunkRead(os.path.join(chunks_dir, c["file"]), c) for c in entry["chunks"]],
+            )
+            for akey, entry in doc["arrays"].items()
+        ]
+
+
 class ObservationStore:
     """Open/create, spill, scrub, and serve windows as fresh arrays.
 
-    Set up once, stream many: each chunk's header is parsed on its first
-    read and kept in ``_headers`` (dropped whenever the chunk is
-    committed or quarantined), and each observation's focalplane is
-    built on its first window and shared by the rest.
+    Set up once, stream many: each observation's read plan
+    (:class:`_ReadPlan`: focalplane, interval lists, chunk paths) is built
+    on its first window and shared by the rest, and each chunk's header
+    frame is parsed on its first read and kept in the plan.  A scrub that
+    finds damage drops the observation's plan.
     """
 
     def __init__(self, root: Union[str, Path]):
@@ -188,8 +232,7 @@ class ObservationStore:
         self.scrub_report: Optional[ScrubReport] = None
         self._index: Dict[str, Any] = {}
         self._manifests: List[Dict[str, Any]] = []
-        self._headers: Dict[Path, HeaderFrame] = {}
-        self._focalplanes: Dict[int, Focalplane] = {}
+        self._plans: Dict[int, _ReadPlan] = {}
         SEEN_ROOTS.add(self.root)
 
     # -- lifecycle -------------------------------------------------------------
@@ -345,7 +388,6 @@ class ObservationStore:
         return iobs
 
     def _commit_chunk(self, path: Path, header: Dict[str, Any], payload) -> None:
-        self._headers.pop(path, None)
         _commit_with_retry(
             path.name,
             "store.chunks_written",
@@ -414,6 +456,7 @@ class ObservationStore:
                     {"obs": obs_dir.name, "chunk": chunk["file"], "reason": reason}
                 )
             if damaged:
+                self._plans.pop(iobs, None)
                 if not regenerate:
                     names = ", ".join(c["file"] for _, c, _ in damaged)
                     raise StoreIntegrityError(
@@ -461,7 +504,6 @@ class ObservationStore:
         qdir = obs_dir / "quarantine"
         qdir.mkdir(exist_ok=True)
         src = obs_dir / "chunks" / fname
-        self._headers.pop(src, None)
         if src.exists():
             os.replace(src, qdir / fname)
         _note(EventType.STORE_QUARANTINE, fname, "store.chunks_quarantined", reason=reason)
@@ -538,22 +580,15 @@ class ObservationStore:
                 f"window [{start},{stop}) out of range for "
                 f"{doc['n_samples']} samples"
             )
-        fp = self._focalplanes.get(iobs)
-        if fp is None:
-            quats = np.array(doc["fp_quats"], dtype=np.float64)
-            fp = self._focalplanes[iobs] = _focalplane_from_meta(doc["focalplane"], quats)
-        ob = Observation(fp, stop - start, name=doc["name"], uid=doc["uid"])
-        for akey, entry in doc["arrays"].items():
-            kind, key = akey.split("/", 1)
-            arr = self._read_window(iobs, akey, entry, start, stop)
-            if kind == "shared":
-                ob.shared[key] = arr
-            else:
-                ob.detdata[key] = arr
-        window_ivl = IntervalList([(start, stop)])
-        for key, (ivl_starts, ivl_stops) in doc["intervals"].items():
-            ivl = IntervalList.from_arrays(ivl_starts, ivl_stops)
-            ob.set_intervals(key, ivl.intersection(window_ivl).shift(-start))
+        plan = self._plans.get(iobs)
+        if plan is None:
+            plan = self._plans[iobs] = _ReadPlan(doc, str(self._obs_dir(iobs) / "chunks"))
+        ob = Observation(plan.focalplane, stop - start, name=doc["name"], uid=doc["uid"])
+        for akey, key, axis, chunks in plan.arrays:
+            arrays = ob.shared if axis == 0 else ob.detdata
+            arrays[key] = self._read_window(iobs, akey, axis, chunks, start, stop)
+        for key, ivl in plan.intervals.items():
+            ob.intervals[key] = ivl.window(start, stop)
         return ob
 
     def load_observation(self, iobs: int) -> Observation:
@@ -562,25 +597,23 @@ class ObservationStore:
         return self.window_observation(iobs, 0, int(doc["n_samples"]))
 
     def _read_window(
-        self, iobs: int, akey: str, entry: Dict[str, Any], start: int, stop: int
+        self, iobs: int, akey: str, axis: int, chunks: List[_ChunkRead], start: int, stop: int
     ) -> np.ndarray:
-        axis = 0 if entry["kind"] == "shared" else 1
         parts: List[np.ndarray] = []
-        for chunk in entry["chunks"]:
-            c0, c1 = int(chunk["start"]), int(chunk["stop"])
+        for chunk in chunks:
+            c0, c1 = chunk.start, chunk.stop
             if c1 <= start or c0 >= stop:
                 continue
             payload = self._chunk_payload(iobs, akey, chunk)
-            lo, hi = max(start, c0) - c0, min(stop, c1) - c0
-            if axis == 0:
-                parts.append(payload[lo:hi])
-            else:
-                parts.append(payload[:, lo:hi])
+            if c0 < start or c1 > stop:
+                lo, hi = max(start, c0) - c0, min(stop, c1) - c0
+                payload = payload[lo:hi] if axis == 0 else payload[:, lo:hi]
+            parts.append(payload)
         if len(parts) == 1:
             return parts[0]
         return np.concatenate(parts, axis=axis)
 
-    def _chunk_payload(self, iobs: int, akey: str, chunk: Dict[str, Any]) -> np.ndarray:
+    def _chunk_payload(self, iobs: int, akey: str, chunk: _ChunkRead) -> np.ndarray:
         """One chunk's payload, read into a fresh array.
 
         The fast path trusts the open-time scrub and skips per-read CRC
@@ -591,20 +624,21 @@ class ObservationStore:
         quarantines the chunk and regenerates it from the producer before
         re-reading, with the header parsed afresh.
         """
-        path = self._obs_dir(iobs) / "chunks" / chunk["file"]
         ctrl = res_state.active
         if ctrl is not None:
-            spec = ctrl.check("store.read", chunk=chunk["file"])
+            fname = chunk.entry["file"]
+            path = Path(chunk.path)
+            spec = ctrl.check("store.read", chunk=fname)
             if spec is not None:
                 self._flip_byte(path, spec, ctrl)
             try:
                 verify_chunk(path)
             except StoreIntegrityError as err:
-                self._quarantine(self._obs_dir(iobs), chunk["file"], str(err))
-                self._regenerate(iobs, [(akey, chunk)], str(err))
+                self._quarantine(self._obs_dir(iobs), fname, str(err))
+                self._regenerate(iobs, [(akey, chunk.entry)], str(err))
                 verify_chunk(path)
-            self._headers.pop(path, None)
-        payload, self._headers[path] = read_payload(path, self._headers.get(path))
+            chunk.frame = None
+        payload, chunk.frame = read_payload(chunk.path, chunk.frame)
         return payload
 
     @staticmethod

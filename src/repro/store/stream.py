@@ -2,11 +2,11 @@
 
 The executor walks each observation window-by-window in ascending sample
 order, reads each window into a fresh :class:`Observation` (its own
-writable arrays; the store keeps only parsed chunk headers and one
-focalplane per observation between windows), and runs the pipeline on it
-with a **shared** meta dict -- so global products (the noise-weighted map)
-accumulate in place across windows and observations in exactly the order
-a full in-memory run applies them.
+writable arrays; between windows the store keeps only each observation's
+read plan: chunk paths and header frames, interval lists, focalplane),
+and runs the pipeline on it with a **shared** meta dict -- so global
+products (the noise-weighted map) accumulate in place across windows and
+observations in exactly the order a full in-memory run applies them.
 Because every scatter kernel accumulates sample-major, the result is
 bitwise identical to the all-in-memory run for any window size.
 

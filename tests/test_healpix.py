@@ -143,6 +143,22 @@ class TestRingScheme:
 
 
 class TestNestScheme:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        theta=st.lists(st.floats(0.0, np.pi), min_size=1, max_size=16),
+        phi=st.floats(-10.0, 10.0),
+        order=st.integers(0, 12),
+    )
+    def test_equal_shapes_skip_broadcast_arrays(self, theta, phi, order):
+        """Angles of one shape go straight through; a scalar ``phi`` is
+        broadcast, and both give the pixels ``np.broadcast_arrays`` gave."""
+        nside = 1 << order
+        theta = np.array(theta)
+        full = np.full_like(theta, phi)
+        want = hp.ang2pix_nest(nside, *np.broadcast_arrays(theta, full))
+        assert hp.ang2pix_nest(nside, theta, full).tobytes() == want.tobytes()
+        assert hp.ang2pix_nest(nside, theta, phi).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("nside", NSIDES)
     def test_center_roundtrip(self, nside):
         pix = np.arange(hp.npix(nside))

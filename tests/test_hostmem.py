@@ -124,10 +124,50 @@ for n_obs in map(int, sys.argv[1].split(",")):
 print(json.dumps(records))
 """
 
+# Ingests SizeSpec(n, 4, 16384, 32) in 4096-sample chunks and streams it
+# once in 4096-sample windows, for each n given in turn, under tracemalloc;
+# prints the bytes the store object holds afterwards (traced bytes with the
+# store alive, minus the traced bytes once it is dropped).
+_STORE_HELD = r"""
+import gc, json, sys, tempfile, tracemalloc
+
+from repro.store import StreamConfig, stream_pipeline
+from repro.workflows.ingest import ingest_satellite_store
+from repro.workflows.satellite import SizeSpec, satellite_processing_pipeline
+
+WINDOW = 4096
+
+held = []
+for n_obs in map(int, sys.argv[1].split(",")):
+    size = SizeSpec("store-held", n_obs, 4, 16384, 32)
+    with tempfile.TemporaryDirectory() as tmp:
+        tracemalloc.start()
+        store = ingest_satellite_store(tmp, size, realization=0, chunk_samples=WINDOW)
+        stream_pipeline(
+            store,
+            satellite_processing_pipeline(size.nside),
+            meta={"sky_map": store.load_meta("sky_map")},
+            config=StreamConfig(window_samples=WINDOW),
+        )
+        gc.collect()
+        alive = tracemalloc.get_traced_memory()[0]
+        del store
+        gc.collect()
+        held.append(alive - tracemalloc.get_traced_memory()[0])
+        tracemalloc.stop()
+print(json.dumps(held))
+"""
+
+#: Bytes an open store may hold per observation after a streamed run: its
+#: manifest and its read plan (chunk paths and header frames, interval
+#: lists, focalplane), ~34.6 kB here.  Parsed headers cached per ``Path``
+#: beside a focalplane table held 52.8 kB.
+MAX_HELD_BYTES_PER_OBSERVATION = 40_000
+
 #: How far the 8x run may lift the peak set by the 1x run, in windows of
 #: stored bytes.  One observation is four windows, so holding the dataset
 #: overshoots by four windows per extra observation (56 at 8x).  What does
-#: grow with the observation count -- manifests and cached chunk headers --
+#: grow with the observation count -- manifests and read plans --
 #: measured under two windows at 8x.
 MAX_GROWTH_WINDOWS = 8
 
@@ -170,4 +210,16 @@ def test_ingest_and_stream_peak_does_not_grow_with_the_dataset():
         f"ingest + stream of 16 observations peaked {growth / 2**20:.1f} MiB above "
         f"2 observations (bound {bound / 2**20:.1f} MiB, {MAX_GROWTH_WINDOWS} windows "
         f"of {one['window_bytes']} stored bytes): memory grows with the dataset"
+    )
+
+
+def test_store_holds_flat_state_per_observation():
+    # The first n pays one-off costs (imports, first-use caches) outside
+    # the store; the slope from the second on is what each observation adds.
+    _, two, sixteen = _fresh(_STORE_HELD, "2,2,16")
+    per_observation = (sixteen - two) / 14
+    assert per_observation <= MAX_HELD_BYTES_PER_OBSERVATION, (
+        f"the store holds {per_observation / 1e3:.1f} kB per observation after a "
+        f"streamed run (2 observations: {two} B, 16: {sixteen} B; bound "
+        f"{MAX_HELD_BYTES_PER_OBSERVATION / 1e3:.1f} kB)"
     )

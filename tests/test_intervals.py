@@ -1,5 +1,7 @@
 """Unit and property tests for repro.math.intervals."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.math import Interval, IntervalList
 from repro.math.intervals import regular_intervals
+from repro.math.segments import segments
 
 
 spans_strategy = st.lists(
@@ -135,6 +138,73 @@ class TestArrays:
         il = IntervalList([(0, 4), (9, 20)])
         assert il.max_length == 11
         assert IntervalList([]).max_length == 0
+
+
+@st.composite
+def windowed_lists(draw):
+    """Raw spans (empty, touching, overlapping, unsorted) and a window
+    whose edges often land on a span edge, inside a span or in a gap."""
+    spans = draw(spans_strategy)
+    edges = sorted({e for span in spans for e in span} | {0})
+    edge = st.sampled_from(edges).flatmap(lambda e: st.integers(max(e - 1, 0), e + 1))
+    start = draw(edge | st.integers(0, 280))
+    stop = draw(edge | st.integers(0, 280))
+    if stop < start:
+        start, stop = stop, start
+    return spans, start, stop
+
+
+class TestWindow:
+    """``window`` is the intersection with the window shifted to its
+    origin, cut from the arrays: it builds no ``Interval`` and owns its pair."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=windowed_lists())
+    def test_window_is_the_shifted_intersection(self, case):
+        spans, start, stop = case
+        il = IntervalList(spans)
+        starts, stops = il.as_arrays()
+        want = IntervalList.from_arrays(starts, stops).intersection(
+            IntervalList([(start, stop)])
+        ).shift(-start)
+        got = il.window(start, stop)
+        got_starts, got_stops = got.as_arrays()
+        want_starts, want_stops = want.as_arrays()
+        assert got_starts.dtype == got_stops.dtype == np.int64
+        assert got_starts.tolist() == want_starts.tolist()
+        assert got_stops.tolist() == want_stops.tolist()
+        assert got == want and len(got) == len(want) and list(got) == list(want)
+
+    def test_windows_with_no_interval(self):
+        il = IntervalList([(10, 20), (30, 40)])
+        for start, stop in [(0, 10), (20, 30), (40, 90), (15, 15), (0, 0)]:
+            got = il.window(start, stop)
+            assert len(got) == 0 and got.as_arrays()[0].size == 0
+        assert len(IntervalList().window(0, 50)) == 0
+
+    def test_spans_straddling_both_edges_are_clipped(self):
+        got = IntervalList([(0, 12), (14, 30)]).window(5, 20)
+        assert [(iv.first, iv.last) for iv in got] == [(0, 7), (9, 15)]
+
+    def test_window_owns_its_pair(self):
+        got = IntervalList([(0, 12), (14, 30)]).window(5, 20)
+        starts, stops = got.as_arrays()
+        assert got.as_arrays()[0] is starts and got.as_arrays()[1] is stops
+        assert not starts.flags.writeable and not stops.flags.writeable
+        assert segments(starts, stops) is got.segments
+
+    def test_invalid_window_raises_as_the_intersection_does(self):
+        il = IntervalList([(0, 12)])
+        for start, stop in [(5, 3), (-1, 4)]:
+            with pytest.raises(ValueError, match="invalid interval") as want:
+                il.intersection(IntervalList([(start, stop)]))
+            with pytest.raises(ValueError, match="invalid interval") as got:
+                il.window(start, stop)
+            assert str(got.value) == str(want.value)
+
+    def test_pickles_build_the_spans(self):
+        got = IntervalList([(0, 12), (14, 30)]).window(5, 20)
+        assert pickle.loads(pickle.dumps(got)) == got
 
 
 class TestRegularIntervals:

@@ -249,6 +249,102 @@ class TestComponentForms:
         assert np.ndim(qa.position_angle(q[0, 0])) == 0
 
 
+#: NaNs with distinct payloads (both signs), signed zeros, infinities,
+#: subnormals, and values on and just beyond the clip bounds.
+_SPECIAL = np.concatenate([
+    np.array([0x7FF8000000000001, 0x7FF80000DEADBEEF, 0xFFF8000000000002], dtype=np.uint64).view(
+        np.float64
+    ),
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0,
+     np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 0.5],
+])
+special_floats = st.one_of(st.sampled_from(list(_SPECIAL)), st.floats(width=64))
+
+
+#: Finite components small enough that no product or sum overflows.
+finite_components = st.floats(min_value=-1e150, max_value=1e150, allow_subnormal=True)
+
+
+@st.composite
+def quaternions_with_one_special(draw):
+    """Finite components but one, which may be a NaN (any payload) or ±inf."""
+    q = draw(st.lists(finite_components, min_size=4, max_size=4))
+    at = draw(st.none() | st.integers(0, 3))
+    if at is not None:
+        q[at] = draw(st.sampled_from([*_SPECIAL[:3], np.inf, -np.inf]))
+    return q
+
+
+class TestWrapperForms:
+    """The pointing helpers equal the forms they replaced, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(special_floats, max_size=12))
+    def test_clip_method_is_np_clip(self, values):
+        a = np.array(values, dtype=np.float64)
+        assert a.clip(-1.0, 1.0).tobytes() == np.clip(a, -1.0, 1.0).tobytes()
+        with np.errstate(all="ignore"):
+            theta, phi = qa._direction_angles(a, a[::-1], a)
+            assert theta.tobytes() == np.arccos(np.clip(a, -1.0, 1.0)).tobytes()
+            assert phi.tobytes() == np.arctan2(a[::-1], a).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(special_floats, max_size=12))
+    def test_all_is_no_norm_equal_to_zero(self, values):
+        norm = np.array(values, dtype=np.float64)
+        assert (not norm.all()) == bool(np.any(norm == 0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(qs=st.lists(quaternions_with_at_most_one_nan(), min_size=1, max_size=9))
+    def test_unit_components_are_the_per_component_quotients(self, qs):
+        q = np.array(qs)
+        with np.errstate(all="ignore"):
+            norm = qa.amplitude(q)
+            if np.any(norm == 0):
+                with pytest.raises(ValueError, match="zero quaternion"):
+                    qa._unit_components(q)
+                return
+            for quats in (q, q.reshape(1, -1, 4), q[0]):
+                got = qa._unit_components(quats)
+                want = [c / qa.amplitude(quats) for c in qa._components(quats)]
+                assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ps=st.lists(quaternions_with_one_special(), min_size=1, max_size=7),
+        qs=st.lists(st.lists(finite_components, min_size=4, max_size=4), min_size=1, max_size=4),
+        swap=st.booleans(),
+    )
+    def test_mult_by_component_is_mult_components_transposed(self, ps, qs, swap):
+        # One NaN or infinite component on one side, finite values that do
+        # not overflow on the other: each sum then meets at most one NaN or
+        # infinity (a NaN + NaN payload is the loop's choice under IEEE 754,
+        # and inf - inf makes a NaN).  ``swap`` puts it in ``q``.
+        p, q = np.array(ps).T, np.array(qs).T[:, :, None]
+        if swap:
+            p, q = np.array(qs).T, np.array(ps).T[:, :, None]
+        with np.errstate(all="ignore"):
+            want = np.moveaxis(qa.mult_components(p, q), -1, 0)
+            got = qa.mult_by_component(p, q)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+            one = qa.mult_by_component(p[:, 0], q[:, 0, 0])
+            assert one.tobytes() == qa.mult_components(p[:, 0], q[:, 0, 0]).tobytes()
+            # ``p`` with more axes than ``q``.
+            wide = qa.mult_by_component(p[:, None, :], q[:, :1, 0])
+            want = np.moveaxis(qa.mult_components(p[:, None, :], q[:, :1, 0]), -1, 0)
+            assert wide.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(qs=st.lists(quaternions_with_at_most_one_nan(), min_size=1, max_size=9))
+    def test_shared_axis_products(self, qs):
+        c = tuple(np.array(qs).T)
+        with np.errstate(all="ignore"):
+            zaxis, xaxis = qa._axes(*c)
+            assert [a.tobytes() for a in zaxis] == [a.tobytes() for a in qa._zaxis(*c)]
+            assert [a.tobytes() for a in xaxis] == [a.tobytes() for a in qa._xaxis(*c)]
+
+
 class TestFromVectors:
     def test_maps_v1_to_v2(self):
         v1 = RNG.normal(size=(16, 3))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.math.rows import add_rows, put_lanes, put_rows, take_rows
+from repro.math.rows import _row_view, _void_rows, add_rows, put_lanes, put_rows, take_rows
 
 # Quiet NaNs with distinct payloads, finite values with both signed zeros,
 # and the infinities.
@@ -170,3 +170,99 @@ def test_writes_into_a_non_contiguous_target_raise():
     with pytest.raises(ValueError):
         add_rows(base.transpose(0, 2, 1), [0], 1.0)
     assert not base.any()
+
+
+def _put_rows_broadcasting(a, rows, values, lead=1):
+    """``put_rows`` as it was: ``values`` always through ``np.broadcast_to``,
+    written with ``np.put``."""
+    flat = _row_view(a, lead)
+    if flat.ndim == 1:
+        flat[rows] = values
+        return
+    rows = np.asarray(rows)
+    row = flat.shape[1:]
+    values = np.broadcast_to(np.asarray(values, dtype=a.dtype), rows.shape + row)
+    np.put(_void_rows(a, row), rows, _void_rows(np.ascontiguousarray(values), row))
+
+
+def _add_rows_broadcasting(acc, rows, values):
+    """``add_rows`` as it was: ``values`` always through ``np.broadcast_to``."""
+    rows = np.asarray(rows)
+    width = int(np.prod(acc.shape[1:]))
+    cols = acc.reshape((acc.shape[0], width))
+    if np.ndim(values):
+        values = np.broadcast_to(values, rows.shape + acc.shape[1:])
+        values = values.reshape(rows.shape + (width,))
+    for j in range(width):
+        np.add.at(cols[:, j], rows, values[..., j] if np.ndim(values) else values)
+
+
+def _value_forms(data, shape, dtype, vdtype):
+    """Values for a write of ``shape``: exactly that shape in the target's
+    dtype (no broadcast), that shape in another dtype, the same values as a
+    non-contiguous view, broadcastable, or a scalar."""
+    form = data.draw(st.sampled_from(["exact", "other-dtype", "strided", "broadcast", "scalar"]))
+    if form == "exact":
+        return _fill(data.draw, shape, dtype)
+    if form == "other-dtype":
+        return _fill(data.draw, shape, vdtype)
+    if form == "strided":
+        return _fill(data.draw, shape[::-1], dtype).T
+    if form == "broadcast":
+        return _fill(data.draw, shape[-1:], vdtype)
+    return _fill(data.draw, (), vdtype)[()]
+
+
+class TestWrapperForms:
+    """Each helper equals the NumPy-wrapper form it replaced, bit for bit:
+    ``np.take`` of the row view for every ``lead``, ``np.broadcast_to`` of
+    values that already have the needed shape, ``np.put``, and
+    ``np.flatnonzero``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), layout=layouts(), strided=st.booleans())
+    def test_take_rows_is_np_take_of_the_row_view(self, data, layout, strided):
+        lead, trailing, dtype, _ = layout
+        a = _fill(data.draw, lead + trailing, dtype)
+        if strided:
+            a = np.ascontiguousarray(np.repeat(a, 2, axis=0))[::2]
+        for k in range(1, a.ndim + 1):
+            rows = _rows(data.draw, int(np.prod(a.shape[:k])))
+            _assert_same(take_rows(a, rows, lead=k), np.take(_row_view(a, k), rows, axis=0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), layout=layouts())
+    def test_put_rows_is_the_broadcast_put(self, data, layout):
+        lead, trailing, dtype, vdtype = layout
+        a = _fill(data.draw, lead + trailing, dtype)
+        rows = _rows(data.draw, int(np.prod(lead)))
+        values = _value_forms(data, rows.shape + trailing, dtype, vdtype)
+        got, want = a.copy(), a.copy()
+        put_rows(got, rows, values, lead=len(lead))
+        _put_rows_broadcasting(want, rows, values, lead=len(lead))
+        _assert_same(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), layout=layouts(lead_axes=(1, 1)))
+    def test_add_rows_is_the_broadcast_add(self, data, layout):
+        lead, trailing, dtype, vdtype = layout
+        acc = _fill(data.draw, lead + trailing, dtype, _FINITE)
+        rows = np.unique(_rows(data.draw, lead[0]) % lead[0])
+        if dtype.kind == "f":
+            vdtype = data.draw(st.sampled_from([dtype, np.dtype(np.float32)]))
+        values = _value_forms(data, rows.shape + trailing, dtype, vdtype)
+        got, want = acc.copy(), acc.copy()
+        add_rows(got, rows, values)
+        _add_rows_broadcasting(want, rows, values)
+        _assert_same(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.lists(st.integers(0, 5), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    def test_nonzero_of_the_ravel_is_flatnonzero(self, shape, data):
+        size = int(np.prod(shape))
+        bits = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool)
+        for a in (bits.reshape(shape), bits.reshape(shape).T):
+            _assert_same(a.ravel().nonzero()[0], np.flatnonzero(a))

@@ -229,3 +229,73 @@ class TestMover:
         )
         empty = Segments(np.array([5, 40]), np.array([2, 30]))
         assert empty.runs == () and empty.take(np.ones((2, 64, 3))).shape == (2, 0, 3)
+
+
+def _take_concatenating(seg, a, axis=1):
+    """``Segments.take`` as it was: every run through ``np.concatenate``."""
+    lead = (slice(None),) * axis
+    parts = [a[lead + (slice(start, stop),)] for start, stop, _ in seg.runs]
+    if not parts:
+        return np.empty(a.shape[:axis] + (0,) + a.shape[axis + 1 :], dtype=a.dtype)
+    return np.concatenate(parts, axis=axis)
+
+
+def _put_broadcasting(seg, a, values, axis=1):
+    """``Segments.put`` as it was: ``values`` always through ``np.broadcast_to``."""
+    lead = (slice(None),) * axis
+    shape = a.shape[:axis] + (seg.n_samples,) + a.shape[axis + 1 :]
+    values = np.broadcast_to(values, shape)
+    for start, stop, offset in seg.runs:
+        a[lead + (slice(start, stop),)] = values[lead + (slice(offset, offset + stop - start),)]
+
+
+class TestWrapperForms:
+    """The descriptor and its mover equal the NumPy-wrapper forms they
+    replaced, bit for bit: ``np.cumsum``/``max``/``sum`` for the fields,
+    ``np.concatenate`` of a single run, and ``np.broadcast_to`` of values
+    that already have the needed shape (the exact-shape branch) or not
+    (the broadcast branch)."""
+
+    @given(pair=span_pairs(60))
+    def test_fields_are_the_wrapped_reductions(self, pair):
+        seg = Segments(*pair)
+        lengths = np.maximum(pair[1] - pair[0], 0)
+        np.testing.assert_array_equal(seg.offsets, np.cumsum(lengths) - lengths)
+        assert seg.max_len == int(lengths.max(initial=0))
+        assert seg.n_samples == int(lengths.sum())
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=mover_cases())
+    def test_take_is_the_concatenated_runs(self, case):
+        seg, a, shared, _ = case
+        got = seg.take(a)
+        _assert_same(got, _take_concatenating(seg, a))
+        assert got.flags.c_contiguous and got.flags.owndata
+        _assert_same(seg.take(shared, axis=0), _take_concatenating(seg, shared, axis=0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), case=mover_cases())
+    def test_put_branches_are_the_broadcast_put(self, data, case):
+        seg, a, shared, vdtype = case
+        n_det = a.shape[0]
+        trailing = a.shape[2:]
+        full = (n_det, seg.n_samples) + trailing
+        form = data.draw(st.sampled_from(["exact", "strided", "broadcast", "scalar"]))
+        if form == "exact":
+            values = _fill(data.draw, full, vdtype)
+        elif form == "strided":
+            values = _fill(data.draw, full[::-1], vdtype).T
+        elif form == "broadcast":
+            values = _fill(data.draw, (n_det, 1) + trailing, vdtype)
+        else:
+            values = _fill(data.draw, (), vdtype)[()]
+        got, want = a.copy(), a.copy()
+        seg.put(got, values)
+        _put_broadcasting(seg, want, values)
+        _assert_same(got, want)
+
+        svalues = _fill(data.draw, (seg.n_samples,) + trailing, vdtype)
+        got, want = shared.copy(), shared.copy()
+        seg.put(got, svalues, axis=0)
+        _put_broadcasting(seg, want, svalues, axis=0)
+        _assert_same(got, want)

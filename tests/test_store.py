@@ -9,6 +9,7 @@ to their all-in-memory oracles for any window size.
 """
 
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -619,6 +620,66 @@ def test_regenerated_chunk_reads_back_on_the_fast_path(tmp_path):
     header, offset = read_chunk_header(fresh)
     assert got[header["key"]] == fresh.read_bytes()[offset:]
     assert got == want
+
+
+@pytest.mark.parametrize("start, stop", [(0, 128), (128, 384), (0, 1024), (200, 700)])
+def test_warm_window_read_opens_one_file_per_chunk(tmp_path, monkeypatch, start, stop):
+    """A warm read plan opens each overlapped chunk once, through
+    ``os.open`` on its cached path string, and runs no ``pathlib`` code."""
+    store = _ingest(tmp_path)
+    want = _window_bytes(store.window_observation(0, start, stop))  # builds the plan
+    overlapped = sorted(
+        chunk["file"]
+        for entry in store.manifest(0)["arrays"].values()
+        for chunk in entry["chunks"]
+        if chunk["start"] < stop and chunk["stop"] > start
+    )
+    opened, pathlib_calls = [], []
+    real_open = os.open
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(os.path.basename(path))
+        return real_open(path, *args, **kwargs)
+
+    def profile(frame, event, _arg):
+        if event == "call" and "pathlib" in frame.f_code.co_filename:
+            pathlib_calls.append(frame.f_code.co_name)
+
+    monkeypatch.setattr(os, "open", counting_open)
+    sys.setprofile(profile)
+    try:
+        got = store.window_observation(0, start, stop)
+    finally:
+        sys.setprofile(None)
+    assert sorted(opened) == overlapped
+    assert pathlib_calls == []
+    assert _window_bytes(got) == want
+
+
+def test_window_interval_lists_own_their_pair(tmp_path, monkeypatch):
+    """Each window's interval list hands the kernels the pair it owns, so
+    every kernel of a window finds one cached descriptor per list."""
+    from repro.math import segments as segments_module
+
+    store = _ingest(tmp_path)
+    derived = []
+    real_init = segments_module.Segments.__init__
+
+    def counting_init(self, *args, **kwargs):
+        derived.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(segments_module.Segments, "__init__", counting_init)
+    for start, stop in store.windows(0, 256):
+        ob = store.window_observation(0, start, stop)
+        for ivl in ob.intervals.values():
+            starts, stops = ivl.as_arrays()
+            assert ivl.as_arrays()[0] is starts and ivl.as_arrays()[1] is stops
+            seg = ivl.segments
+            for _ in range(6):  # one lookup per kernel of the window
+                assert segments_module.segments(starts, stops) is seg
+    n_lists = len(store.windows(0, 256)) * len(store.manifest(0)["intervals"])
+    assert len(derived) == n_lists
 
 
 def test_stream_config_validation():
